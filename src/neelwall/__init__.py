@@ -25,9 +25,9 @@ from .spectra import (RelativeBoundPoint, ResolventSample, SpectrumReport,
                       pencil_eigenvalues, pencil_gap,
                       relative_bound_fit, res_inequality_trials,
                       resolvent_norm, resolvent_sweep)
-from .dynamics import (BlowUpError, DecayFit, OrbitalVerdict, Perturbation,
-                       SimConfig, SimTrace, decay_fit, integrate, modulate,
-                       orbital_experiment)
+from .dynamics import (BlowUpError, DecayFit, ModulationError,
+                       OrbitalVerdict, Perturbation, SimConfig, SimTrace,
+                       decay_fit, integrate, modulate, orbital_experiment)
 from .regions import RegionParams, SampledCheck, run_all_checks
 from .reports import load_profile, store_profile, write_report
 

@@ -226,7 +226,8 @@ def _cmd_solve_moving(grid, config, out, seed):
 
 def _cmd_mobility(grid, config, out, seed):
     fields = _field_list(config)
-    fit = mobility(grid, config["nu"], fields)
+    static = solve_static(grid, tol=_static_tol(grid))
+    fit = mobility(grid, config["nu"], fields, static=static)
     rows = [{"H": H, "c": c,
              "beta_measured": fit.beta_measured,
              "beta_predicted": fit.beta_predicted,
@@ -234,7 +235,6 @@ def _cmd_mobility(grid, config, out, seed):
             for H, c in sorted(fit.speeds.items())]
     path = os.path.join(out, "mobility.csv")
     write_report(rows, "csv", path)
-    static = solve_static(grid, tol=_static_tol(grid))
     return static, [path], {"beta_measured": fit.beta_measured,
                             "beta_predicted": fit.beta_predicted}
 
@@ -279,6 +279,7 @@ def _cmd_resolvent_sweep(grid, config, out, seed):
     summary = {"delta": delta, "w": sweep.w, "M1": sweep.M1,
                "flagged": sweep.flagged,
                "envelope_margin": sweep.envelope_margin,
+               "nudged": len(sweep.nudged),
                **{f"sup_{k}": v for k, v in sweep.sup_by_region.items()}}
     json_path = os.path.join(out, "resolvent_summary.jsonl")
     write_report(summary, "json-lines", json_path)

@@ -50,6 +50,11 @@ class BlowUpError(RuntimeError):
         self.trace = trace
 
 
+class ModulationError(ValueError):
+    """Raised when the wall position or the modulation shift of a frame
+    cannot be fitted (no zero crossing, no bracket, Newton diverged)."""
+
+
 @dataclass(frozen=True)
 class Perturbation:
     shape: str = "sech"
@@ -275,7 +280,7 @@ def wall_position_of(grid: Grid, theta_full: np.ndarray,
     sgn = np.signbit(theta_full)
     idx = np.nonzero(sgn[:-1] != sgn[1:])[0]
     if len(idx) == 0:
-        raise ValueError("phase has no zero crossing")
+        raise ModulationError("phase has no zero crossing")
     xs = grid.x[idx] - theta_full[idx] * grid.dx / (theta_full[idx + 1] - theta_full[idx])
     return float(xs[np.argmin(np.abs(xs - previous))])
 
@@ -328,8 +333,8 @@ def modulate(theta: Field, reference: Profile, t: float = 0.0,
     vals = [misfit(s) for s in coarse]
     i = int(np.argmin(vals))
     if i == 0 or i == len(coarse) - 1:
-        raise ValueError("no modulation bracket within |s| <= L/4; "
-                         "perturbation too large to modulate")
+        raise ModulationError("no modulation bracket within |s| <= L/4; "
+                              "perturbation too large to modulate")
     gr = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = coarse[i - 1], coarse[i + 1]
     c1, c2 = b - gr * (b - a), a + gr * (b - a)
@@ -345,7 +350,7 @@ def modulate(theta: Field, reference: Profile, t: float = 0.0,
             f2 = misfit(c2)
     s = newton(0.5 * (a + b))
     if s is None:
-        raise ValueError("modulation Newton failed to converge")
+        raise ModulationError("modulation Newton failed to converge")
     return float(s)
 
 
@@ -624,7 +629,7 @@ def orbital_experiment(grid: Grid, H: float, perturbation: Perturbation,
                        perturbation=perturbation)
     try:
         trace = integrate(grid, config, reference, initial=(theta0, np.zeros(grid.n)))
-    except (BlowUpError, ValueError) as exc:
+    except (BlowUpError, ModulationError) as exc:
         trace = getattr(exc, "trace", None)
         return OrbitalVerdict(False, None, np.nan, reference.c, np.nan, np.nan,
                               np.array([]), np.nan, trace,

@@ -1,17 +1,27 @@
 """Spectra, resolvent sweeps, relative-bound fits, resolvent inequalities.
 
-Resolvent norms use one Schur factorization of the weighted matrix per
-operator (real Schur of the real matrix, converted to complex triangular
-form); each sample then costs two triangular solves per Lanczos
-bidiagonalization step:
+Resolvent norms ||(A - lam)^{-1}||_W and ||A (A - lam)^{-1}||_W in the
+H1 x L2 geometry W come from one factorization per operator, chosen by the
+operator's kind:
 
-    ||(A - lam)^{-1}||_W = 1 / sigma_min(T - lam I),
-    ||A (A - lam)^{-1}||_W = sigma_max(T (T - lam I)^{-1}),
+  * Static A = [[0, I], [-L, -nu]] (kind "A"): L is symmetric, so eigh(L)
+    diagonalizes the quadratic pencil and the resolvent is explicit in the
+    modes; the weight enters through one Cholesky factor C shared by every
+    lam.  A block of lam's then costs one real triangular solve and one
+    real product with C per Krylov step (BLAS-3), and the spectrum is the
+    pencil image of sigma(L).  This replaces the non-normal 2n Schur form,
+    which costs about ten times the n x n eigh.
+  * Moving A_c (any other kind): L_c is not symmetric and A_c is
+    non-normal, so the weighted matrix keeps its Schur form T; each sample
+    costs a forward and an adjoint triangular solve with T - lam I per
+    Krylov step, in single precision with a double-precision redo near
+    the spectrum.  It is also the reference the modal path is tested
+    against.
 
-with warm starts along a sweep, single-precision solves (double-precision
-redo near the spectrum), and conjugate-pair caching (the weighted matrix
-is real).  Eigenvalues are geometry-invariant, so eigen-reports work on
-the raw real matrices.
+Both estimate the extreme singular value by Golub-Kahan bidiagonalization
+(_gk_batch), run in lockstep over a block of lam's; sweeps evaluate each
+conjugate pair once (the weighted matrix is real).  Eigenvalues are
+geometry-invariant, so eigen-reports work on the raw real matrices.
 """
 
 from __future__ import annotations
@@ -20,10 +30,11 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import blas
 import scipy.sparse.linalg as spla
 from scipy.spatial import cKDTree
 
-from .grid import Grid, a_form, derivative, l2_inner
+from .grid import Grid, a_form, apply_multiplier, derivative, l2_inner
 from .linops import DiscretizedOperator, a_perp_inverse_factory
 from .profiles import Profile
 
@@ -149,39 +160,214 @@ class ResolventSample:
     region: str = ""
 
 
-class ResolventCalculator:
-    """Per-operator resolvent norms from the cached weighted Schur form.
+class SpectrumDistanceError(ValueError):
+    """A resolvent norm was requested within SPECTRUM_MIN_DISTANCE of the
+    computed spectrum."""
 
-    Each norm is the extreme singular value of an operator built from the
-    shifted triangular factor A = T - lam I, estimated by Golub-Kahan
-    (Lanczos) bidiagonalization with full reorthogonalization; one
-    iteration costs one forward and one adjoint triangular solve.  The
-    adjoint solve uses conj(solve(A^T, conj(b))): LAPACK's trans="T" path
-    avoids the slow conjugated triangular kernel.  Solves run in single
-    precision (ample for sweep tolerances ~1e-3) with a double-precision
-    redo when sigma_min approaches single-precision noise; iterates are
-    warm-started along a sweep."""
+
+class ModalStructureError(ValueError):
+    """An operator of kind "A" whose matrix is not [[0, I], [-L, -nu I]]
+    with a symmetric L, so the modal factorization does not apply."""
+
+
+SPECTRUM_MIN_DISTANCE = 1e-8   # resolvents closer to sigma(A) are refused
+GK_MIN_ITER = 12          # steps before the stagnation test may stop a lambda
+SYMMETRY_TOL = 1e-12      # max |L - L^T| / max |L| accepted by the modal path
+_SCHUR_BYTES = 48         # bytes per entry of the 2n x 2n Schur form not built:
+                          # complex T and Q plus two complex64 work copies
+
+
+def _gk_batch(matvec, rmatvec, m, size, tol, max_iter, seed,
+              dtype=np.complex128) -> np.ndarray:
+    """sigma_max of m operators by Golub-Kahan bidiagonalization with full
+    reorthogonalization, run in lockstep from one random start vector.
+
+    matvec(X, act) applies operator act[j] to row j of X (len(act) x
+    size); rmatvec applies the adjoints.  Reorthogonalization is one array
+    operation per stored Krylov vector, the small bidiagonal factors of the
+    block share one batched svd per step, and an operator leaves the block
+    once its estimate changes by at most tol (relative) after GK_MIN_ITER
+    steps, or its bidiagonalization terminates.  Krylov vectors stay in
+    `dtype` so single-precision solves are not upcast."""
+    rng = np.random.default_rng(seed)
+    v0 = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    v0 = (v0 / np.linalg.norm(v0)).astype(dtype)
+    act = np.arange(m)
+    Vs = [np.tile(v0, (m, 1))]
+    Us = []
+    alphas = np.zeros((m, max_iter))
+    betas = np.zeros((m, max_iter))
+    est = np.zeros(m)
+    for j in range(max_iter):
+        u = matvec(Vs[-1], act)
+        if Us:
+            u -= b[:, None] * Us[-1]
+        for uu in Us:
+            u -= np.vecdot(uu, u)[:, None] * uu
+        a = np.linalg.norm(u, axis=1)
+        dead = a == 0.0
+        u /= np.where(dead, 1.0, a)[:, None]
+        Us.append(u)
+        w = rmatvec(u, act) - a[:, None] * Vs[-1]
+        for vv in Vs:
+            w -= np.vecdot(vv, w)[:, None] * vv
+        b = np.linalg.norm(w, axis=1)
+        alphas[act, j], betas[act, j] = a, b
+        k = np.arange(j + 1)
+        B = np.zeros((len(act), j + 1, j + 1))
+        B[:, k, k] = alphas[act, :j + 1]
+        B[:, k[1:], k[:-1]] = betas[act, :j]
+        new = np.linalg.svd(B, compute_uv=False)[:, 0]
+        done = dead | (b < 1e-12 * np.maximum(new, 1.0))
+        if j + 1 >= GK_MIN_ITER:
+            done |= np.abs(new - est[act]) <= tol * new
+        est[act] = np.where(dead, est[act], new)
+        if done.any():
+            keep = ~done
+            act = act[keep]
+            if not act.size:
+                break
+            Us = [x[keep] for x in Us]
+            Vs = [x[keep] for x in Vs]
+            w, b = w[keep], b[keep]
+        Vs.append(w / b[:, None])
+    return est
+
+
+class ResolventCalculator:
+    """Weighted resolvent norms ||(A - lam)^{-1}||_W and ||A (A - lam)^{-1}||_W
+    of one block operator, from a factorization chosen by the operator.
+
+    Static A (kind "A"): the modal factorization.  A = [[0, I], [-L, -nu]]
+    with symmetric L = Q diag(mu) Q^T (eigh), K = Q^T (1 + k^2) Q = C^T C
+    (Cholesky), so that ||(A - lam)^{-1}||_W = ||S(lam)||_2 with
+
+        S = diag(C, I) M_lam diag(C^{-1}, I),
+        M_lam = [[-(nu+lam) R, -R], [I - lam (nu+lam) R, -lam R]],
+        R = diag(1 / (mu + lam^2 + nu lam)).
+
+    C is shared by every lam, so a block of lam's costs one real triangular
+    solve and one real product with C per Krylov step.  These run in single
+    precision with no double-precision redo: C is well conditioned
+    (cond(K) = max(1 + k^2)), and the near-singular factor R is formed in
+    double before it is rounded.
+
+    Other kinds (A_c, non-normal with a non-symmetric L_c): one Schur form
+    T of the weighted matrix; each Krylov step costs a forward and an
+    adjoint triangular solve with T - lam I in single precision, redone in
+    double when sigma_min approaches single-precision noise.  The adjoint
+    solve uses conj(solve(A^T, conj(b))): LAPACK's trans="T" path avoids
+    the slow conjugated triangular kernel.
+
+    Both estimate extreme singular values by Golub-Kahan bidiagonalization
+    (_gk_batch).  norm_inv and norm_composed take one lam or a 1-D array of
+    them."""
 
     def __init__(self, op: DiscretizedOperator):
         self.op = op
-        self.T, _ = op.weighted_schur
-        self.spectrum = np.diag(self.T)
-        self._T32 = self.T.astype(np.complex64)
-        self._A32 = np.empty_like(self._T32)
-        self._A64 = None
-        self._idx = np.arange(self.T.shape[0])
-        self._v_inv = None
-        self._v_comp = None
+        if op.kind == "A":
+            self._modal_factorization()
+        else:
+            self.T, _ = op.weighted_schur
+            self.spectrum = np.diag(self.T)
+            self._T32 = self.T.astype(np.complex64)
+            self._A32 = np.empty_like(self._T32)
+            self._A64 = None
+            self._idx = np.arange(self.T.shape[0])
+        self._tree = cKDTree(np.column_stack([self.spectrum.real,
+                                              self.spectrum.imag]))
 
-    def _check_distance(self, lam: complex):
-        d = float(np.min(np.abs(self.spectrum - lam)))
-        if d <= 1e-8:
-            raise ValueError(
-                f"lambda = {lam} within 1e-8 of the computed spectrum "
-                f"(distance {d:.2e})")
+    def _modal_factorization(self):
+        op = self.op
+        n = op.grid.n
+        M = op.matrix
+        top, damp = M[:n, n:], M[n:, n:]
+        if (np.any(M[:n, :n]) or np.count_nonzero(top) != n
+                or np.any(np.diagonal(top) != 1.0)
+                or np.count_nonzero(damp) != n
+                or np.any(np.diagonal(damp) != -op.nu)):
+            raise ModalStructureError(
+                "kind A matrix is not [[0, I], [-L, -nu I]]")
+        L = -M[n:, :n]
+        asym = float(np.max(np.abs(L - L.T)) / np.max(np.abs(L)))
+        if asym > SYMMETRY_TOL:
+            raise ModalStructureError(
+                f"L is not symmetric: max |L - L^T| / max |L| = {asym:.2e} "
+                f"> {SYMMETRY_TOL:.0e}")
+        self._mu, Q = sla.eigh(L)
+        K = apply_multiplier(op.grid, Q.T, 1.0 + op.grid.k**2) @ Q
+        self._C = np.asfortranarray(
+            sla.cholesky(0.5 * (K + K.T), check_finite=False), np.float32)
+        self.spectrum = pencil_eigenvalues(self._mu, op.nu)
 
-    def _solves(self, lam: complex, double: bool):
-        """(forward, adjoint) triangular solves with A = T - lam I."""
+    def spectrum_distance(self, lams) -> np.ndarray:
+        """Distance from each lam to the nearest computed eigenvalue."""
+        lams = np.atleast_1d(np.asarray(lams, dtype=complex))
+        return self._tree.query(np.column_stack([lams.real, lams.imag]))[0]
+
+    def _check_distance(self, lams: np.ndarray):
+        d = self.spectrum_distance(lams)
+        if np.any(d <= SPECTRUM_MIN_DISTANCE):
+            i = int(np.argmin(d))
+            raise SpectrumDistanceError(
+                f"lambda = {lams[i]} within {SPECTRUM_MIN_DISTANCE:.0e} of the "
+                f"computed spectrum (distance {d[i]:.2e})")
+
+    # -- modal path ----------------------------------------------------------
+
+    def _block_size(self, max_iter: int) -> int:
+        """Lambdas per block: worst-case Krylov storage (two bases of
+        max_iter + 1 complex64 vectors of length 2n per lambda) fits in the
+        memory of the Schur form this path does not build."""
+        size = 2 * self.op.grid.n
+        return max(1, _SCHUR_BYTES * size // (2 * (max_iter + 1) * 8))
+
+    def _modal_ops(self, lams: np.ndarray, composed: bool):
+        """(matvec, rmatvec) of S(lam) (or I + lam S(lam)) for a block."""
+        n, nu, C = self.op.grid.n, self.op.nu, self._C
+        R = (1.0 / (self._mu + (lams * lams + nu * lams)[:, None])
+             ).astype(np.complex64)
+        lams = lams.astype(np.complex64)[:, None]
+
+        # The products with C act on the real and imaginary parts of every
+        # row at once: rows (a, n) go to a real (n, 2a) array and back.
+        # Both go through scipy's BLAS: numpy and scipy may link separate
+        # OpenBLAS builds, whose idle thread pools then compete for the
+        # cores between alternating calls.
+        def columns(X):
+            return np.ascontiguousarray(X.T).view(np.float32)
+
+        def with_C(X, trans=False):
+            # C Z computed as (Z^T C^T)^T, so the C-ordered Z needs no copy
+            Z = blas.strmm(1.0, C, columns(X).T, side=1, trans_a=not trans)
+            return Z.T.view(np.complex64).T
+
+        def solve_C(X, trans=False):
+            Z = sla.solve_triangular(C, columns(X), trans="T" if trans else "N",
+                                     check_finite=False)
+            return np.ascontiguousarray(Z).view(np.complex64).T
+
+        def mv(X, act):
+            lam, Ra = lams[act], R[act]
+            z = solve_C(X[:, :n])
+            top = -Ra * ((nu + lam) * z + X[:, n:])
+            out = np.concatenate([with_C(top), z + lam * top], axis=1)
+            return X + lam * out if composed else out
+
+        def rmv(Y, act):
+            clam, Ra = np.conj(lams[act]), np.conj(R[act])
+            t = -Ra * (with_C(Y[:, :n], trans=True) + clam * Y[:, n:])
+            out = np.concatenate([solve_C(Y[:, n:] + (nu + clam) * t,
+                                          trans=True), t], axis=1)
+            return Y + clam * out if composed else out
+
+        return mv, rmv
+
+    # -- Schur path ----------------------------------------------------------
+
+    def _schur_ops(self, lam: complex, composed: bool, double: bool):
+        """(matvec, rmatvec) of (T - lam)^{-1} (or I + lam (T - lam)^{-1})
+        on a block of one row."""
         if double:
             if self._A64 is None:
                 self._A64 = np.empty_like(self.T)
@@ -191,99 +377,67 @@ class ResolventCalculator:
             A = self._A32
             np.copyto(A, self._T32)
         A[self._idx, self._idx] -= lam
+        lam = A.dtype.type(lam)
 
-        def fwd(x):
-            return sla.solve_triangular(A, x, check_finite=False)
+        def mv(x, act):
+            y = sla.solve_triangular(A, x[0], check_finite=False)[None]
+            return x + lam * y if composed else y
 
-        def adj(x):
-            return np.conj(sla.solve_triangular(A, np.conj(x), trans="T",
-                                                check_finite=False))
-        return fwd, adj
+        def rmv(x, act):
+            y = np.conj(sla.solve_triangular(A, np.conj(x[0]), trans="T",
+                                             check_finite=False))[None]
+            return x + np.conj(lam) * y if composed else y
+        return mv, rmv
 
-    @staticmethod
-    def _gk_norm(matvec, rmatvec, n, v0=None, tol=1e-3, min_iter=8,
-                 max_iter=80, seed=12345, dtype=np.complex64):
-        """sigma_max of the operator given by (matvec, rmatvec) via
-        bidiagonalization; returns (estimate, starting vector for reuse).
-        All Lanczos vectors stay in `dtype` so single-precision solves are
-        not upcast."""
-        if v0 is None:
-            rng = np.random.default_rng(seed)
-            v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        v = np.asarray(v0, dtype=dtype)
-        v = v / np.linalg.norm(v)
-        Vs, Us, alphas, betas = [v], [], [], []
-        est = 0.0
-        for j in range(max_iter):
-            u = np.asarray(matvec(Vs[-1]), dtype=dtype)
-            if Us:
-                u -= dtype(betas[-1]) * Us[-1]
-                for uu in Us:
-                    u -= (uu.conj() @ u) * uu
-            a = float(np.linalg.norm(u))
-            if a == 0.0:
-                break
-            u /= a
-            alphas.append(a)
-            Us.append(u)
-            w = np.asarray(rmatvec(u), dtype=dtype) - dtype(a) * Vs[-1]
-            for vv in Vs:
-                w -= (vv.conj() @ w) * vv
-            b = float(np.linalg.norm(w))
-            B = np.diag(alphas)
-            if betas:
-                B[np.arange(1, len(alphas)), np.arange(len(betas))] = betas
-            new = sla.svdvals(B)[0]
-            if j + 1 >= min_iter and abs(new - est) <= tol * new:
-                est = new
-                break
-            est = new
-            if b < 1e-12 * max(new, 1.0):
-                break
-            betas.append(b)
-            Vs.append((w / b).astype(dtype))
-        return float(est), Vs[0]
+    # ------------------------------------------------------------------------
 
-    def norm_inv(self, lam: complex, tol: float = 1e-3,
-                 max_iter: int = 80) -> float:
-        """1/sigma_min(T - lam I), i.e. sigma_max of (T - lam I)^{-1}."""
-        self._check_distance(lam)
-        n = self.T.shape[0]
-        fwd, adj = self._solves(lam, double=False)
-        est, self._v_inv = self._gk_norm(fwd, adj, n, v0=self._v_inv,
-                                         tol=tol, max_iter=max_iter)
-        if est > 1e4:  # sigma_min near single-precision noise: redo in double
-            fwd, adj = self._solves(lam, double=True)
-            est, self._v_inv = self._gk_norm(fwd, adj, n, v0=self._v_inv,
-                                             tol=tol, max_iter=max_iter,
-                                             dtype=np.complex128)
-        return est
+    def _norms(self, lams: np.ndarray, composed: bool, tol: float,
+               max_iter: int) -> np.ndarray:
+        seed = 54321 if composed else 12345
+        size = self.spectrum.shape[0]
+        out = np.empty(len(lams))
+        if self.op.kind == "A":
+            m = self._block_size(max_iter)
+            for s in range(0, len(lams), m):
+                block = lams[s:s + m]
+                mv, rmv = self._modal_ops(block, composed)
+                out[s:s + m] = _gk_batch(mv, rmv, len(block), size, tol,
+                                         max_iter, seed, dtype=np.complex64)
+            return out
+        for i, lam in enumerate(lams):
+            mv, rmv = self._schur_ops(lam, composed, double=False)
+            est = _gk_batch(mv, rmv, 1, size, tol, max_iter, seed,
+                            dtype=np.complex64)[0]
+            if not composed and est > 1e4:
+                # sigma_min near single-precision noise: redo in double
+                mv, rmv = self._schur_ops(lam, composed, double=True)
+                est = _gk_batch(mv, rmv, 1, size, tol, max_iter, seed)[0]
+            out[i] = est
+        return out
 
-    def norm_composed(self, lam: complex, tol: float = 1e-3,
-                      max_iter: int = 80,
-                      ninv: float | None = None) -> float:
-        """sigma_max of T (T - lam)^{-1} = I + lam (T - lam)^{-1}.
+    def norm_inv(self, lam, tol: float = 1e-3, max_iter: int = 80):
+        """||(A - lam)^{-1}||_W = 1/sigma_min(A - lam) in the weighted
+        geometry, for one lam (returns a float) or a 1-D array of them."""
+        lams = np.atleast_1d(np.asarray(lam, dtype=complex))
+        self._check_distance(lams)
+        est = self._norms(lams, False, tol, max_iter)
+        return float(est[0]) if np.ndim(lam) == 0 else est
 
-        When a precomputed norm_inv is supplied and |lam| * ninv >= 50 the
+    def norm_composed(self, lam, tol: float = 1e-3, max_iter: int = 80,
+                      ninv=None):
+        """||A (A - lam)^{-1}||_W = ||I + lam (A - lam)^{-1}||_W, for one lam
+        or a 1-D array of them.
+
+        Where a precomputed norm_inv is supplied and |lam| * ninv >= 50 the
         triangle inequality pins the result to |lam| * ninv within 2%, so
         that product is returned without further solves."""
-        self._check_distance(lam)
-        if ninv is not None and abs(lam) * ninv >= 50.0:
-            return float(abs(lam) * ninv)
-        n = self.T.shape[0]
-        fwd, adj = self._solves(lam, double=False)
-        lam32 = np.complex64(lam)
-        clam32 = np.conj(lam32)
-
-        def mv(x):
-            return x + lam32 * fwd(x)
-
-        def rmv(x):
-            return x + clam32 * adj(x)
-        est, self._v_comp = self._gk_norm(mv, rmv, n, v0=self._v_comp,
-                                          tol=tol, max_iter=max_iter,
-                                          seed=54321)
-        return est
+        lams = np.atleast_1d(np.asarray(lam, dtype=complex))
+        self._check_distance(lams)
+        est = np.zeros(len(lams)) if ninv is None else np.abs(lams) * ninv
+        todo = est < 50.0
+        if np.any(todo):
+            est[todo] = self._norms(lams[todo], True, tol, max_iter)
+        return float(est[0]) if np.ndim(lam) == 0 else est
 
 
 def resolvent_norm(op: DiscretizedOperator, lam: complex,
@@ -303,6 +457,7 @@ class SweepResult:
     delta: float
     flagged: bool            # any sample above 1e6
     envelope_margin: float   # max over G1 of ||A(A-lam)^{-1}|| / envelope
+    nudged: list = dc_field(default_factory=list)  # (original, used) lambdas
 
     @property
     def sup_G(self) -> float:
@@ -369,26 +524,33 @@ def resolvent_sweep(op: DiscretizedOperator, delta: float,
     pts = [(lam, _label(lam, delta, M1)) for lam in lams]
     pts += [(lam, "Gamma") for lam in gamma_square(delta, n_gamma)]
 
+    # Move the points that fall on the computed spectrum, and record them.
+    nudged = []
+    dist = calc.spectrum_distance([lam for lam, _ in pts])
+    for i in np.flatnonzero(dist <= SPECTRUM_MIN_DISTANCE):
+        lam, region = pts[i]
+        pts[i] = (lam + 1e-6 * (1 + 1j), region)
+        nudged.append((complex(lam), complex(pts[i][0])))
+    # The weighted matrix is real, so norms at conjugate points coincide;
+    # key on (Re lam, |Im lam|) to compute each mirror pair once.
+    keys = [(round(lam.real, 12), round(abs(lam.imag), 12)) for lam, _ in pts]
+    first = {}
+    for key, (lam, _) in zip(keys, pts):
+        first.setdefault(key, lam)
+    distinct = np.array(list(first.values()), dtype=complex)
+    ninv = calc.norm_inv(distinct)
+    ncomp = np.abs(distinct) * ninv
+    todo = ncomp < 50.0
+    if np.any(todo):
+        ncomp[todo] = calc.norm_composed(distinct[todo])
+    norms = dict(zip(first, zip(ninv.tolist(), ncomp.tolist())))
+
     samples = []
     sup_by_region: dict = {}
     envelope_margin = 0.0
     flagged = False
-    # The weighted matrix is real, so norms at conjugate points coincide;
-    # cache on (Re lam, |Im lam|) to compute each mirror pair once.
-    seen: dict = {}
-    for lam, region in pts:
-        key = (round(lam.real, 12), round(abs(lam.imag), 12))
-        if key in seen:
-            ninv, ncomp = seen[key]
-        else:
-            try:
-                ninv = calc.norm_inv(lam)
-                ncomp = calc.norm_composed(lam, ninv=ninv)
-            except ValueError:
-                lam = lam + 1e-6 * (1 + 1j)
-                ninv = calc.norm_inv(lam)
-                ncomp = calc.norm_composed(lam, ninv=ninv)
-            seen[key] = (ninv, ncomp)
+    for key, (lam, region) in zip(keys, pts):
+        ninv, ncomp = norms[key]
         samples.append(ResolventSample(complex(lam), ninv, ncomp, region))
         sup_by_region[region] = max(sup_by_region.get(region, 0.0), ninv)
         flagged = flagged or ninv > 1e6
@@ -396,7 +558,7 @@ def resolvent_sweep(op: DiscretizedOperator, delta: float,
             env = 1.0 + abs(lam) / (lam.real - w)
             envelope_margin = max(envelope_margin, ncomp / env)
     return SweepResult(samples, sup_by_region, float(w), float(M1),
-                       float(delta), flagged, envelope_margin)
+                       float(delta), flagged, envelope_margin, nudged)
 
 
 def _label(lam: complex, delta: float, M1: float) -> str:

@@ -3,7 +3,7 @@
 machine-readable PASS/FAIL line.
 
 Shared heavyweight artifacts (static/traveling profiles, dense eigensolves,
-the weighted Schur factorization behind the resolvent sweeps) are computed
+the modal factorization behind the resolvent sweeps) are computed
 once as module-scope fixtures; the whole file is budgeted to run on a laptop
 in well under half an hour.
 """

@@ -9,10 +9,12 @@ import json
 import numpy as np
 import pytest
 
+from neelwall import cli, profiles
 from neelwall.cli import (
     DEFAULTS, EXIT_CONFIG, EXIT_OK, SUBCOMMANDS, _COMMANDS, run,
 )
 from neelwall.grid import Grid
+from neelwall.profiles import solve_static
 from neelwall.reports import load_profile
 
 SMALL = ["--L", "40", "--n", "256"]
@@ -111,11 +113,20 @@ def test_bad_flag_values_exit_3(tmp_path):
                 "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
-def test_mobility_takes_field_list(tmp_path):
+def test_mobility_takes_field_list(tmp_path, monkeypatch):
+    # count every static solve, whether the command or mobility() makes it
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_static(*args, **kwargs)
+    monkeypatch.setattr(cli, "solve_static", counted)
+    monkeypatch.setattr(profiles, "solve_static", counted)
     # the = form keeps argparse from reading the leading minus as a flag
     code = run(["mobility", *SMALL, "--H=-0.002,-0.001,0.001,0.002",
                 "--out", str(tmp_path)])
     assert code == EXIT_OK
+    assert len(calls) == 1
     m = _manifest(tmp_path)
     assert m["scalars"]["beta_measured"] == pytest.approx(
         m["scalars"]["beta_predicted"], rel=1e-2)
@@ -130,3 +141,13 @@ def test_same_seed_same_outputs(tmp_path):
     p1 = (out1 / "static_profile.neelw").read_bytes()
     p2 = (out2 / "static_profile.neelw").read_bytes()
     assert p1 == p2
+
+
+def test_resolvent_sweep_summary_counts_nudges(tmp_path):
+    code = run(["resolvent-sweep", *SMALL, "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    with open(tmp_path / "resolvent_summary.jsonl") as fh:
+        summary = json.loads(fh.readline())
+    assert summary["nudged"] == 0
+    assert summary["flagged"] is False
+    assert summary["sup_Gamma"] > 0

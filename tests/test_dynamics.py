@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from neelwall import dynamics
 from neelwall.dynamics import (
-    BlowUpError, DecayFit, Perturbation, SimConfig, SimTrace,
+    BlowUpError, DecayFit, ModulationError, Perturbation, SimConfig, SimTrace,
     build_perturbation, closed_form_damped_mode, decay_fit, integrate,
     integrate_linear_mode, modulate, orbital_experiment,
     quadratic_remainder_check, step_weights, taylor_translation_check,
@@ -219,6 +220,25 @@ def test_orbital_experiment_static(grid256, static256):
     assert abs(verdict.wall_speed) <= 1e-3
     assert verdict.a2_ratio <= 1.1 * verdict.a2_bound
     assert abs(verdict.a3_exponent - 2.0) <= 0.15
+
+
+def test_orbital_experiment_catches_only_modulation_failures(
+        grid256, static256, monkeypatch):
+    def run(error):
+        def failing(*args, **kwargs):
+            raise error
+        monkeypatch.setattr(dynamics, "integrate", failing)
+        return orbital_experiment(grid256, H=0.0,
+                                  perturbation=Perturbation("sech", 1e-3),
+                                  nu=1.0, reference=static256,
+                                  dt=0.01, t_end=10.0)
+
+    verdict = run(ModulationError("no modulation bracket"))
+    assert not verdict.stable
+    assert verdict.meta["failure"] == "no modulation bracket"
+    with pytest.raises(ValueError, match="a plain bug") as err:
+        run(ValueError("a plain bug"))
+    assert type(err.value) is ValueError
 
 
 def test_orbital_experiment_rejects_large_field(grid256, static256):

@@ -3,7 +3,10 @@
 Oracles:
   * Quadratic pencil: for c = 0 the block spectrum is the image of the
     scalar spectrum under lam^2 + nu lam + Lam = 0 (exact map).
-  * Dense SVD: resolvent norms agree with svdvals of the shifted factor.
+  * Dense SVD: resolvent norms agree with svdvals of the shifted factor
+    (Schur path) or of W^{1/2}(A - lam)W^{-1/2} (modal path).
+  * Schur path as reference: on the same matrix the modal path of kind
+    "A" agrees with the Schur path of kind "Ac" at c = 0.
   * Asymptotics: |lam| ||(A - lam)^{-1}|| -> 1 as lam -> +infinity.
 """
 from __future__ import annotations
@@ -12,8 +15,12 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from neelwall.grid import Grid
+from neelwall.linops import DiscretizedOperator
+from neelwall.profiles import solve_static
 from neelwall.spectra import (
-    ResolventCalculator, eig_report, gamma_square, in_region_G,
+    ModalStructureError, ResolventCalculator, SpectrumDistanceError,
+    eig_report, gamma_square, in_region_G,
     match_eigenvalues, numerical_abscissa, pencil_crosscheck,
     pencil_eigenvalues, pencil_gap, relative_bound_fit, res_inequality_trials,
     resolvent_norm, resolvent_sweep,
@@ -119,6 +126,115 @@ def test_composed_shortcut_consistent(Ac_op256):
         full = calc.norm_composed(lam)
         quick = calc.norm_composed(lam, ninv=ninv)
         assert quick == pytest.approx(full, rel=0.05)
+
+
+# ---------------------------------------------------------------------------
+# modal path (kind "A")
+
+DELTA = 0.2
+# one point per sweep region: G1 (near-real beyond M1), G2 (|Im| > delta),
+# G3 (the rest), and the Gamma contour
+REGION_POINTS = (12.0 + 0.05j, -0.1 + 1.5j, 0.4 + 0.05j, DELTA * (1 + 0.3j))
+
+
+@pytest.fixture(scope="module", params=[128, 256])
+def static_wall(request, static256):
+    if request.param == 256:
+        return static256
+    # the seam layer keeps the residual above 4.7e-6 at n = 128
+    return solve_static(Grid(40.0, 128), tol=1e-5)
+
+
+def _dense_norms(op, lam):
+    """(||(A - lam)^{-1}||_W, ||A (A - lam)^{-1}||_W) by dense SVD."""
+    M = op.weighted_matrix
+    shifted = M - lam * np.eye(M.shape[0])
+    inv = np.linalg.inv(shifted)
+    return (1.0 / sla.svdvals(shifted)[-1],
+            sla.svdvals(np.eye(M.shape[0]) + lam * inv)[0])
+
+
+def test_modal_norms_match_dense_svd(static_wall):
+    op = build_block(static_wall, with_c=False)
+    calc = ResolventCalculator(op)
+    # a shortcut point: close to an eigenvalue of modulus ~1
+    sigma = calc.spectrum[np.argmin(np.abs(np.abs(calc.spectrum) - 1.0))]
+    lams = np.array([*REGION_POINTS, sigma + 2e-3])
+    ninv = calc.norm_inv(lams)
+    ncomp = calc.norm_composed(lams, ninv=ninv)
+    for lam, got_inv, got_comp in zip(lams, ninv, ncomp):
+        exact_inv, exact_comp = _dense_norms(op, lam)
+        assert got_inv == pytest.approx(exact_inv, rel=1e-2)
+        # the shortcut |lam| ninv is within 2% by the triangle inequality
+        assert got_comp == pytest.approx(exact_comp, rel=2e-2)
+    assert abs(lams[-1]) * ninv[-1] >= 50.0
+    assert ncomp[-1] == pytest.approx(abs(lams[-1]) * ninv[-1], rel=1e-12)
+    # one-lam calls run the same routine on a block of one
+    assert calc.norm_inv(complex(lams[0])) == pytest.approx(ninv[0], rel=1e-2)
+
+
+def test_modal_matches_schur_path(A_op256, static256):
+    schur_op = build_block(static256, with_c=True)
+    assert schur_op.kind == "Ac" and schur_op.c == 0.0
+    assert np.array_equal(schur_op.matrix, A_op256.matrix)
+    modal, schur = ResolventCalculator(A_op256), ResolventCalculator(schur_op)
+    assert not hasattr(modal, "T")
+    _, drifts, unmatched = match_eigenvalues(schur.spectrum, modal.spectrum)
+    assert not unmatched and np.max(drifts) <= 1e-7
+    lams = np.array(REGION_POINTS)
+    np.testing.assert_allclose(modal.norm_inv(lams), schur.norm_inv(lams),
+                               rtol=1e-2)
+    np.testing.assert_allclose(modal.norm_composed(lams),
+                               schur.norm_composed(lams), rtol=1e-2)
+
+
+def test_modal_conjugate_points_agree(A_op256):
+    calc = ResolventCalculator(A_op256)
+    lams = np.array(REGION_POINTS)
+    np.testing.assert_allclose(calc.norm_inv(lams),
+                               calc.norm_inv(np.conj(lams)), rtol=1e-2)
+    np.testing.assert_allclose(calc.norm_composed(lams),
+                               calc.norm_composed(np.conj(lams)), rtol=1e-2)
+
+
+def test_sweep_records_nudged_lambda():
+    # A diagonal L with one negative eigenvalue puts an eigenvalue of A
+    # exactly on the first point of the sweep's near-real G1 line.
+    grid, nu, M1 = Grid(40.0, 64), 1.0, 2.0
+    n = grid.n
+    r0 = M1 + DELTA
+    mu = 1.0 + grid.k**2
+    mu[0] = -(r0**2 + nu * r0)
+    M = np.zeros((2 * n, 2 * n))
+    M[:n, n:] = np.eye(n)
+    M[n:, :n] = -np.diag(mu)
+    M[n:, n:] = -nu * np.eye(n)
+    op = DiscretizedOperator("A", M, grid, nu, 0.0, 0.0)
+    calc = ResolventCalculator(op)
+    with pytest.raises(SpectrumDistanceError):
+        calc.norm_inv(r0)
+    sweep = resolvent_sweep(op, DELTA, n_radial=4, n_angular=4, n_gamma=8,
+                            w=1.0, M1=M1, calc=calc)
+    used = r0 + 1e-6 * (1 + 1j)
+    assert sweep.nudged == [(complex(r0), used)]
+    hit = [s for s in sweep.samples if s.lam == used]
+    assert len(hit) == 1 and np.isfinite(hit[0].norm_inv)
+
+
+def test_modal_path_rejects_bad_structure(A_op256):
+    n = A_op256.grid.n
+
+    def variant(i, j, dv):
+        M = np.array(A_op256.matrix)
+        M[i, j] += dv
+        return DiscretizedOperator("A", M, A_op256.grid, A_op256.nu, 0.0, 0.0)
+
+    with pytest.raises(ModalStructureError, match="not symmetric"):
+        ResolventCalculator(variant(n + 1, 0, 1e-3))         # L[1, 0] only
+    with pytest.raises(ModalStructureError, match="is not"):
+        ResolventCalculator(variant(0, 0, 1e-3))             # top-left 0
+    with pytest.raises(ModalStructureError, match="is not"):
+        ResolventCalculator(variant(n, n, 1e-3))             # -nu I
 
 
 # ---------------------------------------------------------------------------

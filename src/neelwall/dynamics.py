@@ -13,7 +13,15 @@ part (per mode the 2x2 companion block [[0,1],[-(1-c^2)k^2 + i c nu k,
 remainder (background terms, the nonlocal nonlinearity, the applied field) by
 the phi1/phi2 exponential integrator weights.  The scheme is second order in
 dt, unconditionally stable on the linear part, and exact when the remainder
-vanishes.  An explicit RK4 path (dt <= 0.5 dx) is kept as a cross-check.
+vanishes.  An explicit RK4 path (dt <= 0.5 dx) is kept as a cross-check; it
+works in physical space.
+
+The exponential path carries the state (w, phi) between steps as rfft half
+spectra of length n/2 + 1 and takes eight real transforms per step; phi never
+returns to physical space, and ||phi||^2 comes from Parseval.  A recorded
+frame fits the modulation shift from one spectrum of the reference per call,
+with one irfft, one rfft and one or two irffts per Newton step, and takes its
+residual and energy from the step's spectra.
 """
 
 from __future__ import annotations
@@ -23,17 +31,20 @@ from functools import lru_cache
 
 import numpy as np
 
-from .energy import energy
 from .grid import (
     BACKGROUND_WALL,
     Field,
     Grid,
     apply_multiplier,
+    derivative,
     h1_norm,
+    l2_inner,
     l2_norm,
     shift,
     state_norm,
+    wall_background,
     wall_background_d1,
+    wall_background_d2,
 )
 from .profiles import Profile
 
@@ -233,6 +244,47 @@ def integrate_linear_mode(nu: float, Lam: float, u0: float, v0: float,
 # right-hand-side pieces
 
 
+@dataclass(frozen=True)
+class _HalfGrid:
+    """Per-grid constants of the real-FFT path.
+
+    The first seven arrays act on rfft half spectra (length n/2 + 1, the
+    Nyquist mode included once); ``l2`` holds the Parseval weights
+    (1, 2, ..., 2, 1) dx/n, so ||f||^2 = sum(l2 |rfft(f)|^2).  ``d1`` and
+    ``d2`` are the analytic background slopes sech x and -tanh x sech x.
+    """
+
+    k: np.ndarray
+    kd: np.ndarray
+    kd2: np.ndarray
+    T: np.ndarray
+    l2: np.ndarray
+    h1: np.ndarray
+    hhalf: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
+
+
+@lru_cache(maxsize=8)
+def _half_grid(grid: Grid) -> _HalfGrid:
+    h = grid.n // 2 + 1
+    k = grid.k[:h]
+    kd = grid.k_deriv[:h]
+    l2 = np.full(h, 2.0 * grid.dx / grid.n)
+    l2[0] = l2[-1] = grid.dx / grid.n
+    arrays = (k, kd, np.real(kd**2), 1.0 + np.abs(k), l2, l2 * (1.0 + k**2),
+              l2 * np.abs(k), wall_background_d1(grid.x),
+              wall_background_d2(grid.x))
+    for a in arrays:
+        a.setflags(write=False)
+    return _HalfGrid(*arrays)
+
+
+def _sq_norm(weights: np.ndarray, fh: np.ndarray) -> float:
+    """sum(weights |fh|^2) for a half spectrum fh."""
+    return float(weights @ (fh.real**2 + fh.imag**2))
+
+
 @lru_cache(maxsize=8)
 def _background_d2_spectral(grid: Grid) -> np.ndarray:
     """Spectral derivative of the sampled background slope.
@@ -247,28 +299,32 @@ def _background_d2_spectral(grid: Grid) -> np.ndarray:
     return out
 
 
-def _remainder_term(grid: Grid, w: np.ndarray, nu: float, c: float, H: float,
-                    mult_T: np.ndarray) -> np.ndarray:
-    """Bounded part of phi_t not covered by the Fourier-diagonal block:
-    background derivatives, the nonlocal nonlinearity, and the field term."""
-    theta = w + np.arcsin(np.tanh(grid.x))
+def _background_forcing(grid: Grid, nu: float, c: float) -> np.ndarray:
+    """Constant part of phi_t from the wall background:
+    (1-c^2) phi_bg'' + c nu phi_bg'."""
+    return ((1.0 - c**2) * _background_d2_spectral(grid)
+            + c * nu * _half_grid(grid).d1)
+
+
+def _remainder_term(grid: Grid, w: np.ndarray, H: float,
+                    forcing: np.ndarray) -> np.ndarray:
+    """Bounded part of phi_t not covered by the Fourier-diagonal block: the
+    nonlocal nonlinearity, the field term and the background forcing."""
+    theta = w + grid.background
     cos_t = np.cos(theta)
-    Tc = np.real(np.fft.ifft(mult_T * np.fft.fft(cos_t)))
-    G = np.sin(theta) * Tc - H * cos_t
-    G += (1.0 - c**2) * _background_d2_spectral(grid)
-    G += c * nu * wall_background_d1(grid.x)
-    return G
+    Tc = np.fft.irfft(_half_grid(grid).T * np.fft.rfft(cos_t), grid.n)
+    return np.sin(theta) * Tc - H * cos_t + forcing
 
 
 def _full_rhs(grid: Grid, w: np.ndarray, phi: np.ndarray, nu: float, c: float,
-              H: float, mult_T: np.ndarray):
+              H: float, forcing: np.ndarray):
     """(theta_t, phi_t) for the explicit RK4 path."""
     wh = np.fft.fft(w)
     ph = np.fft.fft(phi)
     w_z = np.real(np.fft.ifft(grid.k_deriv * wh))
     w_zz = np.real(np.fft.ifft(np.real(grid.k_deriv**2) * wh))
     phi_z = np.real(np.fft.ifft(grid.k_deriv * ph))
-    G = _remainder_term(grid, w, nu, c, H, mult_T)
+    G = _remainder_term(grid, w, H, forcing)
     dphi = (1.0 - c**2) * w_zz + c * nu * w_z + 2.0 * c * phi_z - nu * phi + G
     return phi, dphi
 
@@ -285,6 +341,29 @@ def wall_position_of(grid: Grid, theta_full: np.ndarray,
     return float(xs[np.argmin(np.abs(xs - previous))])
 
 
+class _Translates:
+    """Translates psi(. - sigma) of the reference, all from one rfft of its
+    stored samples; the stored values equal shift(reference.theta, -sigma)."""
+
+    def __init__(self, reference: Profile):
+        self.grid = reference.grid
+        self.wall = reference.theta.background == BACKGROUND_WALL
+        self.spectrum = np.fft.rfft(reference.theta.values)
+
+    def stored(self, sigma: float) -> np.ndarray:
+        g = self.grid
+        if abs(sigma) >= g.L / 2:
+            raise ValueError(f"|shift| must be < L/2 = {g.L / 2}, got {-sigma}")
+        rem = np.fft.irfft(np.exp(-1j * sigma * _half_grid(g).k) * self.spectrum,
+                           g.n)
+        if self.wall:
+            rem = rem + wall_background(g.x - sigma) - g.background
+        return rem
+
+    def full(self, stored: np.ndarray) -> np.ndarray:
+        return stored + self.grid.background if self.wall else stored
+
+
 def modulate(theta: Field, reference: Profile, t: float = 0.0,
              frame: str = "lab", s0: float | None = None) -> float:
     """Fit the modulation shift s: argmin_s ||theta - psi(. - ct - s)||_L2.
@@ -292,29 +371,37 @@ def modulate(theta: Field, reference: Profile, t: float = 0.0,
     Golden-section bracketing over |s| <= L/4, then Newton on the
     orthogonality condition <theta - psi_s, psi_s'> = 0 to 1e-10.  A warm
     start s0 (e.g. the previous frame's shift) skips straight to Newton and
-    falls back to bracketing if Newton wanders.
+    falls back to bracketing if Newton wanders.  The reference is
+    transformed once per call.  A Newton step takes psi_s from one irfft,
+    then psi_s' and psi_s'' (the latter only when a step follows) from one
+    rfft of its stored samples and one irfft each: what
+    derivative(shift(reference.theta, -drift - s)) computes.
     """
     g = theta.grid
+    half = _half_grid(g)
     drift = reference.c * t if frame == "lab" else 0.0
     th = theta.reconstruct()
-    from .grid import derivative, l2_inner
+    translates = _Translates(reference)
 
     def misfit(s):
-        psi_s = shift(reference.theta, -(drift + s)).reconstruct()
-        return float(np.sum((th - psi_s) ** 2))
+        r = th - translates.full(translates.stored(drift + s))
+        return float(r @ r)
 
     def newton(s):
         for _ in range(50):
-            psi_s_field = shift(reference.theta, -(drift + s))
-            psi_s = psi_s_field.reconstruct()
-            dpsi_s = derivative(psi_s_field, 1).values
-            d2psi_s = derivative(psi_s_field, 2).values
-            r = th - psi_s
-            gval = float(np.real(l2_inner(g, r, dpsi_s)))
+            stored = translates.stored(drift + s)
+            r = th - translates.full(stored)
+            sh = np.fft.rfft(stored)
+            dpsi_s = np.fft.irfft(half.kd * sh, g.n)
+            if translates.wall:
+                dpsi_s += half.d1
+            gval = g.dx * float(r @ dpsi_s)
             if abs(gval) <= 1e-10:
                 return s
-            gprime = float(np.real(l2_inner(g, dpsi_s, dpsi_s))
-                           - np.real(l2_inner(g, r, d2psi_s)))
+            d2psi_s = np.fft.irfft(half.kd2 * sh, g.n)
+            if translates.wall:
+                d2psi_s += half.d2
+            gprime = g.dx * float(dpsi_s @ dpsi_s - r @ d2psi_s)
             if gprime <= 0:
                 return None
             step = gval / gprime
@@ -360,6 +447,16 @@ def integrate(grid: Grid, config: SimConfig, reference: Profile,
 
     initial: (theta0: Field with wall background, v0: array); defaults to the
     reference profile plus the configured perturbation, at rest.
+
+    Both integrators hand the recorder w and the rfft half spectra (w_hat,
+    phi_hat) of length n/2 + 1.  The exponential step works on these half
+    spectra: each of its two remainder evaluations takes three real
+    transforms, and the intermediate stage and the new w one irfft each,
+    eight per step; phi never returns to physical space.  The background
+    forcing is formed once per call, and ||phi||^2 comes from Parseval on
+    phi_hat.  A frame calls modulate once, takes the fitted translate of
+    the reference from one irfft of a spectrum cached here, the exchange
+    energy from irfft(ik w_hat) and the stray energy from rfft(cos theta).
     """
     c = reference.c if config.frame == "comoving" else 0.0
     nu, H, dt = config.nu, config.H, config.dt
@@ -372,18 +469,49 @@ def integrate(grid: Grid, config: SimConfig, reference: Profile,
     if config.integrator == "explicit-RK4" and dt > 0.5 * grid.dx:
         raise ValueError(f"RK4 needs dt <= 0.5 dx = {0.5 * grid.dx:.3g}")
 
+    n = grid.n
     n_steps = int(round(config.t_end / dt))
     stride = max(1, int(np.ceil((n_steps + 1) / config.max_frames)))
-    mult_T = 1.0 + np.abs(grid.k)
-    weights = step_weights(grid, nu, c, dt) \
-        if config.integrator == "semi-implicit-spectral" else None
+    half = _half_grid(grid)
+    forcing = _background_forcing(grid, nu, c)
+
+    if config.integrator == "semi-implicit-spectral":
+        weights = step_weights(grid, nu, c, dt)
+        E11, E12, E21, E22, P1_12, P1_22, P2_12, P2_22 = (
+            getattr(weights, f)[: n // 2 + 1]
+            for f in ("E11", "E12", "E21", "E22",
+                      "P1_12", "P1_22", "P2_12", "P2_22"))
+
+        def advance(w, wh, ph):
+            Gh = np.fft.rfft(_remainder_term(grid, w, H, forcing))
+            ah = E11 * wh + E12 * ph + P1_12 * Gh
+            bh = E21 * wh + E22 * ph + P1_22 * Gh
+            wa = np.fft.irfft(ah, n)
+            dGh = np.fft.rfft(_remainder_term(grid, wa, H, forcing)) - Gh
+            wh = ah + P2_12 * dGh
+            return np.fft.irfft(wh, n), wh, bh + P2_22 * dGh
+    else:
+        def rhs(w, phi):
+            return _full_rhs(grid, w, phi, nu, c, H, forcing)
+
+        def advance(w, wh, ph):
+            phi = np.fft.irfft(ph, n)
+            k1w, k1p = rhs(w, phi)
+            k2w, k2p = rhs(w + dt / 2 * k1w, phi + dt / 2 * k1p)
+            k3w, k3p = rhs(w + dt / 2 * k2w, phi + dt / 2 * k2p)
+            k4w, k4p = rhs(w + dt * k3w, phi + dt * k3p)
+            w = w + dt / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
+            phi = phi + dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
+            return w, np.fft.rfft(w), np.fft.rfft(phi)
 
     w = theta0.values.copy()
-    phi = np.asarray(v0, dtype=float).copy()
+    wh = np.fft.rfft(w)
+    ph = np.fft.rfft(np.asarray(v0, dtype=float))
+    translates = _Translates(reference)
     times, res, wpos, svals, evals, vnorms, defects = [], [], [], [], [], [], []
     e0 = None
     diss = 0.0          # nu * integral of ||v||^2 (trapezoid)
-    v_sq_prev = l2_norm(grid, phi) ** 2
+    v_sq_prev = _sq_norm(half.l2, ph)
     pos_prev = 0.0
 
     s_prev = None
@@ -395,12 +523,17 @@ def integrate(grid: Grid, config: SimConfig, reference: Profile,
         th_full = theta_f.reconstruct()
         s = modulate(theta_f, reference, t, config.frame, s0=s_prev)
         s_prev = s
-        drift = c * t if config.frame == "lab" else 0.0
-        psi_s = shift(reference.theta, -(drift + s)).reconstruct()
-        r = h1_norm(grid, th_full - psi_s)
+        drift = reference.c * t if config.frame == "lab" else 0.0
+        psi_s = translates.full(translates.stored(drift + s))
+        r = np.sqrt(_sq_norm(half.h1, np.fft.rfft(th_full - psi_s)))
         pos_prev = wall_position_of(grid, th_full, pos_prev)
-        e = energy(theta_f).total
-        vn = l2_norm(grid, phi)
+        # energy(theta_f).total, from the step's spectrum
+        dtheta = np.fft.irfft(half.kd * wh, n) + half.d1
+        cos_t = np.cos(th_full)
+        e = (0.5 * grid.dx * float(dtheta @ dtheta)
+             + 0.5 * _sq_norm(half.hhalf, np.fft.rfft(cos_t))
+             + 0.5 * grid.dx * float(cos_t @ cos_t))
+        vn = np.sqrt(_sq_norm(half.l2, ph))
         etot = 0.5 * vn**2 + e
         if e0 is None:
             e0 = etot
@@ -414,24 +547,8 @@ def integrate(grid: Grid, config: SimConfig, reference: Profile,
 
     record(0)
     for step in range(1, n_steps + 1):
-        if config.integrator == "semi-implicit-spectral":
-            G = _remainder_term(grid, w, nu, c, H, mult_T)
-            wh, ph, Gh = np.fft.fft(w), np.fft.fft(phi), np.fft.fft(G)
-            ah = weights.E11 * wh + weights.E12 * ph + weights.P1_12 * Gh
-            bh = weights.E21 * wh + weights.E22 * ph + weights.P1_22 * Gh
-            wa = np.real(np.fft.ifft(ah))
-            Ga = _remainder_term(grid, wa, nu, c, H, mult_T)
-            dGh = np.fft.fft(Ga) - Gh
-            w = np.real(np.fft.ifft(ah + weights.P2_12 * dGh))
-            phi = np.real(np.fft.ifft(bh + weights.P2_22 * dGh))
-        else:
-            k1w, k1p = _full_rhs(grid, w, phi, nu, c, H, mult_T)
-            k2w, k2p = _full_rhs(grid, w + dt / 2 * k1w, phi + dt / 2 * k1p, nu, c, H, mult_T)
-            k3w, k3p = _full_rhs(grid, w + dt / 2 * k2w, phi + dt / 2 * k2p, nu, c, H, mult_T)
-            k4w, k4p = _full_rhs(grid, w + dt * k3w, phi + dt * k3p, nu, c, H, mult_T)
-            w = w + dt / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
-            phi = phi + dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
-        v_sq = l2_norm(grid, phi) ** 2
+        w, wh, ph = advance(w, wh, ph)
+        v_sq = _sq_norm(half.l2, ph)
         diss += nu * dt * 0.5 * (v_sq + v_sq_prev)
         v_sq_prev = v_sq
         if not np.isfinite(v_sq) or v_sq > 1e6 or np.max(np.abs(w)) > 1e3:
@@ -507,16 +624,13 @@ def decay_fit(trace: SimTrace, t_min: float | None = None,
 def comoving_vector_field(grid: Grid, w: np.ndarray, phi: np.ndarray,
                           nu: float, c: float, H: float):
     """Matrix-free F(theta, phi) of the comoving first-order system."""
-    mult_T = 1.0 + np.abs(grid.k)
-    return _full_rhs(grid, w, phi, nu, c, H, mult_T)
+    return _full_rhs(grid, w, phi, nu, c, H, _background_forcing(grid, nu, c))
 
 
 def taylor_translation_check(reference: Profile, s_values=(0.01, 0.02, 0.04)):
     """Taylor remainder of the translated-wave family:
     max over s of ||phi(s) - phi(0) - phi'(0) s|| / s^2, against the
     curvature bound ||d2_z psi||_{H1} / sqrt(3)."""
-    from .grid import derivative
-
     g = reference.grid
     c = reference.c
     psi0 = reference.reconstruct()
@@ -614,15 +728,13 @@ def orbital_experiment(grid: Grid, H: float, perturbation: Perturbation,
     t_end = t_end if t_end is not None else max(20.0, 12.0 / nu)
     p = build_perturbation(grid, perturbation)
     if project_zero_mode:
-        from .grid import derivative, l2_inner
-
         dpsi = derivative(reference.theta, 1).values
         p = p - float(np.real(l2_inner(grid, p, dpsi))
                       / np.real(l2_inner(grid, dpsi, dpsi))) * dpsi
     theta0 = reference.theta.with_values(reference.theta.values + p)
     # Decay is measured in the comoving frame, where the traveling profile is
     # an exact discrete equilibrium ((psi, 0) at rest); in the lab frame the
-    # modulated residual acquires a floor growing with the accumulated drift,
+    # modulated residual has a floor that changes with the accumulated drift,
     # because the spectrally shifted reference moves the seam layer at
     # x = +-L while the dynamics keeps it pinned.
     config = SimConfig(dt=dt, t_end=t_end, nu=nu, H=H, frame="comoving",
@@ -638,9 +750,7 @@ def orbital_experiment(grid: Grid, H: float, perturbation: Perturbation,
     if reference.c != 0.0:
         # wall speed from an independent lab-frame run, where the drift is
         # measured directly on the zero crossing
-        from .grid import derivative as _d
-
-        v0_lab = -reference.c * _d(theta0, 1).values
+        v0_lab = -reference.c * derivative(theta0, 1).values
         config_lab = SimConfig(dt=dt, t_end=t_end, nu=nu, H=H, frame="lab",
                                perturbation=perturbation)
         trace_lab = integrate(grid, config_lab, reference,

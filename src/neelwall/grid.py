@@ -78,6 +78,13 @@ class Grid:
         kd.setflags(write=False)
         return kd
 
+    @cached_property
+    def background(self) -> np.ndarray:
+        """The wall background arcsin(tanh x) sampled on x."""
+        bg = wall_background(self.x)
+        bg.setflags(write=False)
+        return bg
+
 
 @dataclass(frozen=True)
 class Field:
@@ -114,7 +121,7 @@ class Field:
     def reconstruct(self) -> np.ndarray:
         """Full samples: remainder plus background (if any)."""
         if self.background == BACKGROUND_WALL:
-            return self.values + wall_background(self.grid.x)
+            return self.values + self.grid.background
         return self.values
 
     def with_values(self, values, background=None) -> "Field":
@@ -186,7 +193,7 @@ def shift(f: Field, s: float) -> Field:
     g = f.grid
     shifted = np.real(np.fft.ifft(np.exp(1j * g.k * s) * np.fft.fft(f.values)))
     if f.background == BACKGROUND_WALL:
-        shifted = shifted + wall_background(g.x + s) - wall_background(g.x)
+        shifted = shifted + wall_background(g.x + s) - g.background
     return Field(g, shifted, f.background)
 
 

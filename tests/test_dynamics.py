@@ -3,6 +3,9 @@
 Oracles:
   * Closed-form damped mode: the exponential stepper reproduces the exact
     solution of u'' + nu u' + Lam u = 0 to machine precision.
+  * Complex-FFT step: integrate's half-spectrum step and frame recorder
+    agree with the same step on full complex spectra and a frame built from
+    shift, derivative, energy and h1_norm.
   * Dense matrix exponential: per-mode step weights equal expm of the
     companion block.
   * Synthetic decay trace: the fitter recovers a planted (omega, C, r_inf).
@@ -21,7 +24,8 @@ from neelwall.dynamics import (
     quadratic_remainder_check, step_weights, taylor_translation_check,
     wall_position_of,
 )
-from neelwall.grid import Field, h1_norm, shift
+from neelwall.energy import energy
+from neelwall.grid import Field, derivative, h1_norm, l2_inner, l2_norm, shift
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +111,17 @@ def test_modulate_warm_start_agrees(static256):
     assert s_warm == pytest.approx(s_cold, abs=1e-8)
 
 
+def test_modulate_moving_frame_recovers_planted_shift(traveling256):
+    # lab frame at t = 5: the reference has drifted by c t, and a known
+    # modulation shift sits on top of the drift
+    t, planted = 5.0, 0.23
+    moved = shift(traveling256.theta, -(traveling256.c * t + planted))
+    s = modulate(moved, traveling256, t=t, frame="lab")
+    assert s == pytest.approx(planted, abs=1e-8)
+    s_warm = modulate(moved, traveling256, t=t, frame="lab", s0=planted + 1e-3)
+    assert s_warm == pytest.approx(s, abs=1e-8)
+
+
 def test_wall_position_of(grid256, static256):
     # linear interpolation of the crossing carries an O(dx^3) bias from the
     # profile's curvature (~1e-3 at dx = 0.31)
@@ -183,6 +198,86 @@ def test_rk4_cross_check(grid256, static256):
     b = _run(grid256, static256, dt=0.05, integrator="explicit-RK4")
     # same trajectory up to the time-stepping error of the coarser scheme
     assert np.max(np.abs(a.residual_H1 - b.residual_H1)) <= 1e-4
+
+
+def _complex_fft_trace(grid, reference, config):
+    """Oracle for integrate's exponential path: the step on full complex
+    spectra, with w and phi back in physical space after every step, and a
+    frame every step built from shift, derivative, energy and h1_norm, with
+    the modulation shift from its own Newton iteration."""
+    nu, H, dt = config.nu, config.H, config.dt
+    c = reference.c if config.frame == "comoving" else 0.0
+    wts = step_weights(grid, nu, c, dt)
+    mult_T = 1.0 + np.abs(grid.k)
+    bg = np.arcsin(np.tanh(grid.x))
+    sech = 1.0 / np.cosh(grid.x)
+    forcing = ((1.0 - c**2) * np.real(np.fft.ifft(grid.k_deriv * np.fft.fft(sech)))
+               + c * nu * sech)
+
+    def remainder(w):
+        theta = w + bg
+        Tc = np.real(np.fft.ifft(mult_T * np.fft.fft(np.cos(theta))))
+        return np.sin(theta) * Tc - H * np.cos(theta) + forcing
+
+    def fit_shift(theta_full, drift, s):
+        for _ in range(30):
+            psi = shift(reference.theta, -(drift + s))
+            r = theta_full - psi.reconstruct()
+            d1 = derivative(psi, 1).values
+            d2 = derivative(psi, 2).values
+            step = l2_inner(grid, r, d1) / (l2_inner(grid, d1, d1)
+                                            - l2_inner(grid, r, d2))
+            s -= step
+            if abs(step) <= 1e-14:
+                break
+        return s
+
+    w = reference.theta.values + build_perturbation(grid, config.perturbation)
+    phi = np.zeros(grid.n)
+    n_steps = int(round(config.t_end / dt))
+    out = {key: [] for key in ("residual_H1", "s", "energy", "v_norm", "defect")}
+    s, e0, diss = 0.0, None, 0.0
+    for step in range(n_steps + 1):
+        if step > 0:
+            v_sq_prev = l2_norm(grid, phi) ** 2
+            G = remainder(w)
+            wh, ph, Gh = np.fft.fft(w), np.fft.fft(phi), np.fft.fft(G)
+            ah = wts.E11 * wh + wts.E12 * ph + wts.P1_12 * Gh
+            bh = wts.E21 * wh + wts.E22 * ph + wts.P1_22 * Gh
+            dGh = np.fft.fft(remainder(np.real(np.fft.ifft(ah)))) - Gh
+            w = np.real(np.fft.ifft(ah + wts.P2_12 * dGh))
+            phi = np.real(np.fft.ifft(bh + wts.P2_22 * dGh))
+            diss += nu * dt * 0.5 * (l2_norm(grid, phi) ** 2 + v_sq_prev)
+        t = step * dt
+        drift = reference.c * t if config.frame == "lab" else 0.0
+        theta_f = Field(grid, w, "wall")
+        s = fit_shift(theta_f.reconstruct(), drift, s)
+        psi = shift(reference.theta, -(drift + s)).reconstruct()
+        e = energy(theta_f).total
+        vn = l2_norm(grid, phi)
+        e0 = 0.5 * vn**2 + e if e0 is None else e0
+        out["residual_H1"].append(h1_norm(grid, theta_f.reconstruct() - psi))
+        out["s"].append(s)
+        out["energy"].append(e)
+        out["v_norm"].append(vn)
+        out["defect"].append(0.5 * vn**2 + e - e0 + diss)
+    return {key: np.array(val) for key, val in out.items()}
+
+
+@pytest.mark.parametrize("wall, frame", [("static256", "lab"),
+                                         ("traveling256", "lab"),
+                                         ("traveling256", "comoving")])
+def test_integrate_matches_complex_fft_oracle(grid256, wall, frame, request):
+    reference = request.getfixturevalue(wall)
+    # 60 steps, a frame after every step
+    config = SimConfig(dt=0.2, t_end=12.0, nu=1.0, H=reference.H, frame=frame,
+                       perturbation=Perturbation("sech", 0.05))
+    trace = integrate(grid256, config, reference)
+    oracle = _complex_fft_trace(grid256, reference, config)
+    assert len(trace.times) == 61
+    for key, expected in oracle.items():
+        got = getattr(trace, key)
+        assert np.max(np.abs(got - expected)) <= 1e-9, key
 
 
 def test_blow_up_raises_with_trace(grid256, static256):

@@ -73,6 +73,13 @@ def test_wall_background_reconstruct():
         half_laplacian(f)
 
 
+def test_grid_background_cached_and_read_only():
+    bg = G.background
+    assert bg is G.background
+    assert np.array_equal(bg, wall_background(G.x))
+    assert not bg.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # half-Laplacian oracles
 

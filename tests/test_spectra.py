@@ -122,12 +122,15 @@ def test_resolvent_rejects_spectrum_points(Ac_op256):
 
 def test_composed_shortcut_consistent(Ac_op256):
     calc = ResolventCalculator(Ac_op256)
-    lam = 0.05 + 0.02j                        # near the zero mode: big norm
+    # next to the eigenvalue nearest -1 the resolvent is large enough for
+    # the |lam| ninv >= 50 shortcut (|lam| ninv ~ 157 at n = 256)
+    mu = calc.spectrum[int(np.argmin(np.abs(calc.spectrum + 1.0)))]
+    lam = complex(mu) + 0.01
     ninv = calc.norm_inv(lam)
-    if abs(lam) * ninv >= 50.0:
-        full = calc.norm_composed(lam)
-        quick = calc.norm_composed(lam, ninv=ninv)
-        assert quick == pytest.approx(full, rel=0.05)
+    assert abs(lam) * ninv >= 50.0
+    full = calc.norm_composed(lam)
+    quick = calc.norm_composed(lam, ninv=ninv)
+    assert quick == pytest.approx(full, rel=0.05)
 
 
 # ---------------------------------------------------------------------------

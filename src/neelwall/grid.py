@@ -16,10 +16,11 @@ Inner products conjugate the *second* argument throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg as sla
 
 BACKGROUND_NONE = "none"
 BACKGROUND_WALL = "wall"
@@ -300,10 +301,14 @@ def norm(obj, kind: str, profile=None) -> float:
 
 
 def multiplier_matrix(grid: Grid, mult: np.ndarray) -> np.ndarray:
-    """Dense real matrix of a real-symmetric Fourier multiplier, built by
-    applying it to the identity columns with FFTs."""
-    eye = np.eye(grid.n)
-    return np.real(np.fft.ifft(mult[:, None] * np.fft.fft(eye, axis=0), axis=0))
+    """Dense real matrix of a Fourier multiplier: the circulant with first
+    column ifft(mult).  The symbol must map real samples to real samples,
+    mult(-k) = conj(mult(k)); otherwise this raises ValueError."""
+    col = np.fft.ifft(np.broadcast_to(mult, (grid.n,)))
+    imag = np.max(np.abs(col.imag))
+    if imag > 1e-12 * np.max(np.abs(col)):
+        raise ValueError(f"symbol maps real samples to complex ones (max |Im| {imag:.2e})")
+    return sla.circulant(col.real)
 
 
 def derivative_matrix(grid: Grid) -> np.ndarray:

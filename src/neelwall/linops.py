@@ -29,8 +29,6 @@ from .grid import (
     apply_multiplier,
     derivative,
     derivative_matrix,
-    l2_inner,
-    l2_norm,
     multiplier_matrix,
     second_derivative_matrix,
     t_matrix,
@@ -39,18 +37,6 @@ from .profiles import Profile, _linearized_matrix
 
 SCALAR_KINDS = ("L", "Lc")
 BLOCK_KINDS = ("A", "Ac", "Bc")
-
-_weight_cache: dict = {}
-
-
-def weight_half_matrices(grid: Grid):
-    """Dense W^{1/2}, W^{-1/2} for the H1 Fourier weight 1 + k^2 (cached)."""
-    key = (grid.L, grid.n)
-    if key not in _weight_cache:
-        w = 1.0 + grid.k**2
-        _weight_cache[key] = (multiplier_matrix(grid, np.sqrt(w)),
-                              multiplier_matrix(grid, 1.0 / np.sqrt(w)))
-    return _weight_cache[key]
 
 
 def weighted_state_norm(grid: Grid, U: np.ndarray) -> float:
@@ -94,14 +80,15 @@ class DiscretizedOperator:
 
     @cached_property
     def weighted_matrix(self) -> np.ndarray:
-        """W^{1/2} M W^{-1/2}; identity conjugation for scalar (L2) kinds."""
+        """W^{1/2} M W^{-1/2} with the H1 Fourier weight W = 1 + k^2 on the
+        first block; identity conjugation for scalar (L2) kinds."""
         if not self.is_block:
             return self.matrix
-        n = self.grid.n
-        wh, wih = weight_half_matrices(self.grid)
+        g = self.grid
+        w = 1.0 + g.k**2
         M = self.matrix.copy()
-        M[:n, :] = wh @ M[:n, :]
-        M[:, :n] = M[:, :n] @ wih
+        M[:g.n, :] = multiplier_matrix(g, np.sqrt(w)) @ M[:g.n, :]
+        M[:, :g.n] = M[:, :g.n] @ multiplier_matrix(g, 1.0 / np.sqrt(w))
         return M
 
     @cached_property

@@ -24,8 +24,7 @@ from .grid import (
     derivative,
     l2_inner,
     l2_norm,
-    second_derivative_matrix,
-    derivative_matrix,
+    multiplier_matrix,
     shift,
     t_matrix,
     wall_background,
@@ -260,12 +259,13 @@ def reflect_values(values: np.ndarray) -> np.ndarray:
 
 def _linearized_matrix(grid: Grid, psi_full: np.ndarray, c: float, nu: float,
                        H: float, Tmat: np.ndarray) -> np.ndarray:
-    """Dense matrix of u -> -(1-c^2)u'' + s T(s u) - c nu u' - (c_psi + H s)u."""
+    """Dense matrix of u -> -(1-c^2)u'' + s T(s u) - c nu u' - (c_psi + H s)u;
+    the constant-coefficient part -(1-c^2)d^2 - c nu d is one circulant."""
     s = np.sin(psi_full)
     cth = np.cos(psi_full) * apply_multiplier(grid, np.cos(psi_full),
                                               1.0 + np.abs(grid.k))
-    M = -(1.0 - c**2) * second_derivative_matrix(grid)
-    M -= c * nu * derivative_matrix(grid)
+    ksq = -np.real(grid.k_deriv**2)  # k^2 with the Nyquist mode zeroed
+    M = multiplier_matrix(grid, (1.0 - c**2) * ksq - c * nu * grid.k_deriv)
     M += s[:, None] * Tmat * s[None, :]
     M -= np.diag(cth + H * s)
     return M
@@ -288,7 +288,7 @@ def solve_traveling(grid: Grid, H: float, nu: float, tol: float = 1e-10,
                     init: Profile | None = None, max_step: float = 1e-3,
                     max_iter: int = 60) -> Profile:
     """Bordered Newton (n+1 unknowns: remainder and speed) with continuation
-    in H from the static wall, steps <= max_step."""
+    in H from init, steps <= max_step; the phase is pinned on init's slope."""
     if abs(H) > H_ENVELOPE:
         raise ValueError(f"|H| <= {H_ENVELOPE} is the supported envelope, got {H}")
     if nu <= 0:
@@ -297,8 +297,7 @@ def solve_traveling(grid: Grid, H: float, nu: float, tol: float = 1e-10,
         init = solve_static(grid, tol=1e-7)
     theta = init.theta
     c = init.c
-    theta_bar_prime = derivative(init.theta if init.H == 0 else
-                                 solve_static(grid, tol=1e-7).theta, 1).values
+    theta_bar_prime = derivative(init.theta, 1).values
     w_ref = theta.values.copy()
     Tmat = t_matrix(grid)
     dx = grid.dx
@@ -367,7 +366,8 @@ class MobilityFit:
 
 def mobility(grid: Grid, nu: float, H_list, tol: float = 1e-10,
              static: Profile | None = None) -> MobilityFit:
-    """Measure the c(H) slope through the origin and compare with 1/(M nu)."""
+    """Measure the c(H) slope through the origin and compare with 1/(M nu);
+    each field continues from the last converged wall of its sign."""
     H_list = [float(H) for H in H_list]
     if len(H_list) < 4:
         raise ValueError("need at least 4 field values")
@@ -378,10 +378,12 @@ def mobility(grid: Grid, nu: float, H_list, tol: float = 1e-10,
     if static is None:
         static = solve_static(grid, tol=1e-7)
     M = wall_mass(static)
-    speeds, failures = {}, {}
+    speeds, failures, last = {}, {}, {}
     for H in sorted(H_list, key=abs):
         try:
-            speeds[H] = solve_traveling(grid, H, nu, tol=tol, init=static).c
+            wall = solve_traveling(grid, H, nu, tol=tol,
+                                   init=last.get(np.sign(H), static))
+            speeds[H], last[np.sign(H)] = wall.c, wall
         except SolverError as exc:
             failures[H] = str(exc)
     Hs = np.array(sorted(speeds))

@@ -249,8 +249,9 @@ def test_criterion_07_relative_bound(A_D, staticD, travelers):
               for H, prof in travelers.items()}
     bs = [points[H].b for H in sorted(points, reverse=True)]   # c decreasing
     as_ = [points[H].a for H in sorted(points, reverse=True)]
-    # 10% slack, and values below 1e-4 count as numerically zero (the b
-    # constants for these slow walls sit at the knee-fit noise scale ~1e-6)
+    # 10% slack, and values below 1e-4 count as numerically zero (b =
+    # |c| sqrt(4 + c^2) is exact and a = O(|c|); at these fields both sit
+    # above the floor)
     def decreasing(seq):
         return all(seq[i + 1] <= 1.10 * seq[i] or seq[i + 1] <= 1e-4
                    for i in range(len(seq) - 1))

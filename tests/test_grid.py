@@ -262,6 +262,31 @@ def test_multiplier_matrix_symmetric_for_even_multiplier():
     assert np.allclose(M, M.T, atol=1e-12)
 
 
+def test_multiplier_matrix_matches_identity_transform_oracle():
+    # oracle: the multiplier applied to every identity column by FFT
+    g = Grid(L=40.0, n=512)
+    eye = np.eye(g.n)
+    w = 1.0 + g.k**2
+    ksq = -np.real(g.k_deriv**2)
+    c, nu = 0.3, 1.0
+    symbols = {
+        "T": 1.0 + np.abs(g.k), "d": g.k_deriv, "d2": np.real(g.k_deriv**2),
+        "W^1/2": np.sqrt(w), "W^-1/2": 1.0 / np.sqrt(w), "W": w,
+        "Lc": (1.0 - c**2) * ksq - c * nu * g.k_deriv,
+    }
+    for name, mult in symbols.items():
+        oracle = np.real(np.fft.ifft(mult[:, None] * np.fft.fft(eye, axis=0),
+                                     axis=0))
+        M = multiplier_matrix(g, mult)
+        assert M.shape == (g.n, g.n) and M.dtype == np.float64, name
+        assert np.max(np.abs(M - oracle)) <= 1e-12 * np.max(np.abs(oracle)), name
+    # symbols that send real samples to complex ones are refused; the second
+    # is Hermitian except at the Nyquist mode, which k_deriv zeroes
+    for bad in (1j * np.abs(g.k), 1.0 + 1j * g.k):
+        with pytest.raises(ValueError):
+            multiplier_matrix(g, bad)
+
+
 def test_h1_inner_real_for_real_input():
     f = smooth_random(G, seed=16)
     g = smooth_random(G, seed=17)

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
+from neelwall import profiles
 from neelwall.grid import BACKGROUND_WALL, Field, derivative, l2_norm, shift
 from neelwall.profiles import (
     SolverError, mobility, reflect_values, solve_static, solve_traveling,
@@ -104,6 +106,41 @@ def test_traveling_validation(grid256):
         solve_traveling(grid256, H=0.5, nu=1.0)      # outside envelope
     with pytest.raises(ValueError):
         solve_traveling(grid256, H=1e-3, nu=-1.0)
+
+
+def test_traveling_continues_from_moving_wall(grid256, static256,
+                                              traveling256, monkeypatch):
+    # the phase condition is anchored on the given wall's own slope, so a
+    # moving start needs no static solve
+    from_static = solve_traveling(grid256, H=2e-3, nu=1.0, init=static256)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_static called")
+    monkeypatch.setattr(profiles, "solve_static", refuse)
+    moved = solve_traveling(grid256, H=2e-3, nu=1.0, init=traveling256)
+    assert moved.c == pytest.approx(from_static.c, rel=1e-6)
+
+
+def test_mobility_continues_from_previous_field(grid256, static256,
+                                                monkeypatch):
+    fields = [-2e-3, -1e-3, -5e-4, 5e-4, 1e-3, 2e-3]
+    factorizations = []
+    lu_factor = sla.lu_factor
+
+    def counted(*args, **kwargs):
+        factorizations.append(args[0].shape)
+        return lu_factor(*args, **kwargs)
+    monkeypatch.setattr(sla, "lu_factor", counted)
+    from_static = {H: solve_traveling(grid256, H, 1.0, init=static256).c
+                   for H in fields}
+    one_by_one = len(factorizations)
+    factorizations.clear()
+    fit = mobility(grid256, 1.0, fields, static=static256)
+    assert not fit.failures
+    # each |H| = 2e-3 solve starts one 1e-3 step away instead of two
+    assert len(factorizations) < one_by_one
+    for H in fields:
+        assert fit.speeds[H] == pytest.approx(from_static[H], rel=1e-6)
 
 
 def test_mobility_fit(grid256, static256):

@@ -226,9 +226,10 @@ def _two_eigs_nearest_zero(M: np.ndarray, lu, trans: int):
     n = M.shape[0]
     op = spla.LinearOperator((n, n),
                              matvec=lambda b: sla.lu_solve(lu, b, trans=trans))
-    target = np.ascontiguousarray(M.T) if trans else M
-    vals, vecs = spla.eigs(spla.aslinearoperator(target), k=2,
-                           OPinv=op, sigma=0.0, which="LM")
+    # shift-invert at real sigma never applies the matrix itself, so M.T is
+    # passed as a view; the fixed start vector makes the result reproducible
+    vals, vecs = spla.eigs(M.T if trans else M, k=2, OPinv=op, sigma=0.0,
+                           which="LM", v0=np.random.default_rng(0).standard_normal(n))
     order = np.argsort(np.abs(vals))
     return vals[order], vecs[:, order]
 

@@ -3,6 +3,11 @@ estimates, with seeded sampling checks of the supporting inequalities.
 
 Symbols: nu is the damping, delta the contour half-side, Lambda0 the scalar
 spectral bound, beta a fixed constant in (0,1) with 2 delta < beta nu.
+
+Memory: the samplers filter whole batches with one elementwise mask. The
+envelope check, the largest (10x samples), keeps only its three float64
+draws (24 bytes per sample) and evaluates and reduces M in fixed chunks of
+_CHUNK points, with results bit-identical to a full-array evaluation.
 """
 
 from __future__ import annotations
@@ -11,7 +16,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .spectra import gamma_square, in_region_G
+from .spectra import in_region_G
+
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -109,22 +116,10 @@ def M_func(phi, lam, params: RegionParams):
     return np.minimum(m1, m2)
 
 
-def in_G(lam, delta: float):
-    lam = np.asarray(lam, dtype=complex)
-    if lam.shape == ():
-        return in_region_G(complex(lam), delta)
-    return np.array([in_region_G(complex(z), delta) for z in lam.ravel()]).reshape(lam.shape)
-
-
 def in_G2(lam, delta: float):
     """G2 = {Re lam > -delta, |Im lam| > delta} plus the rays delta(t +- i)."""
     lam = np.asarray(lam, dtype=complex)
     return (lam.real > -delta) & (np.abs(lam.imag) >= delta)
-
-
-def gamma_contour(delta: float, m: int) -> np.ndarray:
-    """m points on the square contour of half-side delta around the origin."""
-    return gamma_square(delta, m)
 
 
 # ---------------------------------------------------------------------------
@@ -140,12 +135,25 @@ def _sample_G(rng, delta: float, nu: float, n: int) -> np.ndarray:
                                     np.log10(1e3 * nu), n - third)
     phi = rng.uniform(-np.pi / 2, np.pi / 2, n)
     lam = -delta + r * np.exp(1j * phi)
-    keep = np.array([in_region_G(complex(z), delta) for z in lam])
-    lam = lam[keep]
+    lam = lam[in_region_G(lam, delta)]
     while len(lam) < n:
         extra = _sample_G(rng, delta, nu, n - len(lam))
         lam = np.concatenate([lam, extra])
     return lam[:n]
+
+
+def _sample_admissible(rng, params: RegionParams, n: int, draw_abs_im) -> np.ndarray:
+    """n samples satisfying aux1_hypothesis, in draw order: each batch draws
+    n real parts, then |Im| = draw_abs_im(im_min, n), then n random signs."""
+    nu, beta, L0 = params.nu, params.beta, params.Lambda0
+    im_min = np.sqrt(L0 + np.sqrt(L0) * (2.0 - beta) * nu)
+    lam, n_ok = [], 0
+    while n_ok < n:
+        re = rng.uniform(-beta * nu / 2.0, 10.0 * nu, n)
+        cand = re + 1j * (draw_abs_im(im_min, n) * rng.choice([-1.0, 1.0], n))
+        lam.append(cand[aux1_hypothesis(cand, params)])
+        n_ok += len(lam[-1])
+    return np.concatenate(lam)[:n]
 
 
 @dataclass
@@ -203,16 +211,8 @@ def check_aux1(params: RegionParams, n_samples: int = 100_000,
     admissible lam."""
     rng = np.random.default_rng(seed)
     L0, nu, beta = params.Lambda0, params.nu, params.beta
-    lam = []
-    while len(lam) < n_samples:
-        re = rng.uniform(-beta * nu / 2.0, 10.0 * nu, n_samples)
-        im_min = np.sqrt(L0 + np.sqrt(L0) * (2.0 - beta) * nu)
-        im = rng.uniform(im_min, im_min + 10.0 ** rng.uniform(-2, 2, n_samples)) \
-            * rng.choice([-1.0, 1.0], n_samples)
-        cand = re + 1j * im
-        ok = aux1_hypothesis(cand, params)
-        lam.extend(cand[ok])
-    lam = np.array(lam[:n_samples])
+    lam = _sample_admissible(rng, params, n_samples, lambda im_min, n: rng.uniform(
+        im_min, im_min + 10.0 ** rng.uniform(-2, 2, n)))
     lhs = np.abs(1.0 - np.abs(nu + lam) / np.sqrt(L0))
     rhs = (1.0 - beta / 2.0) * nu / np.sqrt(L0)
     worst = float(np.min(lhs - rhs))
@@ -229,16 +229,8 @@ def check_aux2(params: RegionParams, n_samples: int = 100_000,
     rng = np.random.default_rng(seed)
     L0, nu, beta = params.Lambda0, params.nu, params.beta
     eps = 0.5 * np.arcsin(epsilon_of(beta, nu, L0))
-    lam = []
-    while len(lam) < n_samples:
-        re = rng.uniform(-beta * nu / 2.0, 10.0 * nu, n_samples)
-        im_min = np.sqrt(L0 + np.sqrt(L0) * (2.0 - beta) * nu)
-        im = im_min * 10.0 ** rng.uniform(0, 2, n_samples) \
-            * rng.choice([-1.0, 1.0], n_samples)
-        cand = re + 1j * im
-        ok = aux1_hypothesis(cand, params)
-        lam.extend(cand[ok])
-    lam = np.array(lam[:n_samples])
+    lam = _sample_admissible(rng, params, n_samples,
+                             lambda im_min, n: im_min * 10.0 ** rng.uniform(0, 2, n))
     phi = rng.uniform(-eps, eps, n_samples)
     lhs = np.abs(f_a_func(phi, lam, L0, nu))
     rhs = 0.5 * (1.0 - beta / 2.0) * nu / np.sqrt(L0)
@@ -250,24 +242,30 @@ def check_aux2(params: RegionParams, n_samples: int = 100_000,
 def check_M_bounded(params: RegionParams, n_samples: int = 1_000_000,
                     seed: int = 5) -> SampledCheck:
     """Empirical sup of M over [0, pi/2] x G2 is finite; the achieving point
-    is reported."""
+    (the first maximizer among the finite values, else sample 0) is
+    reported."""
     rng = np.random.default_rng(seed)
     nu, delta = params.nu, params.delta
     phi = rng.uniform(0, np.pi / 2, n_samples)
-    re = -delta + 10.0 ** rng.uniform(np.log10(delta / 10.0),
-                                      np.log10(1e3 * nu), n_samples)
-    im = delta * 10.0 ** rng.uniform(0, np.log10(1e3 * nu / delta), n_samples) \
-        * rng.choice([-1.0, 1.0], n_samples)
-    lam = re + 1j * im
-    vals = M_func(phi, lam, params)
-    finite = np.isfinite(vals)
-    i = int(np.argmax(np.where(finite, vals, -np.inf)))
-    sup = float(vals[i])
+    re = rng.uniform(np.log10(delta / 10.0), np.log10(1e3 * nu), n_samples)
+    np.add(np.power(10.0, re, out=re), -delta, out=re)
+    im = rng.uniform(0, np.log10(1e3 * nu / delta), n_samples)
+    np.multiply(np.power(10.0, im, out=im), delta, out=im)
+    im *= rng.choice([-1.0, 1.0], n_samples)
+    best, n_inf = -np.inf, 0
+    for s in range(0, n_samples, _CHUNK):
+        lam = re[s:s + _CHUNK] + 1j * im[s:s + _CHUNK]
+        vals = M_func(phi[s:s + _CHUNK], lam, params)
+        finite = np.isfinite(vals)
+        n_inf += len(vals) - int(np.count_nonzero(finite))
+        masked = np.where(finite, vals, -np.inf)
+        j = int(np.argmax(masked))
+        if s == 0 or masked[j] > best:
+            best, i, sup, arg_lam = masked[j], s + j, float(vals[j]), complex(lam[j])
     return SampledCheck("M-uniform-bound", n_samples, seed,
-                        bool(np.all(finite)) and np.isfinite(sup), sup, np.inf,
-                        extra={"arg_phi": float(phi[i]),
-                               "arg_lam": complex(lam[i]),
-                               "n_infinite": int(np.sum(~finite))})
+                        n_inf == 0 and np.isfinite(sup), sup, np.inf,
+                        extra={"arg_phi": float(phi[i]), "arg_lam": arg_lam,
+                               "n_infinite": n_inf})
 
 
 def h3_envelope_bound(params: RegionParams) -> float:

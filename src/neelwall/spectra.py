@@ -479,11 +479,11 @@ def gamma_square(delta: float, m: int) -> np.ndarray:
     return pts[:m]
 
 
-def in_region_G(lam: complex, delta: float) -> bool:
-    """G = {Re lam > -delta} minus the open square int conv(Gamma)."""
-    if lam.real <= -delta:
-        return False
-    return not (abs(lam.real) < delta and abs(lam.imag) < delta)
+def in_region_G(lam, delta: float):
+    """G = {Re lam > -delta} minus the open square int conv(Gamma);
+    elementwise on arrays."""
+    re, im = np.real(lam), np.imag(lam)
+    return (re > -delta) & ((np.abs(re) >= delta) | (np.abs(im) >= delta))
 
 
 def resolvent_sweep(op: DiscretizedOperator, delta: float,

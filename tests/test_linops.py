@@ -131,6 +131,14 @@ def test_null_pair_and_projector(Ac_op256):
     assert np.max(np.abs(comm)) <= 1e-8
 
 
+def test_null_pair_deterministic(Ac_op256):
+    # ARPACK starts from a fixed vector, so repeated calls agree bitwise
+    a, b = null_pair(Ac_op256), null_pair(Ac_op256)
+    assert np.array_equal(a.right, b.right)
+    assert np.array_equal(a.left, b.left)
+    assert a.lambda0 == b.lambda0 and a.lambda_next == b.lambda_next
+
+
 def test_static_projector(static256):
     P = static_projector_matrix(static256, nu=1.0)
     g = static256.grid

@@ -19,9 +19,12 @@ works in physical space.
 The exponential path carries the state (w, phi) between steps as rfft half
 spectra of length n/2 + 1 and takes eight real transforms per step; phi never
 returns to physical space, and ||phi||^2 comes from Parseval.  A recorded
-frame fits the modulation shift from one spectrum of the reference per call,
-with one irfft, one rfft and one or two irffts per Newton step, and takes its
-residual and energy from the step's spectra.
+frame fits the modulation shift on half spectra, from one spectrum of the
+reference per run and one rfft per Newton step (none for the first step of a
+comoving frame, which starts at the previous frame's translate); its residual
+and exchange energy are Parseval sums over spectra it already holds, and its
+stray energy shares rfft(cos theta) with the next step.  A warm-started frame
+therefore costs one or two transforms.
 """
 
 from __future__ import annotations
@@ -248,10 +251,11 @@ def integrate_linear_mode(nu: float, Lam: float, u0: float, v0: float,
 class _HalfGrid:
     """Per-grid constants of the real-FFT path.
 
-    The first seven arrays act on rfft half spectra (length n/2 + 1, the
+    All arrays but ``d1`` act on rfft half spectra (length n/2 + 1, the
     Nyquist mode included once); ``l2`` holds the Parseval weights
-    (1, 2, ..., 2, 1) dx/n, so ||f||^2 = sum(l2 |rfft(f)|^2).  ``d1`` and
-    ``d2`` are the analytic background slopes sech x and -tanh x sech x.
+    (1, 2, ..., 2, 1) dx/n, so ||f||^2 = sum(l2 |rfft(f)|^2).  ``d1`` is the
+    analytic background slope sech x; ``d1_hat`` and ``d2_hat`` are the
+    rffts of sech x and of -tanh x sech x.
     """
 
     k: np.ndarray
@@ -262,7 +266,8 @@ class _HalfGrid:
     h1: np.ndarray
     hhalf: np.ndarray
     d1: np.ndarray
-    d2: np.ndarray
+    d1_hat: np.ndarray
+    d2_hat: np.ndarray
 
 
 @lru_cache(maxsize=8)
@@ -272,9 +277,10 @@ def _half_grid(grid: Grid) -> _HalfGrid:
     kd = grid.k_deriv[:h]
     l2 = np.full(h, 2.0 * grid.dx / grid.n)
     l2[0] = l2[-1] = grid.dx / grid.n
+    d1 = wall_background_d1(grid.x)
     arrays = (k, kd, np.real(kd**2), 1.0 + np.abs(k), l2, l2 * (1.0 + k**2),
-              l2 * np.abs(k), wall_background_d1(grid.x),
-              wall_background_d2(grid.x))
+              l2 * np.abs(k), d1, np.fft.rfft(d1),
+              np.fft.rfft(wall_background_d2(grid.x)))
     for a in arrays:
         a.setflags(write=False)
     return _HalfGrid(*arrays)
@@ -283,6 +289,11 @@ def _half_grid(grid: Grid) -> _HalfGrid:
 def _sq_norm(weights: np.ndarray, fh: np.ndarray) -> float:
     """sum(weights |fh|^2) for a half spectrum fh."""
     return float(weights @ (fh.real**2 + fh.imag**2))
+
+
+def _inner(weights: np.ndarray, fh: np.ndarray, gh: np.ndarray) -> float:
+    """sum(weights Re(fh conj(gh))) for half spectra fh, gh."""
+    return float(weights @ (fh.real * gh.real + fh.imag * gh.imag))
 
 
 @lru_cache(maxsize=8)
@@ -306,13 +317,21 @@ def _background_forcing(grid: Grid, nu: float, c: float) -> np.ndarray:
             + c * nu * _half_grid(grid).d1)
 
 
-def _remainder_term(grid: Grid, w: np.ndarray, H: float,
-                    forcing: np.ndarray) -> np.ndarray:
-    """Bounded part of phi_t not covered by the Fourier-diagonal block: the
-    nonlocal nonlinearity, the field term and the background forcing."""
+def _cos_parts(grid: Grid, w: np.ndarray):
+    """(theta, cos theta, rfft(cos theta)) of the remainder w: what both the
+    remainder term and a frame's stray energy take from w."""
     theta = w + grid.background
     cos_t = np.cos(theta)
-    Tc = np.fft.irfft(_half_grid(grid).T * np.fft.rfft(cos_t), grid.n)
+    return theta, cos_t, np.fft.rfft(cos_t)
+
+
+def _remainder_term(grid: Grid, parts, H: float,
+                    forcing: np.ndarray) -> np.ndarray:
+    """Bounded part of phi_t not covered by the Fourier-diagonal block: the
+    nonlocal nonlinearity, the field term and the background forcing, at
+    the state whose _cos_parts are ``parts``."""
+    theta, cos_t, cos_h = parts
+    Tc = np.fft.irfft(_half_grid(grid).T * cos_h, grid.n)
     return np.sin(theta) * Tc - H * cos_t + forcing
 
 
@@ -324,7 +343,7 @@ def _full_rhs(grid: Grid, w: np.ndarray, phi: np.ndarray, nu: float, c: float,
     w_z = np.real(np.fft.ifft(grid.k_deriv * wh))
     w_zz = np.real(np.fft.ifft(np.real(grid.k_deriv**2) * wh))
     phi_z = np.real(np.fft.ifft(grid.k_deriv * ph))
-    G = _remainder_term(grid, w, H, forcing)
+    G = _remainder_term(grid, _cos_parts(grid, w), H, forcing)
     dphi = (1.0 - c**2) * w_zz + c * nu * w_z + 2.0 * c * phi_z - nu * phi + G
     return phi, dphi
 
@@ -342,66 +361,68 @@ def wall_position_of(grid: Grid, theta_full: np.ndarray,
 
 
 class _Translates:
-    """Translates psi(. - sigma) of the reference, all from one rfft of its
-    stored samples; the stored values equal shift(reference.theta, -sigma)."""
+    """Half spectra of the translates psi(. - sigma) of the reference, all
+    from one rfft of its stored samples: spectrum(sigma) equals
+    rfft(shift(reference.theta, -sigma).values)."""
 
     def __init__(self, reference: Profile):
         self.grid = reference.grid
         self.wall = reference.theta.background == BACKGROUND_WALL
-        self.spectrum = np.fft.rfft(reference.theta.values)
+        self.reference_hat = np.fft.rfft(reference.theta.values)
+        half = _half_grid(self.grid)
+        # the background slopes enter psi_s' and psi_s'' only over a wall
+        self.d1_hat = half.d1_hat if self.wall else 0.0
+        self.d2_hat = half.d2_hat if self.wall else 0.0
+        # the last translate: a warm-started comoving frame starts where
+        # the previous frame's fit ended
+        self._last = (None, None)
 
-    def stored(self, sigma: float) -> np.ndarray:
+    def spectrum(self, sigma: float) -> np.ndarray:
         g = self.grid
         if abs(sigma) >= g.L / 2:
             raise ValueError(f"|shift| must be < L/2 = {g.L / 2}, got {-sigma}")
-        rem = np.fft.irfft(np.exp(-1j * sigma * _half_grid(g).k) * self.spectrum,
-                           g.n)
+        if sigma == self._last[0]:
+            return self._last[1]
+        sh = np.exp(-1j * sigma * _half_grid(g).k) * self.reference_hat
+        sh[-1] = sh[-1].real        # as rfft(irfft(.)) leaves it
         if self.wall:
-            rem = rem + wall_background(g.x - sigma) - g.background
-        return rem
+            # shifted in physical space: a spectral shift of the background
+            # aliases at ~exp(-pi k_max / 2)
+            sh += np.fft.rfft(wall_background(g.x - sigma) - g.background)
+        sh.setflags(write=False)
+        self._last = (sigma, sh)
+        return sh
 
-    def full(self, stored: np.ndarray) -> np.ndarray:
-        return stored + self.grid.background if self.wall else stored
+    def orthogonality(self, bh: np.ndarray, sigma: float):
+        """(s_hat, g, g') at the translate by sigma, for the spectrum bh of
+        theta minus its background: s_hat = spectrum(sigma), the condition
+        g = <theta - psi_s, psi_s'> and its slope g' = dg/ds =
+        ||psi_s'||^2 - <theta - psi_s, psi_s''>, as Parseval sums."""
+        half = _half_grid(self.grid)
+        sh = self.spectrum(sigma)
+        rh = bh - sh
+        d1h = half.kd * sh + self.d1_hat
+        gval = _inner(half.l2, rh, d1h)
+        gprime = _sq_norm(half.l2, d1h) - _inner(half.l2, rh,
+                                                 half.kd2 * sh + self.d2_hat)
+        return sh, gval, gprime
 
 
-def modulate(theta: Field, reference: Profile, t: float = 0.0,
-             frame: str = "lab", s0: float | None = None) -> float:
-    """Fit the modulation shift s: argmin_s ||theta - psi(. - ct - s)||_L2.
-
-    Golden-section bracketing over |s| <= L/4, then Newton on the
-    orthogonality condition <theta - psi_s, psi_s'> = 0 to 1e-10.  A warm
-    start s0 (e.g. the previous frame's shift) skips straight to Newton and
-    falls back to bracketing if Newton wanders.  The reference is
-    transformed once per call.  A Newton step takes psi_s from one irfft,
-    then psi_s' and psi_s'' (the latter only when a step follows) from one
-    rfft of its stored samples and one irfft each: what
-    derivative(shift(reference.theta, -drift - s)) computes.
-    """
-    g = theta.grid
-    half = _half_grid(g)
-    drift = reference.c * t if frame == "lab" else 0.0
-    th = theta.reconstruct()
-    translates = _Translates(reference)
+def _fit_shift(translates: _Translates, bh: np.ndarray, drift: float,
+               s0: float | None):
+    """(s, s_hat): the shift s minimizing ||theta - psi(. - drift - s)||_L2
+    for the spectrum bh of theta minus its background, with the spectrum
+    s_hat of the fitted translate's stored samples.  See modulate."""
+    l2 = _half_grid(translates.grid).l2
 
     def misfit(s):
-        r = th - translates.full(translates.stored(drift + s))
-        return float(r @ r)
+        return _sq_norm(l2, bh - translates.spectrum(drift + s))
 
     def newton(s):
         for _ in range(50):
-            stored = translates.stored(drift + s)
-            r = th - translates.full(stored)
-            sh = np.fft.rfft(stored)
-            dpsi_s = np.fft.irfft(half.kd * sh, g.n)
-            if translates.wall:
-                dpsi_s += half.d1
-            gval = g.dx * float(r @ dpsi_s)
+            sh, gval, gprime = translates.orthogonality(bh, drift + s)
             if abs(gval) <= 1e-10:
-                return s
-            d2psi_s = np.fft.irfft(half.kd2 * sh, g.n)
-            if translates.wall:
-                d2psi_s += half.d2
-            gprime = g.dx * float(dpsi_s @ dpsi_s - r @ d2psi_s)
+                return float(s), sh
             if gprime <= 0:
                 return None
             step = gval / gprime
@@ -411,11 +432,11 @@ def modulate(theta: Field, reference: Profile, t: float = 0.0,
         return None
 
     if s0 is not None:
-        s = newton(float(s0))
-        if s is not None:
-            return float(s)
+        fit = newton(float(s0))
+        if fit is not None:
+            return fit
 
-    smax = g.L / 4.0
+    smax = translates.grid.L / 4.0
     coarse = np.linspace(-smax, smax, 65)
     vals = [misfit(s) for s in coarse]
     i = int(np.argmin(vals))
@@ -435,10 +456,30 @@ def modulate(theta: Field, reference: Profile, t: float = 0.0,
             a, c1, f1 = c1, c2, f2
             c2 = a + gr * (b - a)
             f2 = misfit(c2)
-    s = newton(0.5 * (a + b))
-    if s is None:
+    fit = newton(0.5 * (a + b))
+    if fit is None:
         raise ModulationError("modulation Newton failed to converge")
-    return float(s)
+    return fit
+
+
+def modulate(theta: Field, reference: Profile, t: float = 0.0,
+             frame: str = "lab", s0: float | None = None) -> float:
+    """Fit the modulation shift s: argmin_s ||theta - psi(. - ct - s)||_L2.
+
+    Golden-section bracketing over |s| <= L/4, then Newton on the
+    orthogonality condition <theta - psi_s, psi_s'> = 0 to 1e-10.  A warm
+    start s0 (e.g. the previous frame's shift) skips straight to Newton and
+    falls back to bracketing if Newton wanders.  Both work on rfft half
+    spectra: the reference and theta minus its background are transformed
+    once per call, and a misfit or a Newton step takes one rfft, of the
+    shifted wall background; the inner products are Parseval sums.
+    """
+    translates = _Translates(reference)
+    th = theta.reconstruct()
+    if translates.wall:
+        th = th - theta.grid.background
+    drift = reference.c * t if frame == "lab" else 0.0
+    return _fit_shift(translates, np.fft.rfft(th), drift, s0)[0]
 
 
 def integrate(grid: Grid, config: SimConfig, reference: Profile,
@@ -448,15 +489,17 @@ def integrate(grid: Grid, config: SimConfig, reference: Profile,
     initial: (theta0: Field with wall background, v0: array); defaults to the
     reference profile plus the configured perturbation, at rest.
 
-    Both integrators hand the recorder w and the rfft half spectra (w_hat,
-    phi_hat) of length n/2 + 1.  The exponential step works on these half
-    spectra: each of its two remainder evaluations takes three real
-    transforms, and the intermediate stage and the new w one irfft each,
-    eight per step; phi never returns to physical space.  The background
-    forcing is formed once per call, and ||phi||^2 comes from Parseval on
-    phi_hat.  A frame calls modulate once, takes the fitted translate of
-    the reference from one irfft of a spectrum cached here, the exchange
-    energy from irfft(ik w_hat) and the stray energy from rfft(cos theta).
+    Both integrators hand the recorder w, the rfft half spectra (w_hat,
+    phi_hat) of length n/2 + 1 and _cos_parts(w).  The exponential step
+    works on these half spectra: each of its two remainder evaluations takes
+    three real transforms (the first one's rfft(cos theta) comes with the
+    state), and the intermediate stage and the new w one irfft each, eight
+    per step; phi never returns to physical space.  The background forcing
+    and the reference spectrum are formed once per call, and ||phi||^2 comes
+    from Parseval on phi_hat.  A frame fits the modulation from w_hat with
+    one rfft per Newton step at a new translate, and takes its H1 residual
+    and exchange energy from Parseval sums over spectra it holds; its stray
+    energy uses the state's rfft(cos theta).
     """
     c = reference.c if config.frame == "comoving" else 0.0
     nu, H, dt = config.nu, config.H, config.dt
@@ -482,19 +525,21 @@ def integrate(grid: Grid, config: SimConfig, reference: Profile,
             for f in ("E11", "E12", "E21", "E22",
                       "P1_12", "P1_22", "P2_12", "P2_22"))
 
-        def advance(w, wh, ph):
-            Gh = np.fft.rfft(_remainder_term(grid, w, H, forcing))
+        def advance(w, wh, ph, parts):
+            Gh = np.fft.rfft(_remainder_term(grid, parts, H, forcing))
             ah = E11 * wh + E12 * ph + P1_12 * Gh
             bh = E21 * wh + E22 * ph + P1_22 * Gh
             wa = np.fft.irfft(ah, n)
-            dGh = np.fft.rfft(_remainder_term(grid, wa, H, forcing)) - Gh
+            dGh = np.fft.rfft(_remainder_term(grid, _cos_parts(grid, wa), H,
+                                              forcing)) - Gh
             wh = ah + P2_12 * dGh
-            return np.fft.irfft(wh, n), wh, bh + P2_22 * dGh
+            w = np.fft.irfft(wh, n)
+            return w, wh, bh + P2_22 * dGh, _cos_parts(grid, w)
     else:
         def rhs(w, phi):
             return _full_rhs(grid, w, phi, nu, c, H, forcing)
 
-        def advance(w, wh, ph):
+        def advance(w, wh, ph, parts):
             phi = np.fft.irfft(ph, n)
             k1w, k1p = rhs(w, phi)
             k2w, k2p = rhs(w + dt / 2 * k1w, phi + dt / 2 * k1p)
@@ -502,11 +547,12 @@ def integrate(grid: Grid, config: SimConfig, reference: Profile,
             k4w, k4p = rhs(w + dt * k3w, phi + dt * k3p)
             w = w + dt / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
             phi = phi + dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
-            return w, np.fft.rfft(w), np.fft.rfft(phi)
+            return w, np.fft.rfft(w), np.fft.rfft(phi), _cos_parts(grid, w)
 
     w = theta0.values.copy()
     wh = np.fft.rfft(w)
     ph = np.fft.rfft(np.asarray(v0, dtype=float))
+    parts = _cos_parts(grid, w)
     translates = _Translates(reference)
     times, res, wpos, svals, evals, vnorms, defects = [], [], [], [], [], [], []
     e0 = None
@@ -519,21 +565,22 @@ def integrate(grid: Grid, config: SimConfig, reference: Profile,
     def record(step_index):
         nonlocal e0, pos_prev, s_prev
         t = step_index * dt
-        theta_f = Field(grid, w, BACKGROUND_WALL)
-        th_full = theta_f.reconstruct()
-        s = modulate(theta_f, reference, t, config.frame, s0=s_prev)
-        s_prev = s
+        Field(grid, w, BACKGROUND_WALL)     # rejects non-finite or unsaturated w
+        theta, cos_t, cos_h = parts
+        # theta minus its background is w: the fit starts from w_hat, with
+        # the Nyquist bin real as rfft(w) has it
+        bh = wh.copy()
+        bh[-1] = bh[-1].real
         drift = reference.c * t if config.frame == "lab" else 0.0
-        psi_s = translates.full(translates.stored(drift + s))
-        r = np.sqrt(_sq_norm(half.h1, np.fft.rfft(th_full - psi_s)))
-        pos_prev = wall_position_of(grid, th_full, pos_prev)
-        # energy(theta_f).total, from the step's spectrum
-        dtheta = np.fft.irfft(half.kd * wh, n) + half.d1
-        cos_t = np.cos(th_full)
-        e = (0.5 * grid.dx * float(dtheta @ dtheta)
-             + 0.5 * _sq_norm(half.hhalf, np.fft.rfft(cos_t))
-             + 0.5 * grid.dx * float(cos_t @ cos_t))
-        vn = np.sqrt(_sq_norm(half.l2, ph))
+        s, sh = _fit_shift(translates, bh, drift, s_prev)
+        s_prev = s
+        r = np.sqrt(_sq_norm(half.h1, bh - sh))
+        pos_prev = wall_position_of(grid, theta, pos_prev)
+        # energy(Field(grid, w, "wall")).total, from the state's spectra
+        e = 0.5 * (_sq_norm(half.l2, half.kd * wh + half.d1_hat)
+                   + _sq_norm(half.hhalf, cos_h)
+                   + grid.dx * float(cos_t @ cos_t))
+        vn = np.sqrt(v_sq_prev)         # ||phi||^2 of this state, from the loop
         etot = 0.5 * vn**2 + e
         if e0 is None:
             e0 = etot
@@ -547,7 +594,7 @@ def integrate(grid: Grid, config: SimConfig, reference: Profile,
 
     record(0)
     for step in range(1, n_steps + 1):
-        w, wh, ph = advance(w, wh, ph)
+        w, wh, ph, parts = advance(w, wh, ph, parts)
         v_sq = _sq_norm(half.l2, ph)
         diss += nu * dt * 0.5 * (v_sq + v_sq_prev)
         v_sq_prev = v_sq
@@ -621,12 +668,6 @@ def decay_fit(trace: SimTrace, t_min: float | None = None,
 # orbital-stability experiment
 
 
-def comoving_vector_field(grid: Grid, w: np.ndarray, phi: np.ndarray,
-                          nu: float, c: float, H: float):
-    """Matrix-free F(theta, phi) of the comoving first-order system."""
-    return _full_rhs(grid, w, phi, nu, c, H, _background_forcing(grid, nu, c))
-
-
 def taylor_translation_check(reference: Profile, s_values=(0.01, 0.02, 0.04)):
     """Taylor remainder of the translated-wave family:
     max over s of ||phi(s) - phi(0) - phi'(0) s|| / s^2, against the
@@ -666,9 +707,11 @@ def quadratic_remainder_check(reference: Profile, nu: float,
     shape_u /= h1_norm(g, shape_u)
     shape_v /= l2_norm(g, shape_v)
 
+    # F(theta, phi) of the comoving first-order system, matrix-free
+    forcing = _background_forcing(g, nu, c)
     w0 = reference.theta.values
     phi0 = np.zeros(g.n)
-    F0u, F0v = comoving_vector_field(g, w0, phi0, nu, c, H)
+    F0u, F0v = _full_rhs(g, w0, phi0, nu, c, H, forcing)
     mult_T = 1.0 + np.abs(g.k)
     psi_full = reference.reconstruct()
     s_psi = np.sin(psi_full)
@@ -677,7 +720,7 @@ def quadratic_remainder_check(reference: Profile, nu: float,
     sizes, rems = [], []
     for amp in amplitudes:
         wu, wv = amp * shape_u, amp * shape_v
-        Fu, Fv = comoving_vector_field(g, w0 + wu, phi0 + wv, nu, c, H)
+        Fu, Fv = _full_rhs(g, w0 + wu, phi0 + wv, nu, c, H, forcing)
         # DF at the wave applied to W (matrix-free)
         lin_u = wv
         wuh = np.fft.fft(wu)

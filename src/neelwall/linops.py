@@ -234,6 +234,13 @@ def _two_eigs_nearest_zero(M: np.ndarray, lu, trans: int):
     return vals[order], vecs[:, order]
 
 
+def _real_phase(v: np.ndarray) -> np.ndarray:
+    """An eigenvector that is real up to a phase, made real: rotate its
+    dominant component onto the positive real axis."""
+    pivot = v[int(np.argmax(np.abs(v)))]
+    return np.real(v * np.conj(pivot) / np.abs(pivot))
+
+
 def translation_mode(op: DiscretizedOperator) -> np.ndarray:
     """Discrete translation zero mode: the eigenvector of smallest |lambda|.
 
@@ -246,9 +253,7 @@ def translation_mode(op: DiscretizedOperator) -> np.ndarray:
     """
     lu = sla.lu_factor(op.matrix)
     vals, vecs = _two_eigs_nearest_zero(op.matrix, lu, trans=0)
-    v = vecs[:, 0]
-    pivot = v[int(np.argmax(np.abs(v)))]
-    v = np.real(v * np.conj(pivot) / np.abs(pivot))
+    v = _real_phase(vecs[:, 0])
     # orient along the profile derivative (increasing wall) when available
     if op.profile is not None:
         dpsi = derivative(op.profile.theta, 1).values
@@ -269,9 +274,7 @@ def null_pair(op: DiscretizedOperator) -> NullPair:
     n = g.n
     lu = sla.lu_factor(op.matrix)
     _, vecs_r = _two_eigs_nearest_zero(op.matrix, lu, trans=0)
-    right = vecs_r[:, 0]
-    pivot = right[int(np.argmax(np.abs(right)))]
-    right = np.real(right * np.conj(pivot) / np.abs(pivot))
+    right = _real_phase(vecs_r[:, 0])
     dpsi = derivative(op.profile.theta, 1).values
     if np.dot(right[:n], dpsi) < 0:
         right = -right
@@ -283,10 +286,7 @@ def null_pair(op: DiscretizedOperator) -> NullPair:
         raise RuntimeError(
             f"zero mode not separated: |lambda0| = {abs(lam0):.2e}, "
             f"next |lambda| = {abs(lam1):.2e} (need 10x)")
-    y = vecs_t[:, 0]
-    # real up to a phase: rotate the dominant component onto the real axis
-    pivot = y[int(np.argmax(np.abs(y)))]
-    y = np.real(y * np.conj(pivot) / np.abs(pivot))
+    y = _real_phase(vecs_t[:, 0])
     # weighted adjoint eigenvector: left = W^{-1} y with A^T y ~ 0
     left = np.concatenate([
         np.real(np.fft.ifft(np.fft.fft(y[:n]) / (1.0 + g.k**2))), y[n:]])

@@ -8,6 +8,9 @@ Oracles:
     shift, derivative, energy and h1_norm.
   * Dense matrix exponential: per-mode step weights equal expm of the
     companion block.
+  * Physical-space modulation: the half-spectrum orthogonality condition,
+    its slope and the misfit equal the dx-weighted dot products of the
+    translate's samples and derivatives.
   * Synthetic decay trace: the fitter recovers a planted (omega, C, r_inf).
 """
 from __future__ import annotations
@@ -25,7 +28,10 @@ from neelwall.dynamics import (
     wall_position_of,
 )
 from neelwall.energy import energy
-from neelwall.grid import Field, derivative, h1_norm, l2_inner, l2_norm, shift
+from neelwall.grid import (
+    Field, derivative, h1_norm, l2_inner, l2_norm, shift, wall_background,
+    wall_background_d1, wall_background_d2,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +126,71 @@ def test_modulate_moving_frame_recovers_planted_shift(traveling256):
     assert s == pytest.approx(planted, abs=1e-8)
     s_warm = modulate(moved, traveling256, t=t, frame="lab", s0=planted + 1e-3)
     assert s_warm == pytest.approx(s, abs=1e-8)
+
+
+def _physical_modulation_terms(reference, theta_full, sigma):
+    """Oracle for the half-spectrum modulation: the orthogonality condition
+    g, its slope g' and the misfit at the translate by sigma, as dx-weighted
+    dot products of samples: the stored translate from one irfft, psi_s' and
+    psi_s'' from irffts of its rfft, the background slopes analytic.  Also
+    returns the Cauchy-Schwarz scales of g and g'."""
+    g = reference.grid
+    h = g.n // 2 + 1
+    stored = (np.fft.irfft(np.exp(-1j * sigma * g.k[:h])
+                           * np.fft.rfft(reference.theta.values), g.n)
+              + wall_background(g.x - sigma) - g.background)
+    r = theta_full - (stored + g.background)
+    sh = np.fft.rfft(stored)
+    dpsi_s = np.fft.irfft(g.k_deriv[:h] * sh, g.n) + wall_background_d1(g.x)
+    d2psi_s = (np.fft.irfft(np.real(g.k_deriv[:h] ** 2) * sh, g.n)
+               + wall_background_d2(g.x))
+    gval = g.dx * float(r @ dpsi_s)
+    gprime = g.dx * float(dpsi_s @ dpsi_s - r @ d2psi_s)
+    misfit = g.dx * float(r @ r)
+    norm = lambda f: np.sqrt(g.dx * float(f @ f))
+    scales = (norm(r) * norm(dpsi_s),
+              norm(dpsi_s) ** 2 + norm(r) * norm(d2psi_s))
+    return gval, gprime, misfit, scales
+
+
+@pytest.mark.parametrize("wall, t", [("static256", 0.0), ("traveling256", 5.0),
+                                     ("static512", 0.0), ("traveling512", 5.0)])
+def test_spectral_modulation_matches_physical_oracle(wall, t, request):
+    reference = request.getfixturevalue(wall)
+    g = reference.grid
+    drift = reference.c * t            # lab frame
+    planted = 0.23
+    moved = shift(reference.theta, -(drift + planted))
+    theta = moved.with_values(moved.values + 0.02 / np.cosh(g.x - 1.0))
+    theta_full = theta.reconstruct()
+    translates = dynamics._Translates(reference)
+    bh = np.fft.rfft(theta_full - g.background)
+    half = dynamics._half_grid(g)
+    # the per-grid background spectra are shared by every caller
+    assert not (half.d1_hat.flags.writeable or half.d2_hat.flags.writeable)
+    l2 = half.l2
+    for s in (-g.L / 4, -0.3, 0.0, planted, g.L / 4):
+        sigma = drift + s
+        sh, gval, gprime = translates.orthogonality(bh, sigma)
+        misfit = dynamics._sq_norm(l2, bh - sh)
+        g_ref, gp_ref, m_ref, (g_scale, gp_scale) = _physical_modulation_terms(
+            reference, theta_full, sigma)
+        assert abs(gval - g_ref) <= 1e-12 * g_scale
+        assert abs(gprime - gp_ref) <= 1e-12 * gp_scale
+        assert abs(misfit - m_ref) <= 1e-12 * m_ref
+
+    s_ref = planted
+    for _ in range(30):
+        g_ref, gp_ref, _, _ = _physical_modulation_terms(
+            reference, theta_full, drift + s_ref)
+        step = g_ref / gp_ref
+        s_ref -= step
+        if abs(step) <= 1e-14:
+            break
+    cold = modulate(theta, reference, t=t, frame="lab")
+    warm = modulate(theta, reference, t=t, frame="lab", s0=planted + 1e-3)
+    assert abs(cold - s_ref) <= 1e-10
+    assert abs(warm - s_ref) <= 1e-10
 
 
 def test_wall_position_of(grid256, static256):
@@ -278,6 +349,27 @@ def test_integrate_matches_complex_fft_oracle(grid256, wall, frame, request):
     for key, expected in oracle.items():
         got = getattr(trace, key)
         assert np.max(np.abs(got - expected)) <= 1e-9, key
+
+
+def test_frame_transform_budget(grid256, static256, monkeypatch):
+    # every rfft/irfft of one integrate run with a frame after every step
+    calls = {"n": 0}
+    for name in ("rfft", "irfft"):
+        fn = getattr(np.fft, name)
+
+        def counted(*args, _fn=fn, **kwargs):
+            calls["n"] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    config = SimConfig(dt=0.2, t_end=12.0, nu=1.0,
+                       perturbation=Perturbation("sech", 0.05))
+    trace = integrate(grid256, config, static256)
+    steps, frames = 60, len(trace.times)
+    assert frames == steps + 1
+    # eight per step, at most four per frame, and the set-up: the initial
+    # spectra and one cold-start bracketing of the first frame (65 + 42
+    # misfits and its Newton steps, one transform each)
+    assert calls["n"] <= 8 * steps + 4 * frames + 128
 
 
 def test_blow_up_raises_with_trace(grid256, static256):

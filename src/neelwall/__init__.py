@@ -9,22 +9,21 @@ with modulation, and sampled checks of the analytic region bounds.
 
 __version__ = "0.1.0"
 
-from .grid import (Field, Grid, StateVector, apply_T, derivative,
-                   half_laplacian, l2_inner, l2_norm, h1_norm, norm, shift,
-                   wall_background)
+from .grid import (Field, Grid, apply_T, derivative, half_laplacian,
+                   l2_inner, l2_norm, h1_norm, shift, wall_background)
 from .energy import EnergyBreakdown, energy, grad_energy, gradient_selftest
-from .profiles import (MobilityFit, Profile, SolverError, mobility,
-                       reflect_values, solve_static, solve_traveling,
-                       traveling_residual, wall_mass)
+from .profiles import (Linearization, MobilityFit, Profile, SolverError,
+                       mobility, reflect_values, solve_static,
+                       solve_traveling, traveling_residual, wall_mass)
 from .linops import (DiscretizedOperator, NullPair, build_Bc, build_L,
-                     build_Lc, build_block, null_pair, operator_norm,
-                     projector_matrix, translation_mode)
+                     build_Lc, build_block, null_pair, projector_matrix,
+                     translation_mode)
 from .spectra import (RelativeBoundPoint, ResolventSample, SpectrumReport,
                       SweepResult, TrialStats, eig_report, match_eigenvalues,
                       numerical_abscissa, pencil_crosscheck,
                       pencil_eigenvalues, pencil_gap,
                       relative_bound_fit, res_inequality_trials,
-                      resolvent_norm, resolvent_sweep)
+                      resolvent_sweep)
 from .dynamics import (BlowUpError, DecayFit, ModulationError,
                        OrbitalVerdict, Perturbation, SimConfig, SimTrace,
                        decay_fit, integrate, modulate, orbital_experiment)

@@ -38,7 +38,6 @@ from .grid import (
     BACKGROUND_WALL,
     Field,
     Grid,
-    apply_multiplier,
     derivative,
     h1_norm,
     l2_inner,
@@ -49,7 +48,7 @@ from .grid import (
     wall_background_d1,
     wall_background_d2,
 )
-from .profiles import Profile
+from .profiles import Linearization, Profile
 
 INTEGRATORS = ("semi-implicit-spectral", "explicit-RK4")
 FRAMES = ("lab", "comoving")
@@ -202,47 +201,6 @@ def step_weights(grid: Grid, nu: float, c: float, dt: float) -> StepWeights:
     return StepWeights(E11, E12, E21, E22, P1_12, P1_22, P2_12, P2_22)
 
 
-def closed_form_damped_mode(nu: float, Lam: float, u0: float, v0: float, t):
-    """Exact solution of u'' + nu u' + Lam u = 0 with u(0)=u0, u'(0)=v0."""
-    disc = np.sqrt(complex(nu**2 - 4.0 * Lam))
-    if abs(disc) < 1e-12:
-        r = -nu / 2.0
-        a, b = u0, v0 - r * u0
-        u = (a + b * np.asarray(t)) * np.exp(r * np.asarray(t))
-        v = (b + r * (a + b * np.asarray(t))) * np.exp(r * np.asarray(t))
-        return np.real(u), np.real(v)
-    rp = (-nu + disc) / 2.0
-    rm = (-nu - disc) / 2.0
-    a = (v0 - rm * u0) / (rp - rm)
-    b = u0 - a
-    t = np.asarray(t)
-    u = a * np.exp(rp * t) + b * np.exp(rm * t)
-    v = a * rp * np.exp(rp * t) + b * rm * np.exp(rm * t)
-    return np.real(u), np.real(v)
-
-
-def integrate_linear_mode(nu: float, Lam: float, u0: float, v0: float,
-                          dt: float, n_steps: int):
-    """Propagate one frozen linear mode with the exponential step weights
-    (no remainder term), returning the (u, v) time series."""
-    disc = np.sqrt(complex(nu**2 - 4.0 * Lam))
-    if abs(disc) < 1e-8:
-        disc += 1e-8
-    lp = (-nu + disc) / 2.0
-    lm = (-nu - disc) / 2.0
-    E11, E12, E21, E22 = _companion_function(
-        np.array([lp]), np.array([lm]), np.array([complex(Lam)]),
-        lambda z: np.exp(z * dt))
-    u = np.empty(n_steps + 1)
-    v = np.empty(n_steps + 1)
-    u[0], v[0] = u0, v0
-    uu, vv = complex(u0), complex(v0)
-    for i in range(n_steps):
-        uu, vv = E11[0] * uu + E12[0] * vv, E21[0] * uu + E22[0] * vv
-        u[i + 1], v[i + 1] = uu.real, vv.real
-    return u, v
-
-
 # ---------------------------------------------------------------------------
 # right-hand-side pieces
 
@@ -278,8 +236,8 @@ def _half_grid(grid: Grid) -> _HalfGrid:
     l2 = np.full(h, 2.0 * grid.dx / grid.n)
     l2[0] = l2[-1] = grid.dx / grid.n
     d1 = wall_background_d1(grid.x)
-    arrays = (k, kd, np.real(kd**2), 1.0 + np.abs(k), l2, l2 * (1.0 + k**2),
-              l2 * np.abs(k), d1, np.fft.rfft(d1),
+    arrays = (k, kd, np.real(kd**2), 1.0 + np.abs(k), l2,
+              l2 * grid.h1_weight[:h], l2 * np.abs(k), d1, np.fft.rfft(d1),
               np.fft.rfft(wall_background_d2(grid.x)))
     for a in arrays:
         a.setflags(write=False)
@@ -684,8 +642,7 @@ def taylor_translation_check(reference: Profile, s_values=(0.01, 0.02, 0.04)):
         u_rem = shifted.reconstruct() - psi0 + s * dpsi
         v_rem = -c * derivative(shifted, 1).values - v0 - s * c * d2psi
         ratios.append(state_norm(g, u_rem, v_rem) / s**2)
-    bound = float(np.sqrt(np.real(
-        np.sum(np.abs(np.fft.fft(d2psi)) ** 2 * (1.0 + g.k**2)) * g.dx / g.n))) / np.sqrt(3.0)
+    bound = h1_norm(g, d2psi) / np.sqrt(3.0)
     return max(ratios), bound
 
 
@@ -712,24 +669,16 @@ def quadratic_remainder_check(reference: Profile, nu: float,
     w0 = reference.theta.values
     phi0 = np.zeros(g.n)
     F0u, F0v = _full_rhs(g, w0, phi0, nu, c, H, forcing)
-    mult_T = 1.0 + np.abs(g.k)
-    psi_full = reference.reconstruct()
-    s_psi = np.sin(psi_full)
-    c_psi = np.cos(psi_full) * apply_multiplier(g, np.cos(psi_full), mult_T)
+    Lc = Linearization(g, reference.reconstruct(), c, nu, H)
 
     sizes, rems = [], []
     for amp in amplitudes:
         wu, wv = amp * shape_u, amp * shape_v
         Fu, Fv = _full_rhs(g, w0 + wu, phi0 + wv, nu, c, H, forcing)
-        # DF at the wave applied to W (matrix-free)
+        # DF at the wave applied to W: (w_v, -L_c w_u + 2c w_v' - nu w_v)
         lin_u = wv
-        wuh = np.fft.fft(wu)
-        lap = np.real(np.fft.ifft(np.real(g.k_deriv**2) * wuh))
-        dz = np.real(np.fft.ifft(g.k_deriv * wuh))
-        Lc_w = (-(1.0 - c**2) * lap - c * nu * dz
-                + s_psi * np.real(np.fft.ifft(mult_T * np.fft.fft(s_psi * wu)))
-                - (c_psi + H * s_psi) * wu)
-        lin_v = -Lc_w + 2.0 * c * np.real(np.fft.ifft(g.k_deriv * np.fft.fft(wv))) - nu * wv
+        wv_z = np.real(np.fft.ifft(g.k_deriv * np.fft.fft(wv)))
+        lin_v = -Lc.matvec(wu) + 2.0 * c * wv_z - nu * wv
         rem = state_norm(g, Fu - F0u - lin_u, Fv - F0v - lin_v)
         sizes.append(state_norm(g, wu, wv))
         rems.append(rem)

@@ -2,9 +2,9 @@
 
 Everything downstream (energy, profiles, operators, dynamics) is built on the
 primitives here: the grid on [-L, L), the half-Laplacian multiplier |k|, the
-nonlocal operator T = 1 + (-Delta)^{1/2}, spectral derivatives, and the inner
-products (L2, H1, homogeneous H^{1/2}, the profile-dependent a-form and the
-Z product on H1 x L2).
+nonlocal operator T = 1 + (-Delta)^{1/2}, the H1 weight 1 + k^2, spectral
+derivatives, and the inner products (L2, H1, homogeneous H^{1/2}, the
+profile-dependent a-form) and the H1 x L2 state norm.
 
 Phases that connect -pi/2 to +pi/2 are not periodic, so a Field may carry a
 fixed wall background phi_bg(x) = arcsin(tanh x) and store only the decaying
@@ -80,6 +80,13 @@ class Grid:
         return kd
 
     @cached_property
+    def h1_weight(self) -> np.ndarray:
+        """The H1 Fourier weight 1 + k^2."""
+        w = 1.0 + self.k**2
+        w.setflags(write=False)
+        return w
+
+    @cached_property
     def background(self) -> np.ndarray:
         """The wall background arcsin(tanh x) sampled on x."""
         bg = wall_background(self.x)
@@ -127,22 +134,6 @@ class Field:
 
     def with_values(self, values, background=None) -> "Field":
         return Field(self.grid, values, self.background if background is None else background)
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Pair (u, v) in H1 x L2; both components on the same grid."""
-
-    u: Field
-    v: Field
-
-    def __post_init__(self):
-        if self.u.grid != self.v.grid:
-            raise ValueError("state components must share a grid")
-
-    @property
-    def grid(self) -> Grid:
-        return self.u.grid
 
 
 def _require_decaying(f: Field, opname: str):
@@ -222,7 +213,7 @@ def h1_inner(grid: Grid, f, g) -> complex:
     """H1 product <f,g> + <f',g'> evaluated Fourier-side with weight 1+k^2."""
     fhat = np.fft.fft(np.asarray(f))
     ghat = np.fft.fft(np.asarray(g))
-    val = grid.dx / grid.n * np.sum((1.0 + grid.k**2) * fhat * np.conj(ghat))
+    val = grid.dx / grid.n * np.sum(grid.h1_weight * fhat * np.conj(ghat))
     return val if np.iscomplexobj(f) or np.iscomplexobj(g) else float(np.real(val))
 
 
@@ -252,48 +243,10 @@ def a_form(grid: Grid, theta_values: np.ndarray, u, v) -> complex:
     return val if np.iscomplexobj(u) or np.iscomplexobj(v) else float(np.real(val))
 
 
-def z_inner(grid: Grid, theta_values: np.ndarray, U, V) -> complex:
-    """<U,V>_Z = a[u, w] + <v, z> for U = (u, v), V = (w, z)."""
-    u, v = U
-    w, z = V
-    return a_form(grid, theta_values, u, w) + l2_inner(grid, v, z)
-
-
 def state_norm(grid: Grid, u, v) -> float:
     """H1 x L2 norm of the pair (u, v)."""
-    return float(np.sqrt(np.real(h1_inner(grid, u, u)) + np.real(l2_inner(grid, v, v))))
-
-
-def norm(obj, kind: str, profile=None) -> float:
-    """Named-norm dispatcher.
-
-    kind in {"L2", "H1", "Hhalf_semi", "a_form", "Z"}; the last two need a
-    profile (anything exposing reconstruct() or raw theta samples).
-    """
-    if kind in ("a_form", "Z") and profile is None:
-        raise ValueError(f"kind {kind!r} requires a profile")
-    if isinstance(obj, StateVector):
-        g = obj.grid
-        u, v = obj.u.values, obj.v.values
-        if kind == "Z":
-            theta = profile.reconstruct() if hasattr(profile, "reconstruct") else np.asarray(profile)
-            return float(np.sqrt(np.real(z_inner(g, theta, (u, v), (u, v)))))
-        if kind == "H1xL2":
-            return state_norm(g, u, v)
-        raise ValueError(f"kind {kind!r} not defined for StateVector")
-    f = obj
-    g = f.grid
-    if kind == "L2":
-        return l2_norm(g, f.values)
-    if kind == "H1":
-        return h1_norm(g, f.values)
-    if kind == "Hhalf_semi":
-        return float(np.sqrt(hhalf_seminorm_sq(g, f.values)))
-    if kind == "a_form":
-        _require_decaying(f, "a_form")
-        theta = profile.reconstruct() if hasattr(profile, "reconstruct") else np.asarray(profile)
-        return float(np.sqrt(np.real(a_form(g, theta, f.values, f.values))))
-    raise ValueError(f"unknown norm kind {kind!r}")
+    h1_sq = grid.dx / grid.n * np.sum(grid.h1_weight * np.abs(np.fft.fft(u)) ** 2)
+    return float(np.sqrt(h1_sq + grid.dx * np.sum(np.abs(v) ** 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -309,15 +262,3 @@ def multiplier_matrix(grid: Grid, mult: np.ndarray) -> np.ndarray:
     if imag > 1e-12 * np.max(np.abs(col)):
         raise ValueError(f"symbol maps real samples to complex ones (max |Im| {imag:.2e})")
     return sla.circulant(col.real)
-
-
-def derivative_matrix(grid: Grid) -> np.ndarray:
-    return multiplier_matrix(grid, grid.k_deriv)
-
-
-def second_derivative_matrix(grid: Grid) -> np.ndarray:
-    return multiplier_matrix(grid, np.real(grid.k_deriv**2))
-
-
-def t_matrix(grid: Grid) -> np.ndarray:
-    return multiplier_matrix(grid, 1.0 + np.abs(grid.k))

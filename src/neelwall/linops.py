@@ -7,8 +7,10 @@ Scalar operators (n x n, geometry L2):
 Block operators (2n x 2n, geometry H1 x L2):
     A   = [[0, I], [-L,   -nu I]]
     A_c = [[0, I], [-L_c, 2c d_z - nu I]]
-    B_c = A_c - A   (bottom row [-S, 2c d_z], cross-checked by assembling S
-                     directly)
+    B_c = A_c - A   (bottom row [-S, 2c d_z])
+
+L and L_c are the dense matrices of profiles.Linearization, the one
+definition of the linearization; the blocks are assembled around them.
 
 The H1 x L2 inner product is realized exactly by the diagonal Fourier weight
 blockdiag(1 + k^2, 1); every operator norm, adjoint, and singular value is
@@ -17,7 +19,7 @@ computed after conjugation by W^{1/2}, never in the raw Euclidean geometry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -26,14 +28,11 @@ import scipy.sparse.linalg as spla
 
 from .grid import (
     Grid,
-    apply_multiplier,
     derivative,
-    derivative_matrix,
     multiplier_matrix,
-    second_derivative_matrix,
-    t_matrix,
+    state_norm,
 )
-from .profiles import Profile, _linearized_matrix
+from .profiles import Linearization, Profile
 
 SCALAR_KINDS = ("L", "Lc")
 BLOCK_KINDS = ("A", "Ac", "Bc")
@@ -41,11 +40,14 @@ BLOCK_KINDS = ("A", "Ac", "Bc")
 
 def weighted_state_norm(grid: Grid, U: np.ndarray) -> float:
     """H1 x L2 norm of a stacked vector U = (u, v) of length 2n."""
-    n = grid.n
-    u, v = U[:n], U[n:]
-    uh = np.fft.fft(u)
-    h1_sq = grid.dx / grid.n * np.sum((1.0 + grid.k**2) * np.abs(uh) ** 2)
-    return float(np.sqrt(h1_sq + grid.dx * np.sum(np.abs(v) ** 2)))
+    return state_norm(grid, U[:grid.n], U[grid.n:])
+
+
+def _weight(grid: Grid, U: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """W U (or W^{-1} U) for a stacked U = (u, v), W = blockdiag(1 + k^2, 1)."""
+    uh = np.fft.fft(U[:grid.n])
+    uh = uh / grid.h1_weight if inverse else grid.h1_weight * uh
+    return np.concatenate([np.real(np.fft.ifft(uh)), U[grid.n:]])
 
 
 @dataclass
@@ -63,7 +65,6 @@ class DiscretizedOperator:
     c: float
     H: float
     profile: Profile | None = None
-    meta: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in SCALAR_KINDS + BLOCK_KINDS:
@@ -85,7 +86,7 @@ class DiscretizedOperator:
         if not self.is_block:
             return self.matrix
         g = self.grid
-        w = 1.0 + g.k**2
+        w = g.h1_weight
         M = self.matrix.copy()
         M[:g.n, :] = multiplier_matrix(g, np.sqrt(w)) @ M[:g.n, :]
         M[:, :g.n] = M[:, :g.n] @ multiplier_matrix(g, 1.0 / np.sqrt(w))
@@ -98,33 +99,6 @@ class DiscretizedOperator:
         T, Q = sla.schur(self.weighted_matrix, output="real")
         return sla.rsf2csf(T, Q)
 
-    def apply(self, U: np.ndarray) -> np.ndarray:
-        return self.matrix @ U
-
-
-def matvec_norm(M: np.ndarray, n_iter: int = 60, seed: int = 0) -> float:
-    """Spectral norm by power iteration on M^T M (avoids a full SVD)."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(M.shape[1])
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(n_iter):
-        w = M.T @ (M @ v)
-        new = np.linalg.norm(w)
-        if new == 0:
-            return 0.0
-        v = w / new
-        sigma_new = np.sqrt(new)
-        if abs(sigma_new - sigma) <= 1e-10 * max(sigma_new, 1.0):
-            return float(sigma_new)
-        sigma = sigma_new
-    return float(sigma)
-
-
-def operator_norm(op: DiscretizedOperator) -> float:
-    """Operator norm in the appropriate (weighted) geometry."""
-    return matvec_norm(op.weighted_matrix)
-
 
 # ---------------------------------------------------------------------------
 # assembly
@@ -135,8 +109,7 @@ def build_L(profile: Profile) -> DiscretizedOperator:
     if profile.H != 0.0 or profile.c != 0.0:
         raise ValueError("build_L requires a static profile (H = 0, c = 0)")
     g = profile.grid
-    M = _linearized_matrix(g, profile.reconstruct(), 0.0, profile.nu, 0.0,
-                           t_matrix(g))
+    M = Linearization(g, profile.reconstruct(), 0.0, profile.nu).dense()
     return DiscretizedOperator("L", M, g, profile.nu, 0.0, 0.0, profile)
 
 
@@ -145,8 +118,8 @@ def build_Lc(profile: Profile) -> DiscretizedOperator:
     if abs(profile.c) >= 1:
         raise ValueError(f"|c| < 1 required, got {profile.c}")
     g = profile.grid
-    M = _linearized_matrix(g, profile.reconstruct(), profile.c, profile.nu,
-                           profile.H, t_matrix(g))
+    M = Linearization(g, profile.reconstruct(), profile.c, profile.nu,
+                      profile.H).dense()
     return DiscretizedOperator("Lc", M, g, profile.nu, profile.c, profile.H,
                                profile)
 
@@ -161,13 +134,13 @@ def build_block(profile: Profile, with_c: bool = True,
     n = g.n
     c = profile.c if with_c else 0.0
     H = profile.H if with_c else 0.0
-    scal = _linearized_matrix(g, profile.reconstruct(), c, nu, H, t_matrix(g))
+    scal = Linearization(g, profile.reconstruct(), c, nu, H).dense()
     M = np.zeros((2 * n, 2 * n))
     M[:n, n:] = np.eye(n)
     M[n:, :n] = -scal
     M[n:, n:] = -nu * np.eye(n)
     if with_c and c != 0.0:
-        M[n:, n:] += 2.0 * c * derivative_matrix(g)
+        M[n:, n:] += 2.0 * c * multiplier_matrix(g, g.k_deriv)
     kind = "Ac" if with_c else "A"
     return DiscretizedOperator(kind, M, g, nu, c, H, profile)
 
@@ -180,27 +153,6 @@ def build_Bc(moving: Profile, static: Profile) -> DiscretizedOperator:
     A = build_block(static, with_c=False, nu=moving.nu)
     return DiscretizedOperator("Bc", Ac.matrix - A.matrix, moving.grid,
                                moving.nu, moving.c, moving.H, moving)
-
-
-def s_matrix_direct(moving: Profile, static: Profile) -> np.ndarray:
-    """Direct assembly of
-    S u = c^2 u'' - c nu u' + s_psi T(s_psi u) - s_th T(s_th u)
-          + (c_th - c_psi - H s_psi) u,
-    kept as an independent cross-check of B_c = A_c - A."""
-    g = moving.grid
-    c, nu, H = moving.c, moving.nu, moving.H
-    Tm = t_matrix(g)
-    psi = moving.reconstruct()
-    th = static.reconstruct()
-    mult = 1.0 + np.abs(g.k)
-    s_psi, s_th = np.sin(psi), np.sin(th)
-    c_psi = np.cos(psi) * apply_multiplier(g, np.cos(psi), mult)
-    c_th = np.cos(th) * apply_multiplier(g, np.cos(th), mult)
-    M = c**2 * second_derivative_matrix(g)
-    M -= c * nu * derivative_matrix(g)
-    M += s_psi[:, None] * Tm * s_psi[None, :] - s_th[:, None] * Tm * s_th[None, :]
-    M += np.diag(c_th - c_psi - H * s_psi)
-    return M
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +193,20 @@ def _real_phase(v: np.ndarray) -> np.ndarray:
     return np.real(v * np.conj(pivot) / np.abs(pivot))
 
 
+def _right_zero_mode(op: DiscretizedOperator):
+    """(lu, v): the LU factors of the matrix and its real eigenvector of
+    smallest |lambda|, oriented along the profile derivative (increasing
+    wall) when the operator carries a profile."""
+    lu = sla.lu_factor(op.matrix)
+    _, vecs = _two_eigs_nearest_zero(op.matrix, lu, trans=0)
+    v = _real_phase(vecs[:, 0])
+    if op.profile is not None:
+        dpsi = derivative(op.profile.theta, 1).values
+        if np.dot(v[:op.grid.n], dpsi) < 0:
+            v = -v
+    return lu, v
+
+
 def translation_mode(op: DiscretizedOperator) -> np.ndarray:
     """Discrete translation zero mode: the eigenvector of smallest |lambda|.
 
@@ -251,15 +217,7 @@ def translation_mode(op: DiscretizedOperator) -> np.ndarray:
     the profile derivative to ~1e-6 in overlap and satisfies the zero-mode
     bound; use it whenever "the translation mode" is meant discretely.
     """
-    lu = sla.lu_factor(op.matrix)
-    vals, vecs = _two_eigs_nearest_zero(op.matrix, lu, trans=0)
-    v = _real_phase(vecs[:, 0])
-    # orient along the profile derivative (increasing wall) when available
-    if op.profile is not None:
-        dpsi = derivative(op.profile.theta, 1).values
-        ref = np.concatenate([dpsi, np.zeros(op.grid.n)]) if op.is_block else dpsi
-        if np.dot(v, ref) < 0:
-            v = -v
+    _, v = _right_zero_mode(op)
     return v / np.linalg.norm(v)
 
 
@@ -271,13 +229,7 @@ def null_pair(op: DiscretizedOperator) -> NullPair:
     if op.profile is None:
         raise ValueError("operator carries no profile")
     g = op.grid
-    n = g.n
-    lu = sla.lu_factor(op.matrix)
-    _, vecs_r = _two_eigs_nearest_zero(op.matrix, lu, trans=0)
-    right = _real_phase(vecs_r[:, 0])
-    dpsi = derivative(op.profile.theta, 1).values
-    if np.dot(right[:n], dpsi) < 0:
-        right = -right
+    lu, right = _right_zero_mode(op)
     right = right / weighted_state_norm(g, right)
 
     vals_t, vecs_t = _two_eigs_nearest_zero(op.matrix, lu, trans=1)
@@ -286,39 +238,19 @@ def null_pair(op: DiscretizedOperator) -> NullPair:
         raise RuntimeError(
             f"zero mode not separated: |lambda0| = {abs(lam0):.2e}, "
             f"next |lambda| = {abs(lam1):.2e} (need 10x)")
-    y = _real_phase(vecs_t[:, 0])
     # weighted adjoint eigenvector: left = W^{-1} y with A^T y ~ 0
-    left = np.concatenate([
-        np.real(np.fft.ifft(np.fft.fft(y[:n]) / (1.0 + g.k**2))), y[n:]])
+    left = _weight(g, _real_phase(vecs_t[:, 0]), inverse=True)
     left = left / weighted_state_norm(g, left)
-    # <right, left>_W = dx * right^T W left = dx * right^T y-direction
-    w1 = 1.0 + g.k**2
-    Wleft = np.concatenate([
-        np.real(np.fft.ifft(w1 * np.fft.fft(left[:n]))), left[n:]])
-    overlap = float(g.dx * np.dot(right, np.conj(Wleft)).real)
+    # <right, left>_W = dx * right^T W left
+    overlap = float(g.dx * np.dot(right, np.conj(_weight(g, left))).real)
     return NullPair(right, left, overlap, complex(vals_t[0]), complex(vals_t[1]), g)
 
 
 def projector_matrix(pair: NullPair) -> np.ndarray:
     """Spectral projector P_c U = U - <U, left>_W / R_c * right."""
     g = pair.grid
-    n = g.n
-    w1 = 1.0 + g.k**2
-    Wleft = np.concatenate([
-        np.real(np.fft.ifft(w1 * np.fft.fft(pair.left[:n]))), pair.left[n:]])
-    return np.eye(2 * n) - np.outer(pair.right, g.dx * Wleft) / pair.overlap
-
-
-def static_projector_matrix(static: Profile, nu: float | None = None) -> np.ndarray:
-    """Static-wall projector P U = U - <U, Phi0>_{L2xL2} / <Theta0, Phi0> Theta0
-    with Theta0 = (theta', 0), Phi0 = (nu theta', theta')."""
-    nu = static.nu if nu is None else nu
-    g = static.grid
-    dth = derivative(static.theta, 1).values
-    theta0 = np.concatenate([dth, np.zeros(g.n)])
-    phi0 = np.concatenate([nu * dth, dth])
-    denom = g.dx * float(np.dot(theta0, phi0))
-    return np.eye(2 * g.n) - np.outer(theta0, g.dx * phi0) / denom
+    return (np.eye(2 * g.n)
+            - np.outer(pair.right, g.dx * _weight(g, pair.left)) / pair.overlap)
 
 
 # ---------------------------------------------------------------------------

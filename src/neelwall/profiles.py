@@ -1,4 +1,4 @@
-"""Static and traveling wall profiles, wall mass, and mobility.
+"""Static and traveling walls, their linearization, wall mass, and mobility.
 
 The static wall minimizes the reduced energy; the traveling wall (psi, c)
 solves   c^2 psi'' - nu c psi' + grad E(psi) + H cos(psi) = 0
@@ -26,7 +26,6 @@ from .grid import (
     l2_norm,
     multiplier_matrix,
     shift,
-    t_matrix,
     wall_background,
     wall_background_d1,
 )
@@ -103,35 +102,54 @@ def _recenter(w: Field) -> Field:
     return shift(w, x0)
 
 
-def _hessian_apply(grid: Grid, theta_full: np.ndarray, mode: str):
-    """Matrix-free action of the energy Hessian at theta,
-    u -> -u'' + s M(s u) - (c M(c)) u with s = sin theta, c = cos theta and
-    M the stray-field multiplier (1 + |k|, or 1 in local mode)."""
-    s = np.sin(theta_full)
-    c = np.cos(theta_full)
-    mult = np.ones(grid.n) if mode == "local" else 1.0 + np.abs(grid.k)
-    cth = c * apply_multiplier(grid, c, mult)
-    ksq = -np.real(grid.k_deriv**2)  # k^2 with the Nyquist mode zeroed
+class Linearization:
+    """The linearization of the traveling-wave equation at the phase psi,
 
-    def apply(u):
-        return (apply_multiplier(grid, u, ksq)
-                + s * apply_multiplier(grid, s * u, mult) - cth * u)
+        L_c u = -(1-c^2)u'' - c nu u' + s T(s u) - (c_psi + H s) u,
 
-    return apply
+    with s = sin psi, c_psi = cos psi T(cos psi) and T the stray-field
+    multiplier (1 + |k|, or 1 in local mode).  At c = H = 0 it is the static
+    L, the Hessian of the energy.  The constant-coefficient part is one
+    Fourier symbol (1-c^2)k^2 - c nu ik, with the Nyquist mode zeroed."""
+
+    def __init__(self, grid: Grid, psi_full: np.ndarray, c: float = 0.0,
+                 nu: float = 1.0, H: float = 0.0, mode: str = "nonlocal"):
+        self.grid = grid
+        self.s = np.sin(psi_full)
+        cos = np.cos(psi_full)
+        self.T = np.ones(grid.n) if mode == "local" else 1.0 + np.abs(grid.k)
+        self.potential = cos * apply_multiplier(grid, cos, self.T) + H * self.s
+        ksq = -np.real(grid.k_deriv**2)  # k^2 with the Nyquist mode zeroed
+        self.symbol = (1.0 - c**2) * ksq - c * nu * grid.k_deriv
+
+    def matvec(self, u: np.ndarray) -> np.ndarray:
+        """L_c u by FFT."""
+        g, s = self.grid, self.s
+        return (apply_multiplier(g, u, self.symbol)
+                + s * apply_multiplier(g, s * u, self.T) - self.potential * u)
+
+    def dense(self) -> np.ndarray:
+        """The n x n matrix: circulant of the symbol, plus s T s, minus the
+        potential on the diagonal."""
+        s = self.s
+        M = multiplier_matrix(self.grid, self.symbol)
+        M += s[:, None] * multiplier_matrix(self.grid, self.T) * s[None, :]
+        M -= np.diag(self.potential)
+        return M
 
 
 def _newton_polish(theta: Field, mode: str, tol: float, history: list):
     """Newton steps with preconditioned CG on the (singular) Hessian; the
     translation direction is projected out of right-hand side and iterates."""
     grid = theta.grid
-    precond = 1.0 / (1.0 + grid.k**2 + np.abs(grid.k))
+    precond = 1.0 / (grid.h1_weight + np.abs(grid.k))
     for _ in range(12):
         gradE = grad_energy(theta, mode).values
         res = l2_norm(grid, gradE)
         history.append(res)
         if res <= tol:
             return theta, res
-        hess = _hessian_apply(grid, theta.reconstruct(), mode)
+        hess = Linearization(grid, theta.reconstruct(), mode=mode).matvec
         null = derivative(theta, 1).values
         null = null / np.linalg.norm(null)
 
@@ -175,7 +193,7 @@ def solve_static(grid: Grid, tol: float = 1e-8, mode: str = "nonlocal",
         if initial.background != BACKGROUND_WALL:
             raise ValueError("initial guess must carry the wall background")
         theta = _recenter(initial)
-    precond = 1.0 / (1.0 + grid.k**2)
+    precond = 1.0 / grid.h1_weight
     switch = max(tol, 1e-4)
     E = energy(theta, mode).total
     alpha = 1.0
@@ -257,20 +275,6 @@ def reflect_values(values: np.ndarray) -> np.ndarray:
     return np.roll(values[::-1], 1)
 
 
-def _linearized_matrix(grid: Grid, psi_full: np.ndarray, c: float, nu: float,
-                       H: float, Tmat: np.ndarray) -> np.ndarray:
-    """Dense matrix of u -> -(1-c^2)u'' + s T(s u) - c nu u' - (c_psi + H s)u;
-    the constant-coefficient part -(1-c^2)d^2 - c nu d is one circulant."""
-    s = np.sin(psi_full)
-    cth = np.cos(psi_full) * apply_multiplier(grid, np.cos(psi_full),
-                                              1.0 + np.abs(grid.k))
-    ksq = -np.real(grid.k_deriv**2)  # k^2 with the Nyquist mode zeroed
-    M = multiplier_matrix(grid, (1.0 - c**2) * ksq - c * nu * grid.k_deriv)
-    M += s[:, None] * Tmat * s[None, :]
-    M -= np.diag(cth + H * s)
-    return M
-
-
 def traveling_residual(grid: Grid, theta: Field, c: float, nu: float, H: float) -> np.ndarray:
     """R(psi, c) = c^2 psi'' - nu c psi' + grad E(psi) + H cos(psi).
 
@@ -299,7 +303,6 @@ def solve_traveling(grid: Grid, H: float, nu: float, tol: float = 1e-10,
     c = init.c
     theta_bar_prime = derivative(init.theta, 1).values
     w_ref = theta.values.copy()
-    Tmat = t_matrix(grid)
     dx = grid.dx
     n = grid.n
 
@@ -325,8 +328,8 @@ def solve_traveling(grid: Grid, H: float, nu: float, tol: float = 1e-10,
             if lu is None or res > 0.3 * prev_res:
                 # (re)assemble the bordered Jacobian and factor it
                 J = np.zeros((n + 1, n + 1))
-                J[:n, :n] = _linearized_matrix(grid, theta.reconstruct(), c,
-                                               nu, H_step, Tmat)
+                J[:n, :n] = Linearization(grid, theta.reconstruct(), c, nu,
+                                          H_step).dense()
                 d1 = derivative(theta, 1).values
                 d2 = derivative(theta, 2).values
                 J[:n, n] = 2.0 * c * d2 - nu * d1

@@ -116,12 +116,6 @@ def M_func(phi, lam, params: RegionParams):
     return np.minimum(m1, m2)
 
 
-def in_G2(lam, delta: float):
-    """G2 = {Re lam > -delta, |Im lam| > delta} plus the rays delta(t +- i)."""
-    lam = np.asarray(lam, dtype=complex)
-    return (lam.real > -delta) & (np.abs(lam.imag) >= delta)
-
-
 # ---------------------------------------------------------------------------
 # sampling
 
@@ -266,12 +260,6 @@ def check_M_bounded(params: RegionParams, n_samples: int = 1_000_000,
                         n_inf == 0 and np.isfinite(sup), sup, np.inf,
                         extra={"arg_phi": float(phi[i]), "arg_lam": arg_lam,
                                "n_infinite": n_inf})
-
-
-def h3_envelope_bound(params: RegionParams) -> float:
-    """2 sqrt(2) sqrt(Lambda0) / ((1 - beta/2) nu): the large-|lam| cap of the
-    first envelope along the critical strip."""
-    return 2.0 * np.sqrt(2.0) * np.sqrt(params.Lambda0) / ((1.0 - params.beta / 2.0) * params.nu)
 
 
 def run_all_checks(params: RegionParams, n_samples: int = 100_000,

@@ -296,7 +296,7 @@ class ResolventCalculator:
                 f"L is not symmetric: max |L - L^T| / max |L| = {asym:.2e} "
                 f"> {SYMMETRY_TOL:.0e}")
         self._mu, Q = sla.eigh(L)
-        K = apply_multiplier(op.grid, Q.T, 1.0 + op.grid.k**2) @ Q
+        K = apply_multiplier(op.grid, Q.T, op.grid.h1_weight) @ Q
         self._C = np.asfortranarray(
             sla.cholesky(0.5 * (K + K.T), check_finite=False), np.float32)
         self.spectrum = pencil_eigenvalues(self._mu, op.nu)
@@ -439,14 +439,6 @@ class ResolventCalculator:
         if np.any(todo):
             est[todo] = self._norms(lams[todo], True, tol, max_iter)
         return float(est[0]) if np.ndim(lam) == 0 else est
-
-
-def resolvent_norm(op: DiscretizedOperator, lam: complex,
-                   with_composed: bool = False,
-                   calc: ResolventCalculator | None = None) -> ResolventSample:
-    calc = calc or ResolventCalculator(op)
-    comp = calc.norm_composed(lam) if with_composed else None
-    return ResolventSample(complex(lam), calc.norm_inv(lam), comp)
 
 
 @dataclass
@@ -610,7 +602,7 @@ def relative_bound_fit(A_op: DiscretizedOperator, Bc_op: DiscretizedOperator,
     n = g.n
     c = Bc_op.c
     b = abs(c) * np.sqrt(4.0 + c * c)
-    w = 1.0 + g.k**2
+    w = g.h1_weight
 
     def lower_rows(op):
         # bottom n rows of W^{1/2} M W^{-1/2}: W^{-1/2} on the u columns only

@@ -1,8 +1,8 @@
 """Time integration, modulation tracking, decay fits, orbital experiment.
 
 Oracles:
-  * Closed-form damped mode: the exponential stepper reproduces the exact
-    solution of u'' + nu u' + Lam u = 0 to machine precision.
+  * Closed-form damped mode (oracles.py): the exponential stepper reproduces
+    the exact solution of u'' + nu u' + Lam u = 0 to machine precision.
   * Complex-FFT step: integrate's half-spectrum step and frame recorder
     agree with the same step on full complex spectra and a frame built from
     shift, derivative, energy and h1_norm.
@@ -22,8 +22,7 @@ import scipy.linalg as sla
 from neelwall import dynamics
 from neelwall.dynamics import (
     BlowUpError, DecayFit, ModulationError, Perturbation, SimConfig, SimTrace,
-    build_perturbation, closed_form_damped_mode, decay_fit, integrate,
-    integrate_linear_mode, modulate, orbital_experiment,
+    build_perturbation, decay_fit, integrate, modulate, orbital_experiment,
     quadratic_remainder_check, step_weights, taylor_translation_check,
     wall_position_of,
 )
@@ -32,6 +31,7 @@ from neelwall.grid import (
     Field, derivative, h1_norm, l2_inner, l2_norm, shift, wall_background,
     wall_background_d1, wall_background_d2,
 )
+from oracles import closed_form_damped_mode, integrate_linear_mode
 
 
 # ---------------------------------------------------------------------------

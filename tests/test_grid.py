@@ -15,11 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from neelwall.grid import (
-    BACKGROUND_WALL, Field, Grid, StateVector, a_form, apply_T,
-    apply_multiplier, derivative, derivative_matrix, h1_inner, h1_norm,
-    half_laplacian, hhalf_seminorm_sq, l2_inner, l2_norm, multiplier_matrix,
-    norm, second_derivative_matrix, shift, state_norm, t_matrix,
-    wall_background, wall_background_d1, z_inner,
+    BACKGROUND_WALL, Field, Grid, a_form, apply_T, derivative, h1_inner,
+    h1_norm, half_laplacian, hhalf_seminorm_sq, l2_inner, l2_norm,
+    multiplier_matrix, shift, state_norm, wall_background, wall_background_d1,
 )
 from conftest import smooth_random
 
@@ -55,12 +53,6 @@ def test_field_validation():
     # a wall-background field must saturate at the ends
     with pytest.raises(ValueError):
         Field(Grid(40.0, 256), np.full(256, 1.0), BACKGROUND_WALL)
-
-
-def test_state_vector_requires_shared_grid():
-    other = Grid(40.0, 512)
-    with pytest.raises(ValueError):
-        StateVector(Field(G, np.zeros(G.n)), Field(other, np.zeros(other.n)))
 
 
 def test_wall_background_reconstruct():
@@ -220,40 +212,17 @@ def test_a_form_hermitian():
                                                    rel=1e-10, abs=1e-12)
 
 
-def test_z_inner_splits():
-    theta = wall_background(G.x)
-    u, v = smooth_random(G, seed=8), smooth_random(G, seed=9)
-    w, z = smooth_random(G, seed=10), smooth_random(G, seed=12)
-    assert z_inner(G, theta, (u, v), (w, z)) == pytest.approx(
-        a_form(G, theta, u, w) + l2_inner(G, v, z), rel=1e-12)
-
-
-def test_norm_dispatcher():
-    f = Field(G, smooth_random(G, seed=13))
-    assert norm(f, "L2") == pytest.approx(l2_norm(G, f.values))
-    assert norm(f, "H1") == pytest.approx(h1_norm(G, f.values))
-    assert norm(f, "Hhalf_semi") == pytest.approx(
-        np.sqrt(hhalf_seminorm_sq(G, f.values)))
-    with pytest.raises(ValueError):
-        norm(f, "a_form")          # needs a profile
-    with pytest.raises(ValueError):
-        norm(f, "bogus")
-    sv = StateVector(f, Field(G, smooth_random(G, seed=14)))
-    assert norm(sv, "H1xL2") == pytest.approx(
-        state_norm(G, sv.u.values, sv.v.values))
-
-
 # ---------------------------------------------------------------------------
 # dense multiplier matrices
 
 
 def test_multiplier_matrices_match_ffts():
     f = smooth_random(G, seed=15)
-    assert np.allclose(t_matrix(G) @ f, apply_T(Field(G, f)).values,
-                       atol=1e-11)
-    assert np.allclose(derivative_matrix(G) @ f,
+    assert np.allclose(multiplier_matrix(G, 1.0 + np.abs(G.k)) @ f,
+                       apply_T(Field(G, f)).values, atol=1e-11)
+    assert np.allclose(multiplier_matrix(G, G.k_deriv) @ f,
                        derivative(Field(G, f), 1).values, atol=1e-11)
-    assert np.allclose(second_derivative_matrix(G) @ f,
+    assert np.allclose(multiplier_matrix(G, np.real(G.k_deriv**2)) @ f,
                        derivative(Field(G, f), 2).values, atol=1e-10)
 
 

@@ -3,9 +3,9 @@
 Oracles:
   * L equals the Jacobian of the discrete energy gradient (central
     finite differences of grad_energy).
-  * B_c = A_c - A equals the directly assembled difference operator S.
-  * The weighted operator norm matches a dense SVD of the conjugated
-    matrix.
+  * B_c = A_c - A equals the directly assembled difference operator S
+    (oracles.s_matrix_direct).
+  * Linearization.matvec (FFT) equals its dense() matrix.
 """
 from __future__ import annotations
 
@@ -17,11 +17,12 @@ from neelwall.energy import grad_energy
 from neelwall.grid import Grid, derivative, h1_norm, l2_norm
 from neelwall.linops import (
     DiscretizedOperator, a_perp_inverse_factory, build_Bc, build_L, build_Lc,
-    build_block, lperp_inverse_factory, null_pair, operator_norm,
-    projector_matrix, s_matrix_direct, static_projector_matrix,
+    build_block, lperp_inverse_factory, null_pair, projector_matrix,
     translation_mode, weighted_state_norm,
 )
+from neelwall.profiles import Linearization
 from conftest import smooth_random
+from oracles import s_matrix_direct, static_projector_matrix
 
 
 def test_L_is_gradient_jacobian(static256, L_op256):
@@ -33,6 +34,19 @@ def test_L_is_gradient_jacobian(static256, L_op256):
     fd = (gp - gm) / (2 * eps)
     lin = L_op256.matrix @ u
     assert l2_norm(g, fd - lin) / l2_norm(g, lin) <= 1e-6
+
+
+def test_linearization_matvec_matches_dense(static256, traveling256):
+    # static nonlocal, static local mode, traveling (c != 0, H = 1e-3)
+    for prof, mode in ((static256, "nonlocal"), (static256, "local"),
+                       (traveling256, "nonlocal")):
+        lin = Linearization(prof.grid, prof.reconstruct(), prof.c, prof.nu,
+                            prof.H, mode=mode)
+        u = smooth_random(prof.grid, seed=11, kmax_frac=1.0, decay=False)
+        ref = lin.dense() @ u
+        assert np.linalg.norm(lin.matvec(u) - ref) <= 1e-12 * np.linalg.norm(ref)
+    # at c = H = 0 the comoving operator is the static one, bit for bit
+    assert np.array_equal(build_Lc(static256).matrix, build_L(static256).matrix)
 
 
 def test_L_symmetric(L_op256):
@@ -76,7 +90,7 @@ def test_Bc_matches_direct_assembly(traveling256, static256):
     # bottom-left block of B_c is -S; top row vanishes except 2c d_z
     assert np.max(np.abs(Bc.matrix[n:, :n] + S)) <= 1e-12
     assert np.max(np.abs(Bc.matrix[:n, :])) == 0.0
-    assert operator_norm(Bc) <= 100 * abs(traveling256.c)
+    assert sla.svdvals(Bc.weighted_matrix)[0] <= 100 * abs(traveling256.c)
 
 
 def test_weighted_norm_matches_state_norm(grid256):
@@ -85,20 +99,6 @@ def test_weighted_norm_matches_state_norm(grid256):
     U = np.concatenate([u, v])
     assert weighted_state_norm(grid256, U) == pytest.approx(
         np.hypot(h1_norm(grid256, u), l2_norm(grid256, v)), rel=1e-12)
-
-
-def test_operator_norm_matches_dense_svd(static256, A_op256):
-    # weighted operator norm = largest singular value of the conjugated
-    # matrix, which in turn bounds the Rayleigh quotient on random states
-    sigma = operator_norm(A_op256)
-    dense = sla.svdvals(A_op256.weighted_matrix)[0]
-    # power iteration stagnates on the clustered top of the spectrum;
-    # per-mille agreement is all it promises
-    assert sigma == pytest.approx(dense, rel=5e-3)
-    g = static256.grid
-    U = np.concatenate([smooth_random(g, seed=4), smooth_random(g, seed=5)])
-    assert weighted_state_norm(g, A_op256.matrix @ U) <= \
-        sigma * weighted_state_norm(g, U) * (1 + 1e-10)
 
 
 def test_translation_mode_near_null(static256, L_op256):

@@ -20,10 +20,9 @@ from neelwall import regions
 from neelwall.regions import (
     _CHUNK, RegionParams, S_func, S_func_substituted, S_imag_lower_bound,
     S_lower_bound, a_of, aux1_hypothesis, check_aux1, check_aux2,
-    check_M_bounded, epsilon_of, f_a_func, h3_envelope_bound, in_G2,
-    run_all_checks,
+    check_M_bounded, epsilon_of, f_a_func, run_all_checks,
 )
-from neelwall.spectra import gamma_square, in_region_G
+from neelwall.spectra import _label, gamma_square, in_region_G
 
 PARAMS = RegionParams(nu=1.0, delta=0.2, Lambda0=0.44, beta=0.9)
 
@@ -91,9 +90,10 @@ def test_aux1_hypothesis_mask():
 
 def test_in_G2_and_contour():
     d = PARAMS.delta
-    assert in_G2(0.0 + 2j * d, d)
-    assert not in_G2(0.0 + 0.5j * d, d)
-    assert not in_G2(-2 * d + 2j * d, d)
+    # G2 is the part of G that the sweep labels "G2"
+    assert in_region_G(2j * d, d) and _label(2j * d, d, 1.0) == "G2"
+    assert _label(0.5j * d, d, 1.0) != "G2"
+    assert not in_region_G(-2 * d + 2j * d, d)
     pts = gamma_square(d, 32)
     assert len(pts) == 32
     # contour points sit on the square boundary, outside G2's interior
@@ -103,10 +103,6 @@ def test_in_G2_and_contour():
     assert in_region_G(1.0 + 0j, d) and not in_region_G(0.0 + 0j, d)
     arr = in_region_G(np.array([1.0 + 0j, 0.0 + 0j]), d)
     assert arr.tolist() == [True, False]
-
-
-def test_h3_envelope_positive():
-    assert h3_envelope_bound(PARAMS) > 0
 
 
 def test_run_all_checks_pass():

@@ -3,8 +3,9 @@
 Everything downstream (energy, profiles, operators, dynamics) is built on the
 primitives here: the grid on [-L, L), the half-Laplacian multiplier |k|, the
 nonlocal operator T = 1 + (-Delta)^{1/2}, the H1 weight 1 + k^2, spectral
-derivatives, and the inner products (L2, H1, homogeneous H^{1/2}, the
-profile-dependent a-form) and the H1 x L2 state norm.
+derivatives, and the inner products (L2, H1, homogeneous H^{1/2}) and the
+H1 x L2 state norm.  The profile-dependent a-form is
+profiles.Linearization.a_form, beside the coefficients it reads.
 
 Phases that connect -pi/2 to +pi/2 are not periodic, so a Field may carry a
 fixed wall background phi_bg(x) = arcsin(tanh x) and store only the decaying
@@ -219,28 +220,6 @@ def h1_inner(grid: Grid, f, g) -> complex:
 
 def h1_norm(grid: Grid, f) -> float:
     return float(np.sqrt(np.real(h1_inner(grid, f, f))))
-
-
-def _profile_coeffs(theta_values: np.ndarray, grid: Grid):
-    """s_theta = sin(theta) and c_theta = cos(theta) T(cos(theta))."""
-    c = np.cos(theta_values)
-    s = np.sin(theta_values)
-    Tc = apply_multiplier(grid, c, 1.0 + np.abs(grid.k))
-    return s, c * Tc
-
-
-def a_form(grid: Grid, theta_values: np.ndarray, u, v) -> complex:
-    """Profile-dependent sesquilinear form
-    a[u,v] = <u',v'> + <s T(s u), v> - <c_theta u, v>."""
-    u = np.asarray(u)
-    v = np.asarray(v)
-    s, c_th = _profile_coeffs(theta_values, grid)
-    mult = 1.0 + np.abs(grid.k)
-    du = np.fft.ifft(grid.k_deriv * np.fft.fft(u))
-    dv = np.fft.ifft(grid.k_deriv * np.fft.fft(v))
-    Tsu = np.fft.ifft(mult * np.fft.fft(s * u))
-    val = grid.dx * np.sum(du * np.conj(dv) + (s * Tsu - c_th * u) * np.conj(v))
-    return val if np.iscomplexobj(u) or np.iscomplexobj(v) else float(np.real(val))
 
 
 def state_norm(grid: Grid, u, v) -> float:

@@ -7,10 +7,12 @@ Scalar operators (n x n, geometry L2):
 Block operators (2n x 2n, geometry H1 x L2):
     A   = [[0, I], [-L,   -nu I]]
     A_c = [[0, I], [-L_c, 2c d_z - nu I]]
-    B_c = A_c - A   (bottom row [-S, 2c d_z])
+    B_c = A_c - A   (bottom row [-S, 2c d_z]; only those n rows are written)
 
 L and L_c are the dense matrices of profiles.Linearization, the one
 definition of the linearization; the blocks are assembled around them.
+Zero modes use shift-invert ARPACK; scipy.sparse.linalg is imported there,
+on first use, not with this module.
 
 The H1 x L2 inner product is realized exactly by the diagonal Fourier weight
 blockdiag(1 + k^2, 1); every operator norm, adjoint, and singular value is
@@ -24,7 +26,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse.linalg as spla
 
 from .grid import (
     Grid,
@@ -146,13 +147,33 @@ def build_block(profile: Profile, with_c: bool = True,
 
 
 def build_Bc(moving: Profile, static: Profile) -> DiscretizedOperator:
-    """B_c = A_c(moving) - A(static), both on the same grid and damping."""
+    """B_c = A_c(moving) - A(static), both on the same grid and damping.
+
+    Only the bottom row [L - L_c, 2c d_z] is nonzero, so it alone is
+    written, into a zero 2n x 2n matrix whose top n rows stay unwritten and
+    so never become resident.  Each entry takes the floating-point
+    operations of the difference of the two assembled blocks, so the matrix
+    is bitwise that difference."""
     if moving.grid != static.grid:
         raise ValueError("profiles must share a grid")
-    Ac = build_block(moving, with_c=True)
-    A = build_block(static, with_c=False, nu=moving.nu)
-    return DiscretizedOperator("Bc", Ac.matrix - A.matrix, moving.grid,
-                               moving.nu, moving.c, moving.H, moving)
+    nu = moving.nu
+    if nu <= 0:
+        raise ValueError("nu must be positive")
+    g = moving.grid
+    n = g.n
+    c = moving.c
+    Lc = Linearization(g, moving.reconstruct(), c, nu, moving.H).dense()
+    L = Linearization(g, static.reconstruct(), 0.0, nu, 0.0).dense()
+    M = np.zeros((2 * n, 2 * n))
+    np.subtract(L, Lc, out=M[n:, :n])       # = (-L_c) - (-L) bit for bit
+    del L, Lc
+    damp = -nu * np.eye(n)
+    drift = M[n:, n:]
+    drift[...] = damp
+    if c != 0.0:
+        drift += 2.0 * c * multiplier_matrix(g, g.k_deriv)
+    drift -= damp
+    return DiscretizedOperator("Bc", M, g, nu, c, moving.H, moving)
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +196,7 @@ class NullPair:
 def _two_eigs_nearest_zero(M: np.ndarray, lu, trans: int):
     """Two eigenvalues of M (trans=0) or M^T (trans=1) nearest 0, by
     shift-invert Arnoldi through an existing LU factorization of M."""
+    import scipy.sparse.linalg as spla   # ARPACK, loaded on first use
     n = M.shape[0]
     op = spla.LinearOperator((n, n),
                              matvec=lambda b: sla.lu_solve(lu, b, trans=trans))
@@ -259,7 +281,8 @@ def projector_matrix(pair: NullPair) -> np.ndarray:
 
 def lperp_inverse_factory(L_op: DiscretizedOperator):
     """Inverse of L on the complement of its near-zero mode, from the
-    symmetric eigendecomposition; returns (apply, zero_vector)."""
+    symmetric eigendecomposition; returns (apply, zero_vector, eigenvalues),
+    the eigenvalues of L in ascending order."""
     Lsym = 0.5 * (L_op.matrix + L_op.matrix.T)
     evals, evecs = sla.eigh(Lsym)
     i0 = int(np.argmin(np.abs(evals)))
@@ -269,21 +292,19 @@ def lperp_inverse_factory(L_op: DiscretizedOperator):
     def apply(f: np.ndarray) -> np.ndarray:
         return evecs @ (inv * (evecs.T @ f))
 
-    return apply, evecs[:, i0]
+    return apply, evecs[:, i0], evals
 
 
-def a_perp_inverse_factory(L_op: DiscretizedOperator, static: Profile,
-                           nu: float | None = None):
-    """Inverse of the block operator A restricted to ran(P).
+def a_perp_inverse_factory(lperp, static: Profile, nu: float | None = None):
+    """Inverse of the block operator A restricted to ran(P), around the
+    apply function lperp of lperp_inverse_factory.
 
     For U = (u, v) with u = u_perp + alpha theta' returns
         ( -Lperp^{-1}(nu u_perp + v) - (alpha/nu) theta',  u ),
     which A maps back to U (checked in tests to 1e-7).
     """
     nu = static.nu if nu is None else nu
-    g = static.grid
-    n = g.n
-    lperp, _ = lperp_inverse_factory(L_op)
+    n = static.grid.n
     dth = derivative(static.theta, 1).values
     dth_nsq = float(np.dot(dth, dth))
 

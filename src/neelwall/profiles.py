@@ -137,6 +137,22 @@ class Linearization:
         M -= np.diag(self.potential)
         return M
 
+    def a_form(self, u, v) -> complex:
+        """The sesquilinear form a[u, v] = <u', v'> + <s T(s u), v>
+        - <(c_psi + H s) u, v> (second argument conjugated): <L u, v> at
+        c = 0; the drift terms of L_c are not included."""
+        g, s = self.grid, self.s
+        u = np.asarray(u)
+        v = np.asarray(v)
+        du = np.fft.ifft(g.k_deriv * np.fft.fft(u))
+        dv = np.fft.ifft(g.k_deriv * np.fft.fft(v))
+        Tsu = np.fft.ifft(self.T * np.fft.fft(s * u))
+        val = g.dx * np.sum(du * np.conj(dv)
+                            + (s * Tsu - self.potential * u) * np.conj(v))
+        if np.iscomplexobj(u) or np.iscomplexobj(v):
+            return val
+        return float(np.real(val))
+
 
 def _newton_polish(theta: Field, mode: str, tol: float, history: list):
     """Newton steps with preconditioned CG on the (singular) Hessian; the

@@ -22,6 +22,12 @@ Both estimate the extreme singular value by Golub-Kahan bidiagonalization
 (_gk_batch), run in lockstep over a block of lam's; sweeps evaluate each
 conjugate pair once (the weighted matrix is real).  Eigenvalues are
 geometry-invariant, so eigen-reports work on the raw real matrices.
+
+Nearest-point queries on spectra (distance to sigma(A), the pencil
+cross-check, eigenvalue matching) are brute force in numpy over row chunks
+of a few MB (_nearest); ARPACK (scipy.sparse.linalg) is imported only by the
+eigsh branch of numerical_abscissa, so importing this module loads neither
+scipy.spatial nor scipy.sparse.
 """
 
 from __future__ import annotations
@@ -31,13 +37,11 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import blas
-import scipy.sparse.linalg as spla
-from scipy.spatial import cKDTree
 
-from .grid import (a_form, apply_multiplier, derivative, l2_inner,
-                   multiplier_matrix)
-from .linops import DiscretizedOperator, a_perp_inverse_factory
-from .profiles import Profile
+from .grid import apply_multiplier, derivative, l2_inner, multiplier_matrix
+from .linops import (DiscretizedOperator, a_perp_inverse_factory,
+                     lperp_inverse_factory)
+from .profiles import Linearization, Profile
 
 
 @dataclass
@@ -100,13 +104,41 @@ def pencil_eigenvalues(L_vals: np.ndarray, nu: float) -> np.ndarray:
     return np.concatenate([(-nu + disc) / 2.0, (-nu - disc) / 2.0])
 
 
+_NEAREST_CHUNK = 1 << 18   # point-target distances per chunk (2 MB per array)
+
+
+def _nearest(points, targets: np.ndarray, k: int = 1):
+    """Distances and indices, each (len(points), k), of the k targets
+    nearest to each point in the complex plane, in no particular order.
+
+    Brute force over row chunks of about _NEAREST_CHUNK distances, so two
+    spectra of 4096 points take a few MB of work space.  Distances are
+    sqrt(dx^2 + dy^2), the Euclidean distance of the (Re, Im) plane."""
+    pts = np.atleast_1d(np.asarray(points, dtype=complex))
+    targets = np.asarray(targets, dtype=complex)
+    tx, ty = targets.real, targets.imag
+    k = min(k, len(targets))
+    rows = max(1, _NEAREST_CHUNK // len(targets))
+    dist = np.empty((len(pts), k))
+    idx = np.empty((len(pts), k), dtype=np.intp)
+    for s in range(0, len(pts), rows):
+        p = pts[s:s + rows]
+        d2 = p.real[:, None] - tx
+        d2 *= d2
+        dy = p.imag[:, None] - ty
+        dy *= dy
+        d2 += dy
+        j = np.argpartition(d2, k - 1, axis=1)[:, :k]
+        idx[s:s + rows] = j
+        dist[s:s + rows] = np.take_along_axis(d2, j, axis=1)
+    return np.sqrt(dist), idx
+
+
 def pencil_crosscheck(L_report: SpectrumReport, A_report: SpectrumReport,
                       nu: float) -> float:
     """Max distance between the pencil image of sigma(L) and sigma(A)."""
     pred = pencil_eigenvalues(L_report.eigenvalues, nu)
-    pts = np.column_stack([A_report.eigenvalues.real, A_report.eigenvalues.imag])
-    tree = cKDTree(pts)
-    d, _ = tree.query(np.column_stack([pred.real, pred.imag]))
+    d, _ = _nearest(pred, A_report.eigenvalues)
     return float(np.max(d))
 
 
@@ -118,12 +150,8 @@ def match_eigenvalues(base: np.ndarray, perturbed: np.ndarray,
     their distances, and indices of base eigenvalues with no partner within
     the (scale-aware) cap.
     """
-    pts_p = np.column_stack([perturbed.real, perturbed.imag])
-    tree = cKDTree(pts_p)
-    kmax = min(len(perturbed), 8)
-    dists, idxs = tree.query(np.column_stack([base.real, base.imag]), k=kmax)
-    if kmax == 1:
-        dists, idxs = dists[:, None], idxs[:, None]
+    dists, idxs = _nearest(base, perturbed, k=8)
+    kmax = dists.shape[1]
     candidates = sorted(
         (dists[i, j], i, idxs[i, j])
         for i in range(len(base)) for j in range(kmax))
@@ -148,6 +176,7 @@ def numerical_abscissa(op: DiscretizedOperator) -> float:
     M = op.weighted_matrix
     if M.shape[0] <= 1200:
         return float(sla.eigh(0.5 * (M + M.T), eigvals_only=True)[-1])
+    import scipy.sparse.linalg as spla   # ARPACK, loaded on first use
     sym = spla.LinearOperator(M.shape, matvec=lambda x: 0.5 * (M @ x + M.T @ x))
     val = spla.eigsh(sym, k=1, which="LA", return_eigenvectors=False)
     return float(val[0])
@@ -178,6 +207,17 @@ _SCHUR_BYTES = 48         # bytes per entry of the 2n x 2n Schur form not built:
                           # complex T and Q plus two complex64 work copies
 
 
+def _sigma_max(alphas: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """Largest singular value of each lower-bidiagonal matrix with diagonal
+    alphas (m, k) and subdiagonal betas (m, k - 1), by one batched svd."""
+    m, k = alphas.shape
+    i = np.arange(k)
+    B = np.zeros((m, k, k))
+    B[:, i, i] = alphas
+    B[:, i[1:], i[:-1]] = betas
+    return np.linalg.svd(B, compute_uv=False)[:, 0]
+
+
 def _gk_batch(matvec, rmatvec, m, size, tol, max_iter, seed,
               dtype=np.complex128) -> np.ndarray:
     """sigma_max of m operators by Golub-Kahan bidiagonalization with full
@@ -189,7 +229,14 @@ def _gk_batch(matvec, rmatvec, m, size, tol, max_iter, seed,
     block share one batched svd per step, and an operator leaves the block
     once its estimate changes by at most tol (relative) after GK_MIN_ITER
     steps, or its bidiagonalization terminates.  Krylov vectors stay in
-    `dtype` so single-precision solves are not upcast."""
+    `dtype` so single-precision solves are not upcast.
+
+    The svd runs only where its estimate is read: from step GK_MIN_ITER - 1
+    on (the stagnation test compares with the step before), at the last
+    step, and on rows that may meet the breakdown test b < 1e-12 sigma_max.
+    sigma_max(B) <= ||B||_F, so a row with b >= 2e-12 max(||B||_F, 1) cannot
+    (the factor 2 covers rounding).  A row whose alpha vanishes keeps the
+    previous step's estimate."""
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     v0 = (v0 / np.linalg.norm(v0)).astype(dtype)
@@ -214,15 +261,24 @@ def _gk_batch(matvec, rmatvec, m, size, tol, max_iter, seed,
             w -= np.vecdot(vv, w)[:, None] * vv
         b = np.linalg.norm(w, axis=1)
         alphas[act, j], betas[act, j] = a, b
-        k = np.arange(j + 1)
-        B = np.zeros((len(act), j + 1, j + 1))
-        B[:, k, k] = alphas[act, :j + 1]
-        B[:, k[1:], k[:-1]] = betas[act, :j]
-        new = np.linalg.svd(B, compute_uv=False)[:, 0]
-        done = dead | (b < 1e-12 * np.maximum(new, 1.0))
-        if j + 1 >= GK_MIN_ITER:
-            done |= np.abs(new - est[act]) <= tol * new
-        est[act] = np.where(dead, est[act], new)
+        if dead.any() and j:
+            gone = act[dead]
+            est[gone] = _sigma_max(alphas[gone, :j], betas[gone, :j - 1])
+        if j + 2 >= GK_MIN_ITER or j + 1 == max_iter:
+            rows = ~dead
+        else:
+            fro = np.sqrt(np.sum(alphas[act, :j + 1]**2, axis=1)
+                          + np.sum(betas[act, :j]**2, axis=1))
+            rows = ~dead & (b < 2e-12 * np.maximum(fro, 1.0))
+        done = dead.copy()
+        if rows.any():
+            live = act[rows]
+            new = _sigma_max(alphas[live, :j + 1], betas[live, :j])
+            stop = b[rows] < 1e-12 * np.maximum(new, 1.0)
+            if j + 1 >= GK_MIN_ITER:
+                stop |= np.abs(new - est[live]) <= tol * new
+            done[rows] = stop
+            est[live] = new
         if done.any():
             keep = ~done
             act = act[keep]
@@ -275,8 +331,6 @@ class ResolventCalculator:
             self._A32 = np.empty_like(self._T32)
             self._A64 = None
             self._idx = np.arange(self.T.shape[0])
-        self._tree = cKDTree(np.column_stack([self.spectrum.real,
-                                              self.spectrum.imag]))
 
     def _modal_factorization(self):
         op = self.op
@@ -303,8 +357,7 @@ class ResolventCalculator:
 
     def spectrum_distance(self, lams) -> np.ndarray:
         """Distance from each lam to the nearest computed eigenvalue."""
-        lams = np.atleast_1d(np.asarray(lams, dtype=complex))
-        return self._tree.query(np.column_stack([lams.real, lams.imag]))[0]
+        return _nearest(lams, self.spectrum)[0][:, 0]
 
     def _check_distance(self, lams: np.ndarray):
         d = self.spectrum_distance(lams)
@@ -662,13 +715,14 @@ def res_inequality_trials(L_op: DiscretizedOperator, static: Profile,
     g = static.grid
     n = g.n
     rng = np.random.default_rng(seed)
-    theta = static.reconstruct()
+    lin = Linearization(g, static.reconstruct())
     dth = derivative(static.theta, 1).values
     dth_nsq = float(np.dot(dth, dth))
     cut = np.abs(g.k) <= 0.75 * np.max(np.abs(g.k))
-    aperp = a_perp_inverse_factory(L_op, static, nu)
+    lperp, _, mu = lperp_inverse_factory(L_op)
+    aperp = a_perp_inverse_factory(lperp, static, nu)
     Lm = L_op.matrix
-    Lambda0 = float(np.sort(sla.eigh(0.5 * (Lm + Lm.T), eigvals_only=True))[1])
+    Lambda0 = float(mu[1])
 
     def rand_perp():
         z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -682,15 +736,16 @@ def res_inequality_trials(L_op: DiscretizedOperator, static: Profile,
     for _ in range(trials):
         u, v = rand_perp(), rand_perp()
         lam = sample_lambda_in_G(rng, delta, nu)
-        ua_sq = max(np.real(a_form(g, theta, u, u)), 0.0)
+        ua_sq = max(np.real(lin.a_form(u, u)), 0.0)
         v_sq = np.real(l2_inner(g, v, v))
         UZ = np.sqrt(ua_sq + v_sq)
         lhs = abs(np.conj(lam) * ua_sq + (lam + nu) * v_sq)
 
         # construction (a): F = (lam - A)U
         f = lam * u - v
-        gg = Lm @ u + (lam + nu) * v
-        fa_sq = max(np.real(a_form(g, theta, f, f)), 0.0)
+        # two real products: a complex u would upcast all of Lm
+        gg = Lm @ u.real + 1j * (Lm @ u.imag) + (lam + nu) * v
+        fa_sq = max(np.real(lin.a_form(f, f)), 0.0)
         FZ = np.sqrt(fa_sq + np.real(l2_inner(g, gg, gg)))
         defect = UZ * FZ - lhs
         min_defect = min(min_defect, defect)
@@ -702,7 +757,7 @@ def res_inequality_trials(L_op: DiscretizedOperator, static: Profile,
         AiU = aperp(U.real) + 1j * aperp(U.imag)
         F = U - lam * AiU
         fb, gb = F[:n], F[n:]
-        fb_sq = max(np.real(a_form(g, theta, fb, fb)), 0.0)
+        fb_sq = max(np.real(lin.a_form(fb, fb)), 0.0)
         FZb = np.sqrt(fb_sq + np.real(l2_inner(g, gb, gb)))
         denom1 = (abs(lam) * np.sqrt(ua_sq) + abs(lam + nu) * np.sqrt(v_sq)) * FZb
         if denom1 > 0:

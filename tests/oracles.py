@@ -1,13 +1,18 @@
 """Independent oracles, written out term by term apart from the code they
-check: the drift perturbation S of B_c, the static projector, and one damped
-linear mode in closed form and under the exponential step weights."""
+check: the drift perturbation S of B_c and B_c as a difference of blocks, the
+static projector, one damped linear mode in closed form and under the
+exponential step weights, nearest points by k-d tree, and Golub-Kahan with
+an svd at every step."""
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from neelwall.dynamics import _companion_function
 from neelwall.grid import apply_multiplier, derivative, multiplier_matrix
+from neelwall.linops import build_block
 from neelwall.profiles import Profile
+from neelwall.spectra import GK_MIN_ITER
 
 
 def s_matrix_direct(moving: Profile, static: Profile) -> np.ndarray:
@@ -28,6 +33,12 @@ def s_matrix_direct(moving: Profile, static: Profile) -> np.ndarray:
     M += s_psi[:, None] * Tm * s_psi[None, :] - s_th[:, None] * Tm * s_th[None, :]
     M += np.diag(c_th - c_psi - H * s_psi)
     return M
+
+
+def bc_difference(moving: Profile, static: Profile) -> np.ndarray:
+    """B_c as the difference of the two assembled 2n x 2n blocks."""
+    return (build_block(moving, with_c=True).matrix
+            - build_block(static, with_c=False, nu=moving.nu).matrix)
 
 
 def static_projector_matrix(static: Profile, nu: float | None = None) -> np.ndarray:
@@ -81,3 +92,62 @@ def integrate_linear_mode(nu: float, Lam: float, u0: float, v0: float,
         uu, vv = E11[0] * uu + E12[0] * vv, E21[0] * uu + E22[0] * vv
         u[i + 1], v[i + 1] = uu.real, vv.real
     return u, v
+
+
+def nearest_kdtree(points, targets, k: int = 1):
+    """(distances, indices), each (len(points), k), of the k targets
+    nearest to each point, from scipy's k-d tree on (Re, Im)."""
+    points = np.atleast_1d(np.asarray(points, dtype=complex))
+    k = min(k, len(targets))
+    tree = cKDTree(np.column_stack([targets.real, targets.imag]))
+    d, i = tree.query(np.column_stack([points.real, points.imag]), k=k)
+    return (d[:, None], i[:, None]) if k == 1 else (d, i)
+
+
+def gk_batch_reference(matvec, rmatvec, m, size, tol, max_iter, seed,
+                       dtype=np.complex128) -> np.ndarray:
+    """Golub-Kahan sigma_max estimates with the batched bidiagonal svd run
+    at every step: the loop spectra._gk_batch must reproduce bit for bit."""
+    rng = np.random.default_rng(seed)
+    v0 = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    v0 = (v0 / np.linalg.norm(v0)).astype(dtype)
+    act = np.arange(m)
+    Vs = [np.tile(v0, (m, 1))]
+    Us = []
+    alphas = np.zeros((m, max_iter))
+    betas = np.zeros((m, max_iter))
+    est = np.zeros(m)
+    for j in range(max_iter):
+        u = matvec(Vs[-1], act)
+        if Us:
+            u -= b[:, None] * Us[-1]
+        for uu in Us:
+            u -= np.vecdot(uu, u)[:, None] * uu
+        a = np.linalg.norm(u, axis=1)
+        dead = a == 0.0
+        u /= np.where(dead, 1.0, a)[:, None]
+        Us.append(u)
+        w = rmatvec(u, act) - a[:, None] * Vs[-1]
+        for vv in Vs:
+            w -= np.vecdot(vv, w)[:, None] * vv
+        b = np.linalg.norm(w, axis=1)
+        alphas[act, j], betas[act, j] = a, b
+        k = np.arange(j + 1)
+        B = np.zeros((len(act), j + 1, j + 1))
+        B[:, k, k] = alphas[act, :j + 1]
+        B[:, k[1:], k[:-1]] = betas[act, :j]
+        new = np.linalg.svd(B, compute_uv=False)[:, 0]
+        done = dead | (b < 1e-12 * np.maximum(new, 1.0))
+        if j + 1 >= GK_MIN_ITER:
+            done |= np.abs(new - est[act]) <= tol * new
+        est[act] = np.where(dead, est[act], new)
+        if done.any():
+            keep = ~done
+            act = act[keep]
+            if not act.size:
+                break
+            Us = [x[keep] for x in Us]
+            Vs = [x[keep] for x in Vs]
+            w, b = w[keep], b[keep]
+        Vs.append(w / b[:, None])
+    return est

@@ -15,10 +15,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from neelwall.grid import (
-    BACKGROUND_WALL, Field, Grid, a_form, apply_T, derivative, h1_inner,
+    BACKGROUND_WALL, Field, Grid, apply_T, derivative, h1_inner,
     h1_norm, half_laplacian, hhalf_seminorm_sq, l2_inner, l2_norm,
     multiplier_matrix, shift, state_norm, wall_background, wall_background_d1,
 )
+from neelwall.profiles import Linearization
 from conftest import smooth_random
 
 G = Grid(L=40.0, n=256)
@@ -205,11 +206,10 @@ def test_state_norm_matches_components():
 
 
 def test_a_form_hermitian():
-    theta = wall_background(G.x)
+    a_form = Linearization(G, wall_background(G.x)).a_form
     u = smooth_random(G, seed=6)
     v = smooth_random(G, seed=7)
-    assert a_form(G, theta, u, v) == pytest.approx(a_form(G, theta, v, u),
-                                                   rel=1e-10, abs=1e-12)
+    assert a_form(u, v) == pytest.approx(a_form(v, u), rel=1e-10, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

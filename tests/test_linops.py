@@ -20,9 +20,9 @@ from neelwall.linops import (
     build_block, lperp_inverse_factory, null_pair, projector_matrix,
     translation_mode, weighted_state_norm,
 )
-from neelwall.profiles import Linearization
+from neelwall.profiles import Linearization, solve_traveling
 from conftest import smooth_random
-from oracles import s_matrix_direct, static_projector_matrix
+from oracles import bc_difference, s_matrix_direct, static_projector_matrix
 
 
 def test_L_is_gradient_jacobian(static256, L_op256):
@@ -93,6 +93,22 @@ def test_Bc_matches_direct_assembly(traveling256, static256):
     assert sla.svdvals(Bc.weighted_matrix)[0] <= 100 * abs(traveling256.c)
 
 
+@pytest.mark.parametrize("H", [1e-3, -1e-3, 0.0])
+def test_Bc_bitwise_equals_block_difference(grid256, static256, traveling256,
+                                            H):
+    # H = 0 pairs the static wall with itself: B_c is all zeros
+    if H == 0.0:
+        moving = static256
+    elif H == traveling256.H:
+        moving = traveling256
+    else:
+        moving = solve_traveling(grid256, H=H, nu=1.0, tol=5e-8,
+                                 init=static256)
+    Bc = build_Bc(moving, static256).matrix
+    assert Bc.tobytes() == bc_difference(moving, static256).tobytes()
+    assert np.any(Bc) == (H != 0.0)
+
+
 def test_weighted_norm_matches_state_norm(grid256):
     u = smooth_random(grid256, seed=2)
     v = smooth_random(grid256, seed=3)
@@ -149,7 +165,8 @@ def test_static_projector(static256):
 
 
 def test_lperp_inverse(static256, L_op256):
-    apply_inv, zero_vec = lperp_inverse_factory(L_op256)
+    apply_inv, zero_vec, evals = lperp_inverse_factory(L_op256)
+    assert np.all(np.diff(evals) >= 0.0)
     g = static256.grid
     f = smooth_random(g, seed=6)
     f = f - np.dot(f, zero_vec) * zero_vec
@@ -164,7 +181,8 @@ def test_a_perp_inverse_right_inverse(static256, L_op256, A_op256):
     # accuracy is limited by the angle between the discrete zero mode and
     # the profile derivative (~1e-3 at n = 256)
     g = static256.grid
-    apply_inv = a_perp_inverse_factory(L_op256, static256)
+    apply_inv = a_perp_inverse_factory(lperp_inverse_factory(L_op256)[0],
+                                       static256)
     P = static_projector_matrix(static256, nu=1.0)
     U = P @ np.concatenate([smooth_random(g, seed=7), smooth_random(g, seed=8)])
     back = A_op256.matrix @ apply_inv(U)

@@ -10,6 +10,8 @@ Oracles:
   * Asymptotics: |lam| ||(A - lam)^{-1}|| -> 1 as lam -> +infinity.
   * Dense eigh: the relative-bound constant a^2 is the top eigenvalue of
     the plainly formed B~^T B~ - b^2 A~^T A~, attained by its eigenvector.
+  * scipy's k-d tree: the brute-force nearest-point queries on spectra.
+  * Golub-Kahan with an svd at every step: the estimates of _gk_batch.
 """
 from __future__ import annotations
 
@@ -17,17 +19,19 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from neelwall import spectra
 from neelwall.grid import Grid
 from neelwall.linops import DiscretizedOperator, weighted_state_norm
 from neelwall.profiles import solve_static
 from neelwall.spectra import (
-    ModalStructureError, ResolventCalculator, SpectrumDistanceError,
-    eig_report, gamma_square, in_region_G,
+    GK_MIN_ITER, ModalStructureError, ResolventCalculator,
+    SpectrumDistanceError, _gk_batch, eig_report, gamma_square, in_region_G,
     match_eigenvalues, numerical_abscissa, pencil_crosscheck,
     pencil_eigenvalues, pencil_gap, relative_bound_fit, res_inequality_trials,
     resolvent_sweep,
 )
 from neelwall.linops import build_Bc, build_block
+from oracles import gk_batch_reference, nearest_kdtree
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +86,67 @@ def test_match_eigenvalues_identity_and_drift():
     pairs, drifts, unmatched = match_eigenvalues(
         np.array([0.0 + 0j]), np.array([5.0 + 0j]), cap=1.0)
     assert unmatched == [0]
+
+
+def _random_spectrum(rng, m):
+    z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    return np.concatenate([z, np.conj(z[:m // 4])])   # some conjugate pairs
+
+
+def _assert_ulp(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= np.spacing(np.maximum(np.abs(got),
+                                                             np.abs(ref))))
+
+
+@pytest.mark.parametrize("source", ["random", "A256"])
+def test_nearest_matches_kdtree(source, monkeypatch, L_op256, A_op256,
+                                Ac_op256):
+    rng = np.random.default_rng(11)
+    if source == "random":
+        base, pert = _random_spectrum(rng, 600), _random_spectrum(rng, 700)
+        L_vals = rng.uniform(0.0, 50.0, 300).astype(complex)
+    else:
+        base = eig_report(A_op256).eigenvalues
+        pert = eig_report(Ac_op256).eigenvalues
+        L_vals = eig_report(L_op256).eigenvalues
+    calc = ResolventCalculator(A_op256)
+    lams = np.concatenate([base[::7] + 1e-3, rng.uniform(-1, 1, 50)
+                           + 1j * rng.uniform(-5, 5, 50)])
+
+    def results():
+        return (calc.spectrum_distance(lams),
+                pencil_crosscheck(spectra.SpectrumReport(L_vals, 0j, 0.0, None,
+                                                         1, "L"),
+                                  spectra.SpectrumReport(base, 0j, 0.0, None,
+                                                         1, "A"), 1.0),
+                match_eigenvalues(base, pert),
+                match_eigenvalues(base, pert[::3], cap=0.05))
+
+    got = results()
+    monkeypatch.setattr(spectra, "_nearest", nearest_kdtree)
+    ref = results()
+    _assert_ulp(got[0], ref[0])
+    _assert_ulp(got[1], ref[1])
+    for (pairs, drifts, unmatched), (rpairs, rdrifts, runmatched) in zip(
+            got[2:], ref[2:]):
+        assert pairs == rpairs and unmatched == runmatched
+        _assert_ulp(drifts, rdrifts)
+
+
+def test_nearest_chunks_and_k(monkeypatch):
+    # chunk boundaries and k > 1 give the k-d tree's neighbour sets
+    rng = np.random.default_rng(5)
+    pts, targets = _random_spectrum(rng, 257), _random_spectrum(rng, 301)
+    monkeypatch.setattr(spectra, "_NEAREST_CHUNK", 1000)
+    d, i = spectra._nearest(pts, targets, k=8)
+    rd, ri = nearest_kdtree(pts, targets, k=8)
+    order, rorder = np.argsort(d, axis=1), np.argsort(rd, axis=1)
+    assert np.array_equal(np.take_along_axis(i, order, 1),
+                          np.take_along_axis(ri, rorder, 1))
+    _assert_ulp(np.take_along_axis(d, order, 1),
+                np.take_along_axis(rd, rorder, 1))
 
 
 def test_numerical_abscissa_bounds_spectrum(A_op256):
@@ -191,6 +256,93 @@ def test_modal_matches_schur_path(A_op256, static256):
                                rtol=1e-2)
     np.testing.assert_allclose(modal.norm_composed(lams),
                                schur.norm_composed(lams), rtol=1e-2)
+
+
+def _gk_both(mv, rmv, m, size, seed, dtype=np.complex128):
+    """Both loops' estimates; they must also run the same Krylov steps."""
+    steps = ([], [])
+
+    def recorded(log):
+        def matvec(X, act):
+            log.append(act.tolist())
+            return mv(X, act)
+        return matvec
+
+    args = (m, size, 1e-3, 80, seed)
+    got = _gk_batch(recorded(steps[0]), rmv, *args, dtype=dtype)
+    ref = gk_batch_reference(recorded(steps[1]), rmv, *args, dtype=dtype)
+    assert steps[0] == steps[1]
+    return got, ref
+
+
+def test_gk_batch_matches_reference_loop(A_op256, Ac_op256):
+    # the svd skipped at steps whose estimate is never read changes no bit
+    lams = np.array(REGION_POINTS)
+    modal = ResolventCalculator(A_op256)
+    size = modal.spectrum.shape[0]
+    for composed, seed in ((False, 12345), (True, 54321)):
+        mv, rmv = modal._modal_ops(lams, composed)
+        got, ref = _gk_both(mv, rmv, len(lams), size, seed, np.complex64)
+        assert got.tobytes() == ref.tobytes()
+    schur = ResolventCalculator(Ac_op256)
+    near = schur.spectrum[np.argmin(np.abs(schur.spectrum + 0.5))] + 1e-5
+    for lam in (lams[0], lams[-1], near):
+        for composed, double in ((False, False), (True, False),
+                                 (False, True)):
+            mv, rmv = schur._schur_ops(lam, composed, double)
+            dtype = np.complex128 if double else np.complex64
+            got, ref = _gk_both(mv, rmv, 1, size, 12345, dtype)
+            assert got.tobytes() == ref.tobytes()
+
+
+def test_gk_batch_breakdown_matches_reference():
+    # Diagonal operators of size 6 break down (b ~ 0) by step 6, before
+    # GK_MIN_ITER, so only the breakdown test stops them; operator 0 is
+    # zero (alpha = 0 at the first step), a dead row that keeps estimate 0.
+    size = 6
+    diags = np.random.default_rng(2).uniform(0.5, 3.0, (5, size))
+    diags[0] = 0.0
+
+    def mv(X, act):
+        return X * diags[act]
+
+    assert size < GK_MIN_ITER
+    got, ref = _gk_both(mv, mv, len(diags), size, 7)
+    assert got.tobytes() == ref.tobytes()
+    assert got[0] == 0.0
+    np.testing.assert_allclose(got[1:], diags[1:].max(axis=1), rtol=1e-12)
+
+
+def test_gk_batch_dead_row_keeps_previous_estimate():
+    # u_0 = e_1 (alpha_0 = 1), and the second product is b_0 u_0 exactly, so
+    # alpha_1 = 0: the row keeps the step-0 estimate, which no svd formed
+    # at step 0.  rmv repeats the loop's arithmetic for b_0.
+    size = 8
+    z = np.random.default_rng(3).standard_normal(size) + 0j
+    e1 = np.eye(1, size, dtype=complex)
+
+    def ops():
+        state = {}
+
+        def mv(X, act):
+            if "b" not in state:
+                state["v0"] = X.copy()
+                return e1.copy()
+            return state["b"][:, None] * e1
+
+        def rmv(U, act):
+            r = state["v0"] + z
+            if "b" not in state:
+                w = r - np.ones(1)[:, None] * state["v0"]
+                w -= np.vecdot(state["v0"], w)[:, None] * state["v0"]
+                state["b"] = np.linalg.norm(w, axis=1)
+            return r
+        return mv, rmv
+
+    got = _gk_batch(*ops(), 1, size, 1e-3, 80, 7)
+    ref = gk_batch_reference(*ops(), 1, size, 1e-3, 80, 7)
+    assert got.tobytes() == ref.tobytes()
+    assert got[0] == 1.0
 
 
 def test_modal_conjugate_points_agree(A_op256):

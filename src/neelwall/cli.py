@@ -221,7 +221,9 @@ def _cmd_solve_moving(grid, config, out, seed):
     prof = _moving(grid, config, _single_field(config))
     path = os.path.join(out, "moving_profile.neelw")
     store_profile(prof, path)
-    return prof, [path], {"c": prof.c, "residual": prof.residual}
+    return prof, [path], {"c": prof.c, "residual": prof.residual,
+                          "newton_steps": prof.meta["newton_steps"],
+                          "krylov_iterations": prof.meta["krylov_iterations"]}
 
 
 def _cmd_mobility(grid, config, out, seed):

@@ -2,18 +2,20 @@
 
 The static wall minimizes the reduced energy; the traveling wall (psi, c)
 solves   c^2 psi'' - nu c psi' + grad E(psi) + H cos(psi) = 0
-with speed c determined together with the profile by a bordered Newton
-iteration (phase condition pins the translation family).  For small H the
-speed obeys the mobility law c ~ H / (M nu) with wall mass
-M = 1/2 ||theta_bar'||_{L2}^2.
+with speed c determined together with the profile by an inexact bordered
+Newton iteration (phase condition pins the translation family).  Its linear
+steps are matrix-free: GMRES on Linearization.matvec, preconditioned by the
+operator's constant-coefficient far field, which one rfft/irfft pair
+inverts.  For small H the speed obeys the mobility law c ~ H / (M nu) with
+wall mass M = 1/2 ||theta_bar'||_{L2}^2.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .energy import energy, grad_energy
 from .grid import (
@@ -110,7 +112,14 @@ class Linearization:
     with s = sin psi, c_psi = cos psi T(cos psi) and T the stray-field
     multiplier (1 + |k|, or 1 in local mode).  At c = H = 0 it is the static
     L, the Hessian of the energy.  The constant-coefficient part is one
-    Fourier symbol (1-c^2)k^2 - c nu ik, with the Nyquist mode zeroed."""
+    Fourier symbol (1-c^2)k^2 - c nu ik, with the Nyquist mode zeroed;
+    symbol + T is the far field, what L_c becomes where sin psi = +-1 and
+    cos psi = 0 (less the field term H s), and it preconditions the
+    traveling Newton steps.
+
+    matvec is the operator the solvers apply (the static Newton-CG polish,
+    the traveling Newton-GMRES, the quadratic-remainder check); dense() is
+    the matrix that linops assembles into L, L_c, A, A_c and B_c."""
 
     def __init__(self, grid: Grid, psi_full: np.ndarray, c: float = 0.0,
                  nu: float = 1.0, H: float = 0.0, mode: str = "nonlocal"):
@@ -121,16 +130,20 @@ class Linearization:
         self.potential = cos * apply_multiplier(grid, cos, self.T) + H * self.s
         ksq = -np.real(grid.k_deriv**2)  # k^2 with the Nyquist mode zeroed
         self.symbol = (1.0 - c**2) * ksq - c * nu * grid.k_deriv
+        self.multipliers = np.stack([self.symbol, self.T])
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
-        """L_c u by FFT."""
-        g, s = self.grid, self.s
-        return (apply_multiplier(g, u, self.symbol)
-                + s * apply_multiplier(g, s * u, self.T) - self.potential * u)
+        """L_c u for real u by FFT, with u and s u transformed in one batched
+        call (bitwise the two separate transforms)."""
+        s = self.s
+        Ku, TSu = np.real(np.fft.ifft(self.multipliers
+                                      * np.fft.fft(np.stack([u, s * u]))))
+        return Ku + s * TSu - self.potential * u
 
     def dense(self) -> np.ndarray:
-        """The n x n matrix: circulant of the symbol, plus s T s, minus the
-        potential on the diagonal."""
+        """The n x n matrix for the dense operators of linops: circulant of
+        the symbol, plus s T s, minus the potential on the diagonal.  No
+        solver assembles it."""
         s = self.s
         M = multiplier_matrix(self.grid, self.symbol)
         M += s[:, None] * multiplier_matrix(self.grid, self.T) * s[None, :]
@@ -298,17 +311,116 @@ def traveling_residual(grid: Grid, theta: Field, c: float, nu: float, H: float) 
     <R, psi'> = 0 gives c = +H/(M nu): positive H drives the wall in the
     +x direction, matching the sign of the drift in the time integrator.
     """
+    return _residual_and_slopes(theta, c, nu, H)[0]
+
+
+def _residual_and_slopes(theta: Field, c: float, nu: float, H: float):
+    """(R, psi', psi''): the traveling residual and the two derivatives it
+    is made of, which the speed column of the Newton system reuses."""
     d1 = derivative(theta, 1).values
     d2 = derivative(theta, 2).values
-    return (c**2 * d2 - nu * c * d1 + grad_energy(theta).values
-            + H * np.cos(theta.reconstruct()))
+    R = (c**2 * d2 - nu * c * d1 + grad_energy(theta).values
+         + H * np.cos(theta.reconstruct()))
+    return R, d1, d2
+
+
+KRYLOV_MAX = 40  # GMRES steps per Newton step; about 8 are used at any n
+
+
+def _gmres(apply, rhs: np.ndarray, rtol: float, max_iter: int):
+    """GMRES from zero for apply(z) = rhs: Arnoldi by classical Gram-Schmidt
+    run twice, Givens rotations on the Hessenberg columns.  Returns
+    (z, steps, relative residual) after the first step that reaches rtol,
+    or after max_iter steps."""
+    beta = float(np.linalg.norm(rhs))
+    V = np.empty((max_iter + 1, rhs.size))
+    V[0] = rhs / beta
+    R = np.zeros((max_iter, max_iter))
+    rotations = []
+    g = [beta]
+    steps = 0
+    while steps < max_iter:
+        j = steps
+        w = apply(V[j])
+        h = V[:j + 1] @ w
+        w -= h @ V[:j + 1]
+        h2 = V[:j + 1] @ w
+        w -= h2 @ V[:j + 1]
+        col = (h + h2).tolist()
+        h_next = float(np.linalg.norm(w))
+        for i, (cs, sn) in enumerate(rotations):
+            col[i], col[i + 1] = (cs * col[i] + sn * col[i + 1],
+                                  cs * col[i + 1] - sn * col[i])
+        r = math.hypot(col[j], h_next)
+        if r == 0.0:
+            break
+        cs, sn = col[j] / r, h_next / r
+        rotations.append((cs, sn))
+        col[j] = r
+        R[:j + 1, j] = col
+        g.append(-sn * g[j])
+        g[j] *= cs
+        steps += 1
+        if abs(g[j + 1]) <= rtol * beta or h_next == 0.0:
+            break
+        V[j + 1] = w / h_next
+    y = np.linalg.solve(R[:steps, :steps], g[:steps])
+    return y @ V[:steps], steps, abs(g[steps]) / beta
+
+
+def _bordered_step(lin: Linearization, border_col: np.ndarray,
+                   border_row: np.ndarray, R: np.ndarray, phase: float,
+                   rtol: float):
+    """Solve [[L_c, border_col], [border_row^T, 0]] (du, dc) = (R, phase)
+    by GMRES in the norm of the Newton residual, sqrt(dx |R|^2 + phase^2),
+    right-preconditioned with the exact bordered inverse of the far-field
+    multiplier p(k) = (1-c^2)k^2 - i c nu k + (1 + |k|) (Linearization's
+    far field).  Returns (du, dc, steps, relative residual); raises
+    SolverError if the Schur complement of the preconditioner is 0."""
+    g = lin.grid
+    n, w = g.n, np.sqrt(g.dx)
+    p = (lin.symbol + lin.T)[:n // 2 + 1]
+
+    def far_inverse(f):
+        return np.fft.irfft(np.fft.rfft(f) / p, n)
+
+    col_far = far_inverse(border_col)
+    schur = float(border_row @ col_far)
+    if not abs(schur) > 0.0:
+        raise SolverError(f"far-field bordered Schur complement is {schur}")
+
+    def precond(z):
+        u0 = far_inverse(z[:n] / w)
+        dc = (border_row @ u0 - z[n]) / schur
+        return u0 - dc * col_far, dc
+
+    def apply(z):
+        u, dc = precond(z)
+        out = np.empty(n + 1)
+        out[:n] = w * (lin.matvec(u) + dc * border_col)
+        out[n] = border_row @ u
+        return out
+
+    rhs = np.append(w * R, phase)
+    z, steps, relres = _gmres(apply, rhs, rtol, KRYLOV_MAX)
+    du, dc = precond(z)
+    return du, float(dc), steps, relres
 
 
 def solve_traveling(grid: Grid, H: float, nu: float, tol: float = 1e-10,
                     init: Profile | None = None, max_step: float = 1e-3,
                     max_iter: int = 60) -> Profile:
-    """Bordered Newton (n+1 unknowns: remainder and speed) with continuation
-    in H from init, steps <= max_step; the phase is pinned on init's slope."""
+    """Inexact bordered Newton (n+1 unknowns: remainder and speed) with
+    continuation in H from init, steps <= max_step; the phase is pinned on
+    init's slope.
+
+    Each Newton step solves the bordered system
+    [[L_c, 2c psi'' - nu psi'], [dx theta_bar'^T, 0]] matrix-free by
+    _bordered_step (Linearization.matvec and one rfft/irfft pair per GMRES
+    step) to the relative tolerance max(min(1e-3, 0.1 tol/|F|), 1e-13),
+    where |F| is the current residual.  A linear solve that misses it within
+    KRYLOV_MAX steps raises SolverError.  meta records the residual
+    evaluations (iterations), newton_steps and krylov_iterations."""
     if abs(H) > H_ENVELOPE:
         raise ValueError(f"|H| <= {H_ENVELOPE} is the supported envelope, got {H}")
     if nu <= 0:
@@ -318,20 +430,19 @@ def solve_traveling(grid: Grid, H: float, nu: float, tol: float = 1e-10,
     theta = init.theta
     c = init.c
     theta_bar_prime = derivative(init.theta, 1).values
+    border_row = grid.dx * theta_bar_prime
     w_ref = theta.values.copy()
-    dx = grid.dx
-    n = grid.n
 
     H_start = init.H
     n_steps = max(1, int(np.ceil(abs(H - H_start) / max_step)))
     history = []
+    newton_steps = krylov = 0
     for H_step in np.linspace(H_start, H, n_steps + 1)[1:]:
-        lu = None
         prev_res = np.inf
         growth = 0
         for it in range(max_iter):
-            R = traveling_residual(grid, theta, c, nu, H_step)
-            phase = float(dx * np.sum((theta.values - w_ref) * theta_bar_prime))
+            R, d1, d2 = _residual_and_slopes(theta, c, nu, H_step)
+            phase = float(border_row @ (theta.values - w_ref))
             res = float(np.hypot(l2_norm(grid, R), abs(phase)))
             history.append(res)
             if res <= tol:
@@ -341,21 +452,20 @@ def solve_traveling(grid: Grid, H: float, nu: float, tol: float = 1e-10,
             growth = growth + 1 if res > prev_res else 0
             if growth >= 5:
                 raise SolverError("Newton diverged (residual grew 5 times)", history)
-            if lu is None or res > 0.3 * prev_res:
-                # (re)assemble the bordered Jacobian and factor it
-                J = np.zeros((n + 1, n + 1))
-                J[:n, :n] = Linearization(grid, theta.reconstruct(), c, nu,
-                                          H_step).dense()
-                d1 = derivative(theta, 1).values
-                d2 = derivative(theta, 2).values
-                J[:n, n] = 2.0 * c * d2 - nu * d1
-                J[n, :n] = dx * theta_bar_prime
-                lu = sla.lu_factor(J)
             prev_res = res
-            rhs = np.concatenate([R, [phase]])
-            delta = sla.lu_solve(lu, rhs)
-            theta = theta.with_values(theta.values - delta[:n])
-            c = c - float(delta[n])
+            rtol = max(min(1e-3, 0.1 * tol / res), 1e-13)
+            lin = Linearization(grid, theta.reconstruct(), c, nu, H_step)
+            du, dc, steps, relres = _bordered_step(
+                lin, 2.0 * c * d2 - nu * d1, border_row, R, phase, rtol)
+            newton_steps += 1
+            krylov += steps
+            if not relres <= rtol:
+                raise SolverError(
+                    f"GMRES stalled at H={H_step}, Newton step {newton_steps}: "
+                    f"relative residual {relres:.2e} > {rtol:.1e} after "
+                    f"{steps} steps", history)
+            theta = theta.with_values(theta.values - du)
+            c = c - dc
         else:
             raise SolverError(
                 f"traveling solve stalled at H={H_step} "
@@ -363,7 +473,8 @@ def solve_traveling(grid: Grid, H: float, nu: float, tol: float = 1e-10,
     if abs(c) >= 1:
         raise SolverError(f"converged speed |c| = {abs(c)} >= 1", history)
     return Profile(theta, float(H), float(c), float(nu), history[-1] if history else 0.0,
-                   meta={"iterations": len(history), "L": grid.L, "n": grid.n,
+                   meta={"iterations": len(history), "newton_steps": newton_steps,
+                         "krylov_iterations": krylov, "L": grid.L, "n": grid.n,
                          "mode": "nonlocal"})
 
 

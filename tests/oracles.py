@@ -2,16 +2,23 @@
 check: the drift perturbation S of B_c and B_c as a difference of blocks, the
 static projector, one damped linear mode in closed form and under the
 exponential step weights, nearest points by k-d tree, and Golub-Kahan with
-an svd at every step."""
+an svd at every step, and the traveling wall by bordered Newton on the
+dense Jacobian with LU."""
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg as sla
 from scipy.spatial import cKDTree
 
 from neelwall.dynamics import _companion_function
-from neelwall.grid import apply_multiplier, derivative, multiplier_matrix
+from neelwall.grid import (
+    Grid, apply_multiplier, derivative, l2_norm, multiplier_matrix,
+)
 from neelwall.linops import build_block
-from neelwall.profiles import Profile
+from neelwall.profiles import (
+    H_ENVELOPE, Linearization, Profile, SolverError, solve_static,
+    traveling_residual,
+)
 from neelwall.spectra import GK_MIN_ITER
 
 
@@ -151,3 +158,70 @@ def gk_batch_reference(matvec, rmatvec, m, size, tol, max_iter, seed,
             w, b = w[keep], b[keep]
         Vs.append(w / b[:, None])
     return est
+
+
+def solve_traveling_dense(grid: Grid, H: float, nu: float, tol: float = 1e-10,
+                          init: Profile | None = None, max_step: float = 1e-3,
+                          max_iter: int = 60) -> Profile:
+    """Bordered Newton (n+1 unknowns: remainder and speed) with continuation
+    in H from init, steps <= max_step; the phase is pinned on init's slope.
+    Each step assembles the dense (n+1)^2 Jacobian from
+    Linearization.dense() and reuses its LU factors while the residual
+    falls fast (a chord step): the reference profiles.solve_traveling
+    is checked against."""
+    if abs(H) > H_ENVELOPE:
+        raise ValueError(f"|H| <= {H_ENVELOPE} is the supported envelope, got {H}")
+    if nu <= 0:
+        raise ValueError("nu must be positive")
+    if init is None:
+        init = solve_static(grid, tol=1e-7)
+    theta = init.theta
+    c = init.c
+    theta_bar_prime = derivative(init.theta, 1).values
+    w_ref = theta.values.copy()
+    dx = grid.dx
+    n = grid.n
+
+    H_start = init.H
+    n_steps = max(1, int(np.ceil(abs(H - H_start) / max_step)))
+    history = []
+    for H_step in np.linspace(H_start, H, n_steps + 1)[1:]:
+        lu = None
+        prev_res = np.inf
+        growth = 0
+        for it in range(max_iter):
+            R = traveling_residual(grid, theta, c, nu, H_step)
+            phase = float(dx * np.sum((theta.values - w_ref) * theta_bar_prime))
+            res = float(np.hypot(l2_norm(grid, R), abs(phase)))
+            history.append(res)
+            if res <= tol:
+                break
+            if abs(c) >= 1:
+                raise SolverError(f"speed |c| = {abs(c)} reached 1", history)
+            growth = growth + 1 if res > prev_res else 0
+            if growth >= 5:
+                raise SolverError("Newton diverged (residual grew 5 times)", history)
+            if lu is None or res > 0.3 * prev_res:
+                # (re)assemble the bordered Jacobian and factor it
+                J = np.zeros((n + 1, n + 1))
+                J[:n, :n] = Linearization(grid, theta.reconstruct(), c, nu,
+                                          H_step).dense()
+                d1 = derivative(theta, 1).values
+                d2 = derivative(theta, 2).values
+                J[:n, n] = 2.0 * c * d2 - nu * d1
+                J[n, :n] = dx * theta_bar_prime
+                lu = sla.lu_factor(J)
+            prev_res = res
+            rhs = np.concatenate([R, [phase]])
+            delta = sla.lu_solve(lu, rhs)
+            theta = theta.with_values(theta.values - delta[:n])
+            c = c - float(delta[n])
+        else:
+            raise SolverError(
+                f"traveling solve stalled at H={H_step} "
+                f"(residual {history[-1]:.3e})", history)
+    if abs(c) >= 1:
+        raise SolverError(f"converged speed |c| = {abs(c)} >= 1", history)
+    return Profile(theta, float(H), float(c), float(nu), history[-1] if history else 0.0,
+                   meta={"iterations": len(history), "L": grid.L, "n": grid.n,
+                         "mode": "nonlocal"})

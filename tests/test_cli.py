@@ -52,6 +52,12 @@ def test_solve_moving_reports_speed(tmp_path):
     assert code == EXIT_OK
     m = _manifest(tmp_path)
     assert m["scalars"]["c"] == pytest.approx(1e-3 / 1.0102, rel=1e-2)
+    # one continuation step from the static wall: a few Newton steps, each
+    # a handful of preconditioned GMRES steps
+    newton, krylov = (m["scalars"]["newton_steps"],
+                      m["scalars"]["krylov_iterations"])
+    assert 1 <= newton <= 10
+    assert newton <= krylov <= profiles.KRYLOV_MAX * newton
     prof = load_profile(tmp_path / "moving_profile.neelw")
     assert prof.H == 0.001
 

@@ -5,7 +5,8 @@ Oracles:
     finite differences of grad_energy).
   * B_c = A_c - A equals the directly assembled difference operator S
     (oracles.s_matrix_direct).
-  * Linearization.matvec (FFT) equals its dense() matrix.
+  * Linearization.matvec (FFT) equals its dense() matrix, and its batched
+    transform equals the two separate ones bit for bit.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import pytest
 import scipy.linalg as sla
 
 from neelwall.energy import grad_energy
-from neelwall.grid import Grid, derivative, h1_norm, l2_norm
+from neelwall.grid import Grid, apply_multiplier, derivative, h1_norm, l2_norm
 from neelwall.linops import (
     DiscretizedOperator, a_perp_inverse_factory, build_Bc, build_L, build_Lc,
     build_block, lperp_inverse_factory, null_pair, projector_matrix,
@@ -47,6 +48,22 @@ def test_linearization_matvec_matches_dense(static256, traveling256):
         assert np.linalg.norm(lin.matvec(u) - ref) <= 1e-12 * np.linalg.norm(ref)
     # at c = H = 0 the comoving operator is the static one, bit for bit
     assert np.array_equal(build_Lc(static256).matrix, build_L(static256).matrix)
+
+
+def test_linearization_matvec_batched_is_bitwise(static256, traveling256):
+    # u and s u go through one batched transform; the result must be bit for
+    # bit the two separate transforms, so the static Newton-CG polish and
+    # every wall solved from it are unchanged
+    for prof, mode in ((static256, "nonlocal"), (static256, "local"),
+                       (traveling256, "nonlocal")):
+        g = prof.grid
+        lin = Linearization(g, prof.reconstruct(), prof.c, prof.nu, prof.H,
+                            mode=mode)
+        u = smooth_random(g, seed=12, kmax_frac=1.0, decay=False)
+        separate = (apply_multiplier(g, u, lin.symbol)
+                    + lin.s * apply_multiplier(g, lin.s * u, lin.T)
+                    - lin.potential * u)
+        assert np.array_equal(lin.matvec(u), separate)
 
 
 def test_L_symmetric(L_op256):

@@ -6,6 +6,8 @@ Oracles:
   * Solvability: the traveling speed obeys c = H / (M nu) with
     M = 0.5 ||theta_bar'||^2, to O(H^2).
   * Symmetry: flipping H flips c.
+  * Reference: the dense bordered Newton with LU (tests/oracles.py) gives
+    the same traveling wave as the matrix-free Newton-GMRES.
 """
 from __future__ import annotations
 
@@ -13,12 +15,14 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from neelwall import grid as grid_module
 from neelwall import profiles
-from neelwall.grid import BACKGROUND_WALL, Field, derivative, l2_norm, shift
+from neelwall.grid import BACKGROUND_WALL, Field, Grid, derivative, l2_norm, shift
 from neelwall.profiles import (
     SolverError, mobility, reflect_values, solve_static, solve_traveling,
     traveling_residual, wall_mass,
 )
+from oracles import solve_traveling_dense
 
 
 def test_static_local_matches_closed_form(grid256):
@@ -124,23 +128,74 @@ def test_traveling_continues_from_moving_wall(grid256, static256,
 def test_mobility_continues_from_previous_field(grid256, static256,
                                                 monkeypatch):
     fields = [-2e-3, -1e-3, -5e-4, 5e-4, 1e-3, 2e-3]
-    factorizations = []
-    lu_factor = sla.lu_factor
+    linearizations = []
 
-    def counted(*args, **kwargs):
-        factorizations.append(args[0].shape)
-        return lu_factor(*args, **kwargs)
-    monkeypatch.setattr(sla, "lu_factor", counted)
+    class Counted(profiles.Linearization):
+        def __init__(self, *args, **kwargs):
+            linearizations.append(args[0].n)
+            super().__init__(*args, **kwargs)
+    monkeypatch.setattr(profiles, "Linearization", Counted)
     from_static = {H: solve_traveling(grid256, H, 1.0, init=static256).c
                    for H in fields}
-    one_by_one = len(factorizations)
-    factorizations.clear()
+    one_by_one = len(linearizations)
+    linearizations.clear()
     fit = mobility(grid256, 1.0, fields, static=static256)
     assert not fit.failures
-    # each |H| = 2e-3 solve starts one 1e-3 step away instead of two
-    assert len(factorizations) < one_by_one
+    # each |H| = 2e-3 solve starts one 1e-3 step away instead of two, so it
+    # takes fewer Newton linearizations
+    assert 0 < len(linearizations) < one_by_one
     for H in fields:
         assert fit.speeds[H] == pytest.approx(from_static[H], rel=1e-6)
+
+
+@pytest.mark.parametrize("nu", [0.5, 2.0])
+@pytest.mark.parametrize("H", [-2e-3, 5e-4, 5e-3, profiles.H_ENVELOPE])
+def test_traveling_matches_dense_newton(grid256, static256, H, nu):
+    # the matrix-free Newton-GMRES path against the dense bordered Newton
+    # with LU it replaced, at the default tolerance
+    tol = 1e-10
+    free = solve_traveling(grid256, H, nu, tol=tol, init=static256)
+    dense = solve_traveling_dense(grid256, H, nu, tol=tol, init=static256)
+    assert abs(free.c / dense.c - 1.0) <= 1e-7
+    assert np.max(np.abs(free.reconstruct() - dense.reconstruct())) <= 1e-9
+    assert free.residual <= tol and dense.residual <= tol
+    assert (free.meta["newton_steps"] <= free.meta["krylov_iterations"]
+            <= profiles.KRYLOV_MAX * free.meta["newton_steps"])
+
+
+def test_mobility_is_matrix_free(monkeypatch):
+    # criterion 06's six fields at n = 2048 with every dense route closed:
+    # no dense linearization, no dense multiplier, no LU
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense linear algebra in the traveling solve")
+    monkeypatch.setattr(profiles.Linearization, "dense", refuse)
+    monkeypatch.setattr(grid_module, "multiplier_matrix", refuse)
+    monkeypatch.setattr(profiles, "multiplier_matrix", refuse)
+    monkeypatch.setattr(sla, "lu_factor", refuse)
+    grid = Grid(40.0, 2048)
+    static = solve_static(grid, tol=1e-8)
+    fit = mobility(grid, 1.0, [-2e-3, -1e-3, -5e-4, 5e-4, 1e-3, 2e-3],
+                   static=static)
+    assert not fit.failures
+    assert fit.beta_measured == pytest.approx(fit.beta_predicted, rel=5e-3)
+
+
+def test_traveling_gmres_budget_raises(grid256, static256, monkeypatch):
+    # two Krylov steps cannot reach the linear tolerance: the step is
+    # refused, not handed to Newton half-solved
+    monkeypatch.setattr(profiles, "KRYLOV_MAX", 2)
+    with pytest.raises(SolverError, match=r"H=0\.001, Newton step 1: "
+                                          r"relative residual") as info:
+        solve_traveling(grid256, 1e-3, 1.0, init=static256)
+    assert len(info.value.history) == 1
+
+
+def test_bordered_step_zero_schur_complement_raises(grid256, static256):
+    lin = profiles.Linearization(grid256, static256.reconstruct(), 0.0, 1.0)
+    zero = np.zeros(grid256.n)
+    with pytest.raises(SolverError, match="Schur complement is 0"):
+        profiles._bordered_step(lin, zero, grid256.dx * np.ones(grid256.n),
+                                np.ones(grid256.n), 0.0, 1e-3)
 
 
 def test_mobility_fit(grid256, static256):

@@ -9,6 +9,7 @@ measures how far the wall is from saturating at the domain edge).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -196,12 +197,18 @@ def _static_tol(grid: Grid) -> float:
 
 
 def _static(grid: Grid, config) -> Profile:
-    return solve_static(grid, tol=_static_tol(grid), mode=config["mode"])
+    """The static wall, carrying the configured damping nu."""
+    prof = solve_static(grid, tol=_static_tol(grid), mode=config["mode"])
+    return dataclasses.replace(prof, nu=config["nu"])
+
+
+def _require_nonlocal(config):
+    if config["mode"] != "nonlocal":
+        raise ConfigError("moving-wall commands require --mode nonlocal")
 
 
 def _moving(grid: Grid, config, H: float) -> Profile:
-    if config["mode"] != "nonlocal":
-        raise ConfigError("moving-wall commands require --mode nonlocal")
+    _require_nonlocal(config)
     return solve_traveling(grid, H, config["nu"])
 
 
@@ -227,8 +234,9 @@ def _cmd_solve_moving(grid, config, out, seed):
 
 
 def _cmd_mobility(grid, config, out, seed):
+    _require_nonlocal(config)
     fields = _field_list(config)
-    static = solve_static(grid, tol=_static_tol(grid))
+    static = _static(grid, config)
     fit = mobility(grid, config["nu"], fields, static=static)
     rows = [{"H": H, "c": c,
              "beta_measured": fit.beta_measured,
@@ -245,8 +253,6 @@ def _cmd_spectrum(grid, config, out, seed):
     H = _single_field(config)
     if H == 0.0:
         prof = _static(grid, config)
-        prof = Profile(prof.theta, 0.0, 0.0, config["nu"], prof.residual,
-                       prof.meta)
         report = eig_report(build_L(prof))
     else:
         prof = _moving(grid, config, H)
@@ -264,7 +270,6 @@ def _cmd_spectrum(grid, config, out, seed):
 def _op_and_delta(grid, config):
     """Static profile, block operator A, and a delta inside the gap."""
     prof = _static(grid, config)
-    prof = Profile(prof.theta, 0.0, 0.0, config["nu"], prof.residual, prof.meta)
     L_report = eig_report(build_L(prof))
     delta = config["delta"]
     if delta is None:
@@ -291,15 +296,13 @@ def _cmd_resolvent_sweep(grid, config, out, seed):
 def _cmd_relative_bound(grid, config, out, seed):
     H = _single_field(config)
     static = _static(grid, config)
-    static = Profile(static.theta, 0.0, 0.0, config["nu"], static.residual,
-                     static.meta)
     if H == 0.0:
         moving = static
     else:
         moving = _moving(grid, config, H)
     A = build_block(static, with_c=False)
     Bc = build_Bc(moving, static)
-    point = relative_bound_fit(A, Bc, seed=seed)
+    point = relative_bound_fit(A, Bc)
     path = os.path.join(out, "relative_bound.jsonl")
     write_report({"c": point.c, "H": point.H, "a": point.a, "b": point.b},
                  "json-lines", path)
@@ -320,7 +323,6 @@ def _cmd_simulate(grid, config, out, seed):
     sim = _sim_config(config, seed)
     if sim.H == 0.0:
         ref = _static(grid, config)
-        ref = Profile(ref.theta, 0.0, 0.0, sim.nu, ref.residual, ref.meta)
     else:
         ref = _moving(grid, config, sim.H)
     trace = integrate(grid, sim, ref)
@@ -333,14 +335,12 @@ def _cmd_simulate(grid, config, out, seed):
 
 def _cmd_orbital(grid, config, out, seed):
     H = _single_field(config)
-    nu = config["nu"]
     if H == 0.0:
         ref = _static(grid, config)
-        ref = Profile(ref.theta, 0.0, 0.0, nu, ref.residual, ref.meta)
     else:
         ref = _moving(grid, config, H)
-    verdict = orbital_experiment(grid, H, Perturbation(seed=seed), nu, ref,
-                                 dt=config["dt"], t_end=config["t_end"])
+    verdict = orbital_experiment(grid, H, Perturbation(seed=seed), ref.nu,
+                                 ref, dt=config["dt"], t_end=config["t_end"])
     trace_path = os.path.join(out, "orbital_trace.csv")
     write_report(verdict.trace, "csv", trace_path)
     fit = verdict.fit

@@ -10,7 +10,10 @@ operator's kind:
     lam.  A block of lam's then costs one real triangular solve and one
     real product with C per Krylov step (BLAS-3), and the spectrum is the
     pencil image of sigma(L).  This replaces the non-normal 2n Schur form,
-    which costs about ten times the n x n eigh.
+    which costs about ten times the n x n eigh.  eigh(L) is the operator's
+    cached DiscretizedOperator.modes, which also gives
+    res_inequality_trials its Lambda0 and restricted inverse: one eigh(L)
+    per operator.
   * Moving A_c (any other kind): L_c is not symmetric and A_c is
     non-normal, so the weighted matrix keeps its Schur form T; each sample
     costs a forward and an adjoint triangular solve with T - lam I per
@@ -39,9 +42,8 @@ import scipy.linalg as sla
 from scipy.linalg import blas
 
 from .grid import apply_multiplier, derivative, l2_inner, multiplier_matrix
-from .linops import (DiscretizedOperator, a_perp_inverse_factory,
-                     lperp_inverse_factory)
-from .profiles import Linearization, Profile
+from .linops import DiscretizedOperator, a_perp_inverse
+from .profiles import Linearization
 
 
 @dataclass
@@ -195,14 +197,8 @@ class SpectrumDistanceError(ValueError):
     computed spectrum."""
 
 
-class ModalStructureError(ValueError):
-    """An operator of kind "A" whose matrix is not [[0, I], [-L, -nu I]]
-    with a symmetric L, so the modal factorization does not apply."""
-
-
 SPECTRUM_MIN_DISTANCE = 1e-8   # resolvents closer to sigma(A) are refused
 GK_MIN_ITER = 12          # steps before the stagnation test may stop a lambda
-SYMMETRY_TOL = 1e-12      # max |L - L^T| / max |L| accepted by the modal path
 _SCHUR_BYTES = 48         # bytes per entry of the 2n x 2n Schur form not built:
                           # complex T and Q plus two complex64 work copies
 
@@ -296,8 +292,9 @@ class ResolventCalculator:
     of one block operator, from a factorization chosen by the operator.
 
     Static A (kind "A"): the modal factorization.  A = [[0, I], [-L, -nu]]
-    with symmetric L = Q diag(mu) Q^T (eigh), K = Q^T (1 + k^2) Q = C^T C
-    (Cholesky), so that ||(A - lam)^{-1}||_W = ||S(lam)||_2 with
+    with symmetric L = Q diag(mu) Q^T (op.modes, which raises
+    linops.ModalStructureError on any other structure), K = Q^T (1 + k^2) Q
+    = C^T C (Cholesky), so that ||(A - lam)^{-1}||_W = ||S(lam)||_2 with
 
         S = diag(C, I) M_lam diag(C^{-1}, I),
         M_lam = [[-(nu+lam) R, -R], [I - lam (nu+lam) R, -lam R]],
@@ -323,7 +320,11 @@ class ResolventCalculator:
     def __init__(self, op: DiscretizedOperator):
         self.op = op
         if op.kind == "A":
-            self._modal_factorization()
+            self._mu, Q = op.modes
+            K = apply_multiplier(op.grid, Q.T, op.grid.h1_weight) @ Q
+            self._C = np.asfortranarray(
+                sla.cholesky(0.5 * (K + K.T), check_finite=False), np.float32)
+            self.spectrum = pencil_eigenvalues(self._mu, op.nu)
         else:
             self.T, _ = op.weighted_schur
             self.spectrum = np.diag(self.T)
@@ -331,29 +332,6 @@ class ResolventCalculator:
             self._A32 = np.empty_like(self._T32)
             self._A64 = None
             self._idx = np.arange(self.T.shape[0])
-
-    def _modal_factorization(self):
-        op = self.op
-        n = op.grid.n
-        M = op.matrix
-        top, damp = M[:n, n:], M[n:, n:]
-        if (np.any(M[:n, :n]) or np.count_nonzero(top) != n
-                or np.any(np.diagonal(top) != 1.0)
-                or np.count_nonzero(damp) != n
-                or np.any(np.diagonal(damp) != -op.nu)):
-            raise ModalStructureError(
-                "kind A matrix is not [[0, I], [-L, -nu I]]")
-        L = -M[n:, :n]
-        asym = float(np.max(np.abs(L - L.T)) / np.max(np.abs(L)))
-        if asym > SYMMETRY_TOL:
-            raise ModalStructureError(
-                f"L is not symmetric: max |L - L^T| / max |L| = {asym:.2e} "
-                f"> {SYMMETRY_TOL:.0e}")
-        self._mu, Q = sla.eigh(L)
-        K = apply_multiplier(op.grid, Q.T, op.grid.h1_weight) @ Q
-        self._C = np.asfortranarray(
-            sla.cholesky(0.5 * (K + K.T), check_finite=False), np.float32)
-        self.spectrum = pencil_eigenvalues(self._mu, op.nu)
 
     def spectrum_distance(self, lams) -> np.ndarray:
         """Distance from each lam to the nearest computed eigenvalue."""
@@ -621,20 +599,17 @@ def _label(lam: complex, delta: float, M1: float) -> str:
 
 @dataclass
 class RelativeBoundPoint:
-    """Constants (a, b) of ||B_c U|| <= a||U|| + b||A U|| at one wall speed;
-    curve_b and curve_a hold the evaluated (b, a(b)) points."""
+    """Constants (a, b) of ||B_c U|| <= a||U|| + b||A U|| at one wall speed."""
 
     c: float
     H: float
     a: float
     b: float
-    curve_b: np.ndarray
-    curve_a: np.ndarray
 
 
 def relative_bound_fit(A_op: DiscretizedOperator, Bc_op: DiscretizedOperator,
-                       n_samples: int = 500, n_b: int = 50,
-                       seed: int = 0) -> RelativeBoundPoint:
+                       n_samples: int = 500, seed: int = 0
+                       ) -> RelativeBoundPoint:
     """Exact constants (a, b) with ||B_c U|| <= a||U|| + b||A U|| for every
     discrete state, in the H1 x L2 geometry.
 
@@ -646,11 +621,10 @@ def relative_bound_fit(A_op: DiscretizedOperator, Bc_op: DiscretizedOperator,
         a^2 = lambda_max(B~^T B~ - b^2 A~^T A~)      (~: W^{1/2}-conjugated),
     so ||B_c U||^2 <= a^2||U||^2 + b^2||A U||^2 <= (a||U|| + b||A U||)^2,
     with equality in the first step on the maximizing eigenvector.  The
-    constants are seed-free: n_samples, n_b and seed are accepted but
-    unused.  Exactly (0, 0) when B_c vanishes (c = 0)."""
+    constants are seed-free: n_samples and seed are accepted but unused.
+    Exactly (0, 0) when B_c vanishes (c = 0)."""
     if not np.any(Bc_op.matrix):
-        z = np.zeros(1)
-        return RelativeBoundPoint(Bc_op.c, Bc_op.H, 0.0, 0.0, z, z)
+        return RelativeBoundPoint(Bc_op.c, Bc_op.H, 0.0, 0.0)
     g = A_op.grid
     n = g.n
     c = Bc_op.c
@@ -674,8 +648,7 @@ def relative_bound_fit(A_op: DiscretizedOperator, Bc_op: DiscretizedOperator,
     top = sla.eigh(G, lower=True, eigvals_only=True, overwrite_a=True,
                    check_finite=False, subset_by_index=[2 * n - 1, 2 * n - 1])
     a = float(np.sqrt(max(top[0], 0.0)))
-    return RelativeBoundPoint(c, Bc_op.H, a, float(b), np.array([b]),
-                              np.array([a]))
+    return RelativeBoundPoint(c, Bc_op.H, a, float(b))
 
 
 # ---------------------------------------------------------------------------
@@ -702,27 +675,28 @@ def sample_lambda_in_G(rng, delta: float, nu: float) -> complex:
             return lam
 
 
-def res_inequality_trials(L_op: DiscretizedOperator, static: Profile,
-                          nu: float, delta: float, trials: int = 100,
-                          seed: int = 0) -> TrialStats:
-    """Check the a-form resolvent inequalities on random perpendicular data.
+def res_inequality_trials(A_op: DiscretizedOperator, delta: float,
+                          trials: int = 100, seed: int = 0) -> TrialStats:
+    """Check the a-form resolvent inequalities of the static block operator
+    A_op on random perpendicular data.  L, Lambda0 = mu[1] and the inverse
+    of A on ran(P) all come from A_op (its matrix, modes and profile).
 
     For (lam - A)U = F:   |conj(lam)||u||_a^2 + (lam+nu)||v||^2| <= ||U||_Z ||F||_Z.
     For (A - lam)Aperp^{-1}U = F: smallest feasible C1, C2 with
         lhs <= C1 (|lam| ||u||_a + |lam+nu| ||v||) ||F||_Z
         | ||u||_a - |lam+nu| Lambda0^{-1/2} ||v|| | <= C2 ||F||_Z.
     """
-    g = static.grid
+    aperp = a_perp_inverse(A_op)
+    static, nu = A_op.profile, A_op.nu
+    g = A_op.grid
     n = g.n
     rng = np.random.default_rng(seed)
     lin = Linearization(g, static.reconstruct())
     dth = derivative(static.theta, 1).values
     dth_nsq = float(np.dot(dth, dth))
     cut = np.abs(g.k) <= 0.75 * np.max(np.abs(g.k))
-    lperp, _, mu = lperp_inverse_factory(L_op)
-    aperp = a_perp_inverse_factory(lperp, static, nu)
-    Lm = L_op.matrix
-    Lambda0 = float(mu[1])
+    Lm = -A_op.matrix[n:, :n]
+    Lambda0 = float(A_op.modes[0][1])
 
     def rand_perp():
         z = rng.standard_normal(n) + 1j * rng.standard_normal(n)

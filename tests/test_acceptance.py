@@ -295,9 +295,9 @@ def test_criterion_08_resolvent_uniformity(A_D, delta, calcA):
 # 9. resolvent inequalities on random perpendicular data
 
 
-def test_criterion_09_resolvent_inequalities(L_D, staticD, delta):
-    base = res_inequality_trials(L_D, staticD, NU, delta, trials=100, seed=0)
-    fine = res_inequality_trials(L_D, staticD, NU, delta, trials=400, seed=1)
+def test_criterion_09_resolvent_inequalities(A_D, delta):
+    base = res_inequality_trials(A_D, delta, trials=100, seed=0)
+    fine = res_inequality_trials(A_D, delta, trials=400, seed=1)
     all_pass = base.n_pass_a == base.n_trials \
         and fine.n_pass_a == fine.n_trials
     finite = all(np.isfinite([base.C1, base.C2, fine.C1, fine.C2]))

@@ -92,6 +92,8 @@ def test_config_file_precedence(tmp_path):
     m = _manifest(out)
     assert m["config"]["n"] == 256
     assert m["config"]["nu"] == 2.0
+    # the stored static wall carries the configured damping
+    assert load_profile(out / "static_profile.neelw").nu == 2.0
     # untouched keys keep their defaults
     assert m["config"]["dt"] == DEFAULTS["dt"]
 
@@ -112,8 +114,9 @@ def test_bad_flag_values_exit_3(tmp_path):
                 "--out", str(tmp_path)]) == EXIT_CONFIG
     assert run(["frobnicate", "--out", str(tmp_path)]) == EXIT_CONFIG
     # moving-wall commands reject the local stray-field model
-    assert run(["solve-moving", *SMALL, "--mode", "local",
-                "--out", str(tmp_path)]) == EXIT_CONFIG
+    for command in ("solve-moving", "mobility"):
+        assert run([command, *SMALL, "--mode", "local",
+                    "--out", str(tmp_path)]) == EXIT_CONFIG
     # field outside the solver envelope
     assert run(["solve-moving", *SMALL, "--H", "0.5",
                 "--out", str(tmp_path)]) == EXIT_CONFIG

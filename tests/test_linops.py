@@ -17,8 +17,8 @@ import scipy.linalg as sla
 from neelwall.energy import grad_energy
 from neelwall.grid import Grid, apply_multiplier, derivative, h1_norm, l2_norm
 from neelwall.linops import (
-    DiscretizedOperator, a_perp_inverse_factory, build_Bc, build_L, build_Lc,
-    build_block, lperp_inverse_factory, null_pair, projector_matrix,
+    DiscretizedOperator, ModalStructureError, a_perp_inverse, build_Bc,
+    build_L, build_Lc, build_block, null_pair, projector_matrix,
     translation_mode, weighted_state_norm,
 )
 from neelwall.profiles import Linearization, solve_traveling
@@ -181,29 +181,43 @@ def test_static_projector(static256):
     assert np.max(np.abs(P @ P - P)) <= 1e-10
 
 
-def test_lperp_inverse(static256, L_op256):
-    apply_inv, zero_vec, evals = lperp_inverse_factory(L_op256)
+def test_lperp_inverse(static256, L_op256, A_op256):
+    # the modes of A are those of L: the inverse they give on the
+    # complement of the zero mode inverts build_L's matrix there
+    evals, Q = A_op256.modes
     assert np.all(np.diff(evals) >= 0.0)
+    i0 = int(np.argmin(np.abs(evals)))
+    inv = 1.0 / evals
+    inv[i0] = 0.0
+    zero_vec = Q[:, i0]
     g = static256.grid
     f = smooth_random(g, seed=6)
     f = f - np.dot(f, zero_vec) * zero_vec
-    u = apply_inv(f)
+    u = Q @ (inv * (Q.T @ f))
     back = L_op256.matrix @ u
     back = back - np.dot(back, zero_vec) * zero_vec
     assert l2_norm(g, back - f) / l2_norm(g, f) <= 1e-6
 
 
-def test_a_perp_inverse_right_inverse(static256, L_op256, A_op256):
+def test_a_perp_inverse_right_inverse(static256, A_op256):
     # right inverse only on the range of the translation-mode projector;
     # accuracy is limited by the angle between the discrete zero mode and
     # the profile derivative (~1e-3 at n = 256)
     g = static256.grid
-    apply_inv = a_perp_inverse_factory(lperp_inverse_factory(L_op256)[0],
-                                       static256)
+    apply_inv = a_perp_inverse(A_op256)
     P = static_projector_matrix(static256, nu=1.0)
     U = P @ np.concatenate([smooth_random(g, seed=7), smooth_random(g, seed=8)])
     back = A_op256.matrix @ apply_inv(U)
     assert weighted_state_norm(g, back - U) / weighted_state_norm(g, U) <= 5e-3
+
+
+def test_modes_and_a_perp_inverse_reject_bad_operators(L_op256, A_op256):
+    with pytest.raises(ModalStructureError, match="is not"):
+        L_op256.modes
+    bare = DiscretizedOperator("A", A_op256.matrix, A_op256.grid, A_op256.nu,
+                               0.0, 0.0)
+    with pytest.raises(ValueError, match="profile"):
+        a_perp_inverse(bare)
 
 
 def test_null_pair_requires_block(L_op256):

@@ -16,6 +16,7 @@ TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 def _patched():
     return (numpy.fft.fft, scipy.linalg.lu_factor,
+            spectra.ResolventCalculator.__init__,
             spectra.ResolventCalculator.norm_inv, spectra.resolvent_sweep)
 
 

@@ -207,9 +207,15 @@ def _require_nonlocal(config):
         raise ConfigError("moving-wall commands require --mode nonlocal")
 
 
-def _moving(grid: Grid, config, H: float) -> Profile:
-    _require_nonlocal(config)
-    return solve_traveling(grid, H, config["nu"])
+def _wall(grid: Grid, config, H: float) -> tuple[Profile, Profile]:
+    """(static, wall): the static wall, and the wall at field H continued
+    from it (the static wall itself at H = 0)."""
+    if H != 0.0:
+        _require_nonlocal(config)
+    static = _static(grid, config)
+    if H == 0.0:
+        return static, static
+    return static, solve_traveling(grid, H, config["nu"], static)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +231,9 @@ def _cmd_solve_static(grid, config, out, seed):
 
 
 def _cmd_solve_moving(grid, config, out, seed):
-    prof = _moving(grid, config, _single_field(config))
+    _require_nonlocal(config)
+    prof = solve_traveling(grid, _single_field(config), config["nu"],
+                           _static(grid, config))
     path = os.path.join(out, "moving_profile.neelw")
     store_profile(prof, path)
     return prof, [path], {"c": prof.c, "residual": prof.residual,
@@ -251,12 +259,9 @@ def _cmd_mobility(grid, config, out, seed):
 
 def _cmd_spectrum(grid, config, out, seed):
     H = _single_field(config)
-    if H == 0.0:
-        prof = _static(grid, config)
-        report = eig_report(build_L(prof))
-    else:
-        prof = _moving(grid, config, H)
-        report = eig_report(build_block(prof, with_c=True))
+    _, prof = _wall(grid, config, H)
+    report = eig_report(build_L(prof) if H == 0.0
+                        else build_block(prof, with_c=True))
     path = os.path.join(out, "spectrum.csv")
     write_report(report, "csv", path)
     scalars = {"lambda0_re": report.lambda0.real,
@@ -294,12 +299,7 @@ def _cmd_resolvent_sweep(grid, config, out, seed):
 
 
 def _cmd_relative_bound(grid, config, out, seed):
-    H = _single_field(config)
-    static = _static(grid, config)
-    if H == 0.0:
-        moving = static
-    else:
-        moving = _moving(grid, config, H)
+    static, moving = _wall(grid, config, _single_field(config))
     A = build_block(static, with_c=False)
     Bc = build_Bc(moving, static)
     point = relative_bound_fit(A, Bc)
@@ -321,10 +321,7 @@ def _sim_config(config, seed) -> SimConfig:
 
 def _cmd_simulate(grid, config, out, seed):
     sim = _sim_config(config, seed)
-    if sim.H == 0.0:
-        ref = _static(grid, config)
-    else:
-        ref = _moving(grid, config, sim.H)
+    _, ref = _wall(grid, config, sim.H)
     trace = integrate(grid, sim, ref)
     path = os.path.join(out, "trace.csv")
     write_report(trace, "csv", path)
@@ -335,10 +332,7 @@ def _cmd_simulate(grid, config, out, seed):
 
 def _cmd_orbital(grid, config, out, seed):
     H = _single_field(config)
-    if H == 0.0:
-        ref = _static(grid, config)
-    else:
-        ref = _moving(grid, config, H)
+    _, ref = _wall(grid, config, H)
     verdict = orbital_experiment(grid, H, Perturbation(seed=seed), ref.nu,
                                  ref, dt=config["dt"], t_end=config["t_end"])
     trace_path = os.path.join(out, "orbital_trace.csv")
@@ -397,7 +391,7 @@ def _startup_selftest():
     w = 0.05 * np.real(np.fft.ifft(
         np.where(np.abs(g.k) <= 2.0, np.fft.fft(rng.standard_normal(g.n)), 0)))
     theta = Field(g, w, "wall")
-    err = gradient_selftest(theta, n_dirs=2)
+    err = gradient_selftest(theta)
     if err > 1e-6:
         raise RuntimeError(
             f"startup self-test failed: gradient inconsistency {err:.3e}")

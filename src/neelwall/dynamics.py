@@ -13,12 +13,12 @@ part (per mode the 2x2 companion block [[0,1],[-(1-c^2)k^2 + i c nu k,
 remainder (background terms, the nonlocal nonlinearity, the applied field) by
 the phi1/phi2 exponential integrator weights.  The scheme is second order in
 dt, unconditionally stable on the linear part, and exact when the remainder
-vanishes.  An explicit RK4 path (dt <= 0.5 dx) is kept as a cross-check; it
-works in physical space.
+vanishes.  It is the only stepper; the tests check it against classical RK4
+in physical space.
 
-The exponential path carries the state (w, phi) between steps as rfft half
-spectra of length n/2 + 1 and takes eight real transforms per step; phi never
-returns to physical space, and ||phi||^2 comes from Parseval.  A recorded
+The step carries the state (w, phi) between steps as rfft half spectra of
+length n/2 + 1 and takes eight real transforms per step; phi never returns
+to physical space, and ||phi||^2 comes from Parseval.  A recorded
 frame fits the modulation shift on half spectra, from one spectrum of the
 reference per run and one rfft per Newton step (none for the first step of a
 comoving frame, which starts at the previous frame's translate); its residual
@@ -50,7 +50,6 @@ from .grid import (
 )
 from .profiles import Linearization, Profile
 
-INTEGRATORS = ("semi-implicit-spectral", "explicit-RK4")
 FRAMES = ("lab", "comoving")
 PERTURBATION_SHAPES = ("sech", "odd_sech", "noise")
 
@@ -103,7 +102,6 @@ class SimConfig:
     t_end: float
     nu: float
     H: float = 0.0
-    integrator: str = "semi-implicit-spectral"
     frame: str = "lab"
     perturbation: Perturbation = Perturbation()
     max_frames: int = 4096
@@ -113,8 +111,6 @@ class SimConfig:
             raise ValueError("dt must be positive")
         if self.t_end < 10.0 / self.nu:
             raise ValueError("t_end must be at least 10/nu to fit a decay")
-        if self.integrator not in INTEGRATORS:
-            raise ValueError(f"integrator must be one of {INTEGRATORS}")
         if self.frame not in FRAMES:
             raise ValueError(f"frame must be one of {FRAMES}")
 
@@ -295,7 +291,8 @@ def _remainder_term(grid: Grid, parts, H: float,
 
 def _full_rhs(grid: Grid, w: np.ndarray, phi: np.ndarray, nu: float, c: float,
               H: float, forcing: np.ndarray):
-    """(theta_t, phi_t) for the explicit RK4 path."""
+    """(theta_t, phi_t) in physical space: the full right-hand side F that
+    the quadratic-remainder check expands around the wave."""
     wh = np.fft.fft(w)
     ph = np.fft.fft(phi)
     w_z = np.real(np.fft.ifft(grid.k_deriv * wh))
@@ -447,9 +444,9 @@ def integrate(grid: Grid, config: SimConfig, reference: Profile,
     initial: (theta0: Field with wall background, v0: array); defaults to the
     reference profile plus the configured perturbation, at rest.
 
-    Both integrators hand the recorder w, the rfft half spectra (w_hat,
-    phi_hat) of length n/2 + 1 and _cos_parts(w).  The exponential step
-    works on these half spectra: each of its two remainder evaluations takes
+    The state between steps is w, the rfft half spectra (w_hat, phi_hat)
+    of length n/2 + 1 and _cos_parts(w).  The exponential step works on
+    these half spectra: each of its two remainder evaluations takes
     three real transforms (the first one's rfft(cos theta) comes with the
     state), and the intermediate stage and the new w one irfft each, eight
     per step; phi never returns to physical space.  The background forcing
@@ -467,8 +464,6 @@ def integrate(grid: Grid, config: SimConfig, reference: Profile,
         v0 = np.zeros(grid.n)
     else:
         theta0, v0 = initial
-    if config.integrator == "explicit-RK4" and dt > 0.5 * grid.dx:
-        raise ValueError(f"RK4 needs dt <= 0.5 dx = {0.5 * grid.dx:.3g}")
 
     n = grid.n
     n_steps = int(round(config.t_end / dt))
@@ -476,36 +471,22 @@ def integrate(grid: Grid, config: SimConfig, reference: Profile,
     half = _half_grid(grid)
     forcing = _background_forcing(grid, nu, c)
 
-    if config.integrator == "semi-implicit-spectral":
-        weights = step_weights(grid, nu, c, dt)
-        E11, E12, E21, E22, P1_12, P1_22, P2_12, P2_22 = (
-            getattr(weights, f)[: n // 2 + 1]
-            for f in ("E11", "E12", "E21", "E22",
-                      "P1_12", "P1_22", "P2_12", "P2_22"))
+    weights = step_weights(grid, nu, c, dt)
+    E11, E12, E21, E22, P1_12, P1_22, P2_12, P2_22 = (
+        getattr(weights, f)[: n // 2 + 1]
+        for f in ("E11", "E12", "E21", "E22",
+                  "P1_12", "P1_22", "P2_12", "P2_22"))
 
-        def advance(w, wh, ph, parts):
-            Gh = np.fft.rfft(_remainder_term(grid, parts, H, forcing))
-            ah = E11 * wh + E12 * ph + P1_12 * Gh
-            bh = E21 * wh + E22 * ph + P1_22 * Gh
-            wa = np.fft.irfft(ah, n)
-            dGh = np.fft.rfft(_remainder_term(grid, _cos_parts(grid, wa), H,
-                                              forcing)) - Gh
-            wh = ah + P2_12 * dGh
-            w = np.fft.irfft(wh, n)
-            return w, wh, bh + P2_22 * dGh, _cos_parts(grid, w)
-    else:
-        def rhs(w, phi):
-            return _full_rhs(grid, w, phi, nu, c, H, forcing)
-
-        def advance(w, wh, ph, parts):
-            phi = np.fft.irfft(ph, n)
-            k1w, k1p = rhs(w, phi)
-            k2w, k2p = rhs(w + dt / 2 * k1w, phi + dt / 2 * k1p)
-            k3w, k3p = rhs(w + dt / 2 * k2w, phi + dt / 2 * k2p)
-            k4w, k4p = rhs(w + dt * k3w, phi + dt * k3p)
-            w = w + dt / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
-            phi = phi + dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
-            return w, np.fft.rfft(w), np.fft.rfft(phi), _cos_parts(grid, w)
+    def advance(w, wh, ph, parts):
+        Gh = np.fft.rfft(_remainder_term(grid, parts, H, forcing))
+        ah = E11 * wh + E12 * ph + P1_12 * Gh
+        bh = E21 * wh + E22 * ph + P1_22 * Gh
+        wa = np.fft.irfft(ah, n)
+        dGh = np.fft.rfft(_remainder_term(grid, _cos_parts(grid, wa), H,
+                                          forcing)) - Gh
+        wh = ah + P2_12 * dGh
+        w = np.fft.irfft(wh, n)
+        return w, wh, bh + P2_22 * dGh, _cos_parts(grid, w)
 
     w = theta0.values.copy()
     wh = np.fft.rfft(w)
@@ -570,8 +551,7 @@ def _as_trace(times, res, wpos, svals, evals, vnorms, defects, config) -> SimTra
                     np.array(defects),
                     meta={"dt": config.dt, "t_end": config.t_end,
                           "nu": config.nu, "H": config.H,
-                          "frame": config.frame,
-                          "integrator": config.integrator})
+                          "frame": config.frame})
 
 
 @dataclass(frozen=True)
@@ -583,8 +563,7 @@ class DecayFit:
     r_inf: float = 0.0
 
 
-def decay_fit(trace: SimTrace, t_min: float | None = None,
-              floor: float = 1e-12) -> DecayFit:
+def decay_fit(trace: SimTrace) -> DecayFit:
     """Least-squares fit of the modulated residual to C e^{-omega t} + r_inf.
 
     The residual relaxes to a nonzero offset r_inf rather than to zero: the
@@ -592,13 +571,10 @@ def decay_fit(trace: SimTrace, t_min: float | None = None,
     seam layer at x = +-L, while the dynamics keeps that layer pinned, so a
     shifted wall never matches a shifted reference exactly.  r_inf is
     estimated from the late-time tail and subtracted before the log-linear
-    fit.  Drops the initial transient (default t < 2/nu) and samples inside
-    the tail scatter of the offset.
+    fit.  Drops the initial transient t < 2/nu and samples inside the tail
+    scatter of the offset (or below 1e-12).
     """
-    nu = trace.meta.get("nu", 1.0)
-    if t_min is None:
-        t_min = 2.0 / nu
-    mask = trace.times >= t_min
+    mask = trace.times >= 2.0 / trace.meta.get("nu", 1.0)
     r = trace.residual_H1[mask]
     t = trace.times[mask]
     if len(t) < 8:
@@ -608,7 +584,7 @@ def decay_fit(trace: SimTrace, t_min: float | None = None,
     r_inf = float(np.median(tail))
     scatter = float(np.std(tail))
     y_lin = r - r_inf
-    keep = y_lin > max(3.0 * scatter, 3.0 * r_inf, floor)
+    keep = y_lin > max(3.0 * scatter, 3.0 * r_inf, 1e-12)
     t, y_lin = t[keep], y_lin[keep]
     if len(t) < 3:
         raise ValueError("not enough samples above the floor to fit a decay")
@@ -626,10 +602,10 @@ def decay_fit(trace: SimTrace, t_min: float | None = None,
 # orbital-stability experiment
 
 
-def taylor_translation_check(reference: Profile, s_values=(0.01, 0.02, 0.04)):
+def taylor_translation_check(reference: Profile):
     """Taylor remainder of the translated-wave family:
-    max over s of ||phi(s) - phi(0) - phi'(0) s|| / s^2, against the
-    curvature bound ||d2_z psi||_{H1} / sqrt(3)."""
+    max over s in {0.01, 0.02, 0.04} of ||phi(s) - phi(0) - phi'(0) s|| / s^2,
+    against the curvature bound ||d2_z psi||_{H1} / sqrt(3)."""
     g = reference.grid
     c = reference.c
     psi0 = reference.reconstruct()
@@ -637,7 +613,7 @@ def taylor_translation_check(reference: Profile, s_values=(0.01, 0.02, 0.04)):
     d2psi = derivative(reference.theta, 2).values
     v0 = -c * dpsi
     ratios = []
-    for s in s_values:
+    for s in (0.01, 0.02, 0.04):
         shifted = shift(reference.theta, -s)
         u_rem = shifted.reconstruct() - psi0 + s * dpsi
         v_rem = -c * derivative(shifted, 1).values - v0 - s * c * d2psi
@@ -646,16 +622,17 @@ def taylor_translation_check(reference: Profile, s_values=(0.01, 0.02, 0.04)):
     return max(ratios), bound
 
 
-def quadratic_remainder_check(reference: Profile, nu: float,
-                              amplitudes=(1e-2, 5e-3, 2.5e-3), seed: int = 0):
-    """Size of F(phi + W) - F(phi) - DF(phi) W against ||W||^2.
+def quadratic_remainder_check(reference: Profile, nu: float):
+    """Size of F(phi + W) - F(phi) - DF(phi) W against ||W||^2, for one
+    band-limited random direction W (seed 0) at amplitudes 1e-2, 5e-3 and
+    2.5e-3.
 
     Returns (constants, exponent): per-amplitude remainder/||W||^2 and the
     log-log slope of remainder vs ||W|| (2 for a quadratic nonlinearity).
     """
     g = reference.grid
     c, H = reference.c, reference.H
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     raw_u = rng.standard_normal(g.n)
     raw_v = rng.standard_normal(g.n)
     keep = np.abs(g.k) <= 0.25 * np.max(np.abs(g.k))
@@ -672,7 +649,7 @@ def quadratic_remainder_check(reference: Profile, nu: float,
     Lc = Linearization(g, reference.reconstruct(), c, nu, H)
 
     sizes, rems = [], []
-    for amp in amplitudes:
+    for amp in (1e-2, 5e-3, 2.5e-3):
         wu, wv = amp * shape_u, amp * shape_v
         Fu, Fv = _full_rhs(g, w0 + wu, phi0 + wv, nu, c, H, forcing)
         # DF at the wave applied to W: (w_v, -L_c w_u + 2c w_v' - nu w_v)
@@ -705,12 +682,12 @@ class OrbitalVerdict:
 
 def orbital_experiment(grid: Grid, H: float, perturbation: Perturbation,
                        nu: float, reference: Profile,
-                       dt: float | None = None, t_end: float | None = None,
-                       project_zero_mode: bool = True) -> OrbitalVerdict:
+                       dt: float | None = None,
+                       t_end: float | None = None) -> OrbitalVerdict:
     """Perturb the wave, integrate, modulate, fit the decay, and measure the
     translation-family and quadratic-remainder constants.
 
-    project_zero_mode removes the translation component of the perturbation
+    The translation component of the perturbation is projected out
     (otherwise the wall simply ends up at a shifted position, which is the
     same orbit; projecting makes the decay-rate fit clean).
     """
@@ -719,10 +696,9 @@ def orbital_experiment(grid: Grid, H: float, perturbation: Perturbation,
     dt = dt if dt is not None else 1e-3 * min(1.0, 1.0 / nu)
     t_end = t_end if t_end is not None else max(20.0, 12.0 / nu)
     p = build_perturbation(grid, perturbation)
-    if project_zero_mode:
-        dpsi = derivative(reference.theta, 1).values
-        p = p - float(np.real(l2_inner(grid, p, dpsi))
-                      / np.real(l2_inner(grid, dpsi, dpsi))) * dpsi
+    dpsi = derivative(reference.theta, 1).values
+    p = p - float(np.real(l2_inner(grid, p, dpsi))
+                  / np.real(l2_inner(grid, dpsi, dpsi))) * dpsi
     theta0 = reference.theta.with_values(reference.theta.values + p)
     # Decay is measured in the comoving frame, where the traveling profile is
     # an exact discrete equilibrium ((psi, 0) at rest); in the lab frame the

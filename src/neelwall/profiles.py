@@ -33,6 +33,9 @@ from .grid import (
 )
 
 H_ENVELOPE = 0.1  # working envelope for the applied field strength
+STATIC_MAX_ITER = 2000    # descent iterations of the static solve at most
+CONTINUATION_STEP = 1e-3  # largest field step of the traveling continuation
+NEWTON_MAX_ITER = 60      # residual evaluations per continuation step at most
 
 
 class SolverError(RuntimeError):
@@ -208,27 +211,23 @@ def _newton_polish(theta: Field, mode: str, tol: float, history: list):
     return theta, l2_norm(grid, grad_energy(theta, mode).values)
 
 
-def solve_static(grid: Grid, tol: float = 1e-8, mode: str = "nonlocal",
-                 max_iter: int = 2000, initial: Field | None = None) -> Profile:
-    """Energy minimization by Fourier-preconditioned descent with
-    backtracking line search, followed by a Newton polish once the residual
+def solve_static(grid: Grid, tol: float = 1e-8,
+                 mode: str = "nonlocal") -> Profile:
+    """Energy minimization from the background arcsin(tanh x) by
+    Fourier-preconditioned descent with backtracking line search (at most
+    STATIC_MAX_ITER steps), followed by a Newton polish once the residual
     is small (near the minimum the line search drowns in energy round-off);
     the phase is re-centered every iteration."""
     if tol < 1e-12:
         raise ValueError(f"tol must be >= 1e-12, got {tol}")
-    if initial is None:
-        theta = Field(grid, np.zeros(grid.n), BACKGROUND_WALL)
-    else:
-        if initial.background != BACKGROUND_WALL:
-            raise ValueError("initial guess must carry the wall background")
-        theta = _recenter(initial)
+    theta = Field(grid, np.zeros(grid.n), BACKGROUND_WALL)
     precond = 1.0 / grid.h1_weight
     switch = max(tol, 1e-4)
     E = energy(theta, mode).total
     alpha = 1.0
     history = []
     res = np.inf
-    for it in range(max_iter):
+    for it in range(STATIC_MAX_ITER):
         gradE = grad_energy(theta, mode).values
         res = l2_norm(grid, gradE)
         history.append(res)
@@ -250,7 +249,7 @@ def solve_static(grid: Grid, tol: float = 1e-8, mode: str = "nonlocal",
         E = energy(theta, mode).total
     if res > switch:
         raise SolverError(
-            f"static descent did not reach {switch:.1e} in {max_iter} "
+            f"static descent did not reach {switch:.1e} in {STATIC_MAX_ITER} "
             f"iterations (last residual {history[-1]:.3e})", history)
     if res > tol:
         theta, res = _newton_polish(theta, mode, tol, history)
@@ -407,12 +406,12 @@ def _bordered_step(lin: Linearization, border_col: np.ndarray,
     return du, float(dc), steps, relres
 
 
-def solve_traveling(grid: Grid, H: float, nu: float, tol: float = 1e-10,
-                    init: Profile | None = None, max_step: float = 1e-3,
-                    max_iter: int = 60) -> Profile:
+def solve_traveling(grid: Grid, H: float, nu: float, init: Profile,
+                    tol: float = 1e-10) -> Profile:
     """Inexact bordered Newton (n+1 unknowns: remainder and speed) with
-    continuation in H from init, steps <= max_step; the phase is pinned on
-    init's slope.
+    continuation in H from the converged wall init (static or moving),
+    steps <= CONTINUATION_STEP and at most NEWTON_MAX_ITER residual
+    evaluations each; the phase is pinned on init's slope.
 
     Each Newton step solves the bordered system
     [[L_c, 2c psi'' - nu psi'], [dx theta_bar'^T, 0]] matrix-free by
@@ -425,8 +424,6 @@ def solve_traveling(grid: Grid, H: float, nu: float, tol: float = 1e-10,
         raise ValueError(f"|H| <= {H_ENVELOPE} is the supported envelope, got {H}")
     if nu <= 0:
         raise ValueError("nu must be positive")
-    if init is None:
-        init = solve_static(grid, tol=1e-7)
     theta = init.theta
     c = init.c
     theta_bar_prime = derivative(init.theta, 1).values
@@ -434,13 +431,13 @@ def solve_traveling(grid: Grid, H: float, nu: float, tol: float = 1e-10,
     w_ref = theta.values.copy()
 
     H_start = init.H
-    n_steps = max(1, int(np.ceil(abs(H - H_start) / max_step)))
+    n_steps = max(1, int(np.ceil(abs(H - H_start) / CONTINUATION_STEP)))
     history = []
     newton_steps = krylov = 0
     for H_step in np.linspace(H_start, H, n_steps + 1)[1:]:
         prev_res = np.inf
         growth = 0
-        for it in range(max_iter):
+        for it in range(NEWTON_MAX_ITER):
             R, d1, d2 = _residual_and_slopes(theta, c, nu, H_step)
             phase = float(border_row @ (theta.values - w_ref))
             res = float(np.hypot(l2_norm(grid, R), abs(phase)))
@@ -494,10 +491,11 @@ class MobilityFit:
     failures: dict
 
 
-def mobility(grid: Grid, nu: float, H_list, tol: float = 1e-10,
-             static: Profile | None = None) -> MobilityFit:
+def mobility(grid: Grid, nu: float, H_list, static: Profile,
+             tol: float = 1e-10) -> MobilityFit:
     """Measure the c(H) slope through the origin and compare with 1/(M nu);
-    each field continues from the last converged wall of its sign."""
+    each field continues from the last converged wall of its sign, the
+    first from the static wall."""
     H_list = [float(H) for H in H_list]
     if len(H_list) < 4:
         raise ValueError("need at least 4 field values")
@@ -505,14 +503,12 @@ def mobility(grid: Grid, nu: float, H_list, tol: float = 1e-10,
         raise ValueError("mobility scan restricted to |H| <= 5e-3")
     if abs(sum(H_list)) > 1e-15 * max(abs(H) for H in H_list) * len(H_list):
         raise ValueError("field values must be symmetric about 0")
-    if static is None:
-        static = solve_static(grid, tol=1e-7)
     M = wall_mass(static)
     speeds, failures, last = {}, {}, {}
     for H in sorted(H_list, key=abs):
         try:
-            wall = solve_traveling(grid, H, nu, tol=tol,
-                                   init=last.get(np.sign(H), static))
+            wall = solve_traveling(grid, H, nu, last.get(np.sign(H), static),
+                                   tol=tol)
             speeds[H], last[np.sign(H)] = wall.c, wall
         except SolverError as exc:
             failures[H] = str(exc)

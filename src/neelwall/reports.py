@@ -2,7 +2,9 @@
 
 Profile format: an ASCII header (magic line ``NEELW1``, one metadata line,
 blank line) followed by n little-endian float64 remainder samples.  The
-header is human-inspectable; the payload round-trips bit-exactly.
+header is human-inspectable; the payload round-trips bit-exactly.  The
+metadata line records the stray-field ``mode`` the wall was solved in; a
+file without it reads as nonlocal.
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ import os
 
 import numpy as np
 
+from .energy import MODES, grad_energy
 from .grid import Field, Grid, l2_norm
 from .profiles import Profile, traveling_residual
 from .spectra import ResolventSample, SpectrumReport, SweepResult
@@ -34,7 +37,8 @@ def store_profile(profile: Profile, path) -> None:
         f"{MAGIC}\n"
         f"L={_fmt(profile.grid.L)} n={profile.grid.n} H={_fmt(profile.H)} "
         f"c={_fmt(profile.c)} nu={_fmt(profile.nu)} "
-        f"background={profile.theta.background}\n\n"
+        f"background={profile.theta.background} "
+        f"mode={profile.meta.get('mode', 'nonlocal')}\n\n"
     )
     payload = np.ascontiguousarray(profile.theta.values, dtype="<f8").tobytes()
     with open(path, "wb") as fh:
@@ -76,6 +80,10 @@ def load_profile(path, grid: Grid | None = None) -> Profile:
         background = header["background"]
     except (KeyError, ValueError) as exc:
         raise ValueError(f"{path}: malformed header fields: {exc}") from exc
+    mode = header.get("mode", "nonlocal")
+    if mode not in MODES or (mode == "local" and (c or H)):
+        raise ValueError(f"{path}: mode {mode!r} at c = {c}, H = {H}: expected "
+                         f"nonlocal, or local at c = H = 0")
     payload = raw[offset:]
     if len(payload) != 8 * n:
         raise ValueError(
@@ -83,7 +91,7 @@ def load_profile(path, grid: Grid | None = None) -> Profile:
             f"expected {8 * n}")
     values = np.frombuffer(payload, dtype="<f8").astype(float)
     source = Grid(L, n)
-    meta = {"source_path": os.fspath(path)}
+    meta = {"source_path": os.fspath(path), "mode": mode}
     if grid is not None and grid != source:
         xs = np.concatenate([source.x, [source.L]])
         vs = np.concatenate([values, [values[0]]])
@@ -94,7 +102,10 @@ def load_profile(path, grid: Grid | None = None) -> Profile:
         meta["resample_error"] = float(np.max(np.abs(back - values)))
         source, values = grid, resampled
     theta = Field(source, values, background)
-    res = float(l2_norm(source, traveling_residual(source, theta, c, nu, H)))
+    # at c = H = 0 the traveling residual is the energy gradient
+    R = (traveling_residual(source, theta, c, nu, H) if mode == "nonlocal"
+         else grad_energy(theta, mode).values)
+    res = float(l2_norm(source, R))
     return Profile(theta, H, c, nu, res, meta)
 
 

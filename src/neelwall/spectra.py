@@ -17,8 +17,8 @@ operator's kind:
   * Moving A_c (any other kind): L_c is not symmetric and A_c is
     non-normal, so the weighted matrix keeps its Schur form T; each sample
     costs a forward and an adjoint triangular solve with T - lam I per
-    Krylov step, in single precision with a double-precision redo near
-    the spectrum.  It is also the reference the modal path is tested
+    Krylov step, in double precision.  No benchmark workload runs this
+    path; it serves A_c and is the reference the modal path is tested
     against.
 
 Both estimate the extreme singular value by Golub-Kahan bidiagonalization
@@ -144,13 +144,12 @@ def pencil_crosscheck(L_report: SpectrumReport, A_report: SpectrumReport,
     return float(np.max(d))
 
 
-def match_eigenvalues(base: np.ndarray, perturbed: np.ndarray,
-                      cap: float | None = None):
+def match_eigenvalues(base: np.ndarray, perturbed: np.ndarray):
     """Greedy nearest-neighbor one-to-one matching between two spectra.
 
     Returns (pairs, drifts, unmatched): pairs of indices (i_base, i_pert),
-    their distances, and indices of base eigenvalues with no partner within
-    the (scale-aware) cap.
+    their distances, and indices of base eigenvalues left without a partner
+    among their 8 nearest perturbed eigenvalues.
     """
     dists, idxs = _nearest(base, perturbed, k=8)
     kmax = dists.shape[1]
@@ -161,8 +160,6 @@ def match_eigenvalues(base: np.ndarray, perturbed: np.ndarray,
     pairs, drifts = [], []
     for d, i, j in candidates:
         if i in taken_b or j in taken_p:
-            continue
-        if cap is not None and d > cap * max(1.0, abs(base[i].imag)):
             continue
         taken_b.add(i)
         taken_p.add(j)
@@ -199,8 +196,10 @@ class SpectrumDistanceError(ValueError):
 
 SPECTRUM_MIN_DISTANCE = 1e-8   # resolvents closer to sigma(A) are refused
 GK_MIN_ITER = 12          # steps before the stagnation test may stop a lambda
+GK_MAX_ITER = 80          # Golub-Kahan steps per lambda at most
+GK_TOL = 1e-3             # relative change of the estimate that stops a lambda
 _SCHUR_BYTES = 48         # bytes per entry of the 2n x 2n Schur form not built:
-                          # complex T and Q plus two complex64 work copies
+                          # complex T and Q plus one complex work copy
 
 
 def _sigma_max(alphas: np.ndarray, betas: np.ndarray) -> np.ndarray:
@@ -308,14 +307,13 @@ class ResolventCalculator:
 
     Other kinds (A_c, non-normal with a non-symmetric L_c): one Schur form
     T of the weighted matrix; each Krylov step costs a forward and an
-    adjoint triangular solve with T - lam I in single precision, redone in
-    double when sigma_min approaches single-precision noise.  The adjoint
-    solve uses conj(solve(A^T, conj(b))): LAPACK's trans="T" path avoids
-    the slow conjugated triangular kernel.
+    adjoint triangular solve with T - lam I, in complex128 only.  The
+    adjoint solve uses conj(solve(A^T, conj(b))): LAPACK's trans="T" path
+    avoids the slow conjugated triangular kernel.
 
     Both estimate extreme singular values by Golub-Kahan bidiagonalization
-    (_gk_batch).  norm_inv and norm_composed take one lam or a 1-D array of
-    them."""
+    (_gk_batch, at most GK_MAX_ITER steps to relative tolerance GK_TOL).
+    norm_inv and norm_composed take one lam or a 1-D array of them."""
 
     def __init__(self, op: DiscretizedOperator):
         self.op = op
@@ -328,10 +326,6 @@ class ResolventCalculator:
         else:
             self.T, _ = op.weighted_schur
             self.spectrum = np.diag(self.T)
-            self._T32 = self.T.astype(np.complex64)
-            self._A32 = np.empty_like(self._T32)
-            self._A64 = None
-            self._idx = np.arange(self.T.shape[0])
 
     def spectrum_distance(self, lams) -> np.ndarray:
         """Distance from each lam to the nearest computed eigenvalue."""
@@ -347,12 +341,12 @@ class ResolventCalculator:
 
     # -- modal path ----------------------------------------------------------
 
-    def _block_size(self, max_iter: int) -> int:
+    def _block_size(self) -> int:
         """Lambdas per block: worst-case Krylov storage (two bases of
-        max_iter + 1 complex64 vectors of length 2n per lambda) fits in the
-        memory of the Schur form this path does not build."""
+        GK_MAX_ITER + 1 complex64 vectors of length 2n per lambda) fits in
+        the memory of the Schur form this path does not build."""
         size = 2 * self.op.grid.n
-        return max(1, _SCHUR_BYTES * size // (2 * (max_iter + 1) * 8))
+        return max(1, _SCHUR_BYTES * size // (2 * (GK_MAX_ITER + 1) * 8))
 
     def _modal_ops(self, lams: np.ndarray, composed: bool):
         """(matvec, rmatvec) of S(lam) (or I + lam S(lam)) for a block."""
@@ -397,19 +391,11 @@ class ResolventCalculator:
 
     # -- Schur path ----------------------------------------------------------
 
-    def _schur_ops(self, lam: complex, composed: bool, double: bool):
+    def _schur_ops(self, lam: complex, composed: bool):
         """(matvec, rmatvec) of (T - lam)^{-1} (or I + lam (T - lam)^{-1})
         on a block of one row."""
-        if double:
-            if self._A64 is None:
-                self._A64 = np.empty_like(self.T)
-            A = self._A64
-            np.copyto(A, self.T)
-        else:
-            A = self._A32
-            np.copyto(A, self._T32)
-        A[self._idx, self._idx] -= lam
-        lam = A.dtype.type(lam)
+        A = self.T.copy()
+        np.fill_diagonal(A, self.spectrum - lam)
 
         def mv(x, act):
             y = sla.solve_triangular(A, x[0], check_finite=False)[None]
@@ -423,52 +409,37 @@ class ResolventCalculator:
 
     # ------------------------------------------------------------------------
 
-    def _norms(self, lams: np.ndarray, composed: bool, tol: float,
-               max_iter: int) -> np.ndarray:
+    def _norms(self, lams: np.ndarray, composed: bool) -> np.ndarray:
         seed = 54321 if composed else 12345
         size = self.spectrum.shape[0]
         out = np.empty(len(lams))
         if self.op.kind == "A":
-            m = self._block_size(max_iter)
+            m = self._block_size()
             for s in range(0, len(lams), m):
                 block = lams[s:s + m]
                 mv, rmv = self._modal_ops(block, composed)
-                out[s:s + m] = _gk_batch(mv, rmv, len(block), size, tol,
-                                         max_iter, seed, dtype=np.complex64)
+                out[s:s + m] = _gk_batch(mv, rmv, len(block), size, GK_TOL,
+                                         GK_MAX_ITER, seed, dtype=np.complex64)
             return out
         for i, lam in enumerate(lams):
-            mv, rmv = self._schur_ops(lam, composed, double=False)
-            est = _gk_batch(mv, rmv, 1, size, tol, max_iter, seed,
-                            dtype=np.complex64)[0]
-            if not composed and est > 1e4:
-                # sigma_min near single-precision noise: redo in double
-                mv, rmv = self._schur_ops(lam, composed, double=True)
-                est = _gk_batch(mv, rmv, 1, size, tol, max_iter, seed)[0]
-            out[i] = est
+            mv, rmv = self._schur_ops(lam, composed)
+            out[i] = _gk_batch(mv, rmv, 1, size, GK_TOL, GK_MAX_ITER, seed)[0]
         return out
 
-    def norm_inv(self, lam, tol: float = 1e-3, max_iter: int = 80):
+    def norm_inv(self, lam):
         """||(A - lam)^{-1}||_W = 1/sigma_min(A - lam) in the weighted
         geometry, for one lam (returns a float) or a 1-D array of them."""
         lams = np.atleast_1d(np.asarray(lam, dtype=complex))
         self._check_distance(lams)
-        est = self._norms(lams, False, tol, max_iter)
+        est = self._norms(lams, False)
         return float(est[0]) if np.ndim(lam) == 0 else est
 
-    def norm_composed(self, lam, tol: float = 1e-3, max_iter: int = 80,
-                      ninv=None):
+    def norm_composed(self, lam):
         """||A (A - lam)^{-1}||_W = ||I + lam (A - lam)^{-1}||_W, for one lam
-        or a 1-D array of them.
-
-        Where a precomputed norm_inv is supplied and |lam| * ninv >= 50 the
-        triangle inequality pins the result to |lam| * ninv within 2%, so
-        that product is returned without further solves."""
+        or a 1-D array of them."""
         lams = np.atleast_1d(np.asarray(lam, dtype=complex))
         self._check_distance(lams)
-        est = np.zeros(len(lams)) if ninv is None else np.abs(lams) * ninv
-        todo = est < 50.0
-        if np.any(todo):
-            est[todo] = self._norms(lams[todo], True, tol, max_iter)
+        est = self._norms(lams, True)
         return float(est[0]) if np.ndim(lam) == 0 else est
 
 
@@ -512,20 +483,21 @@ def in_region_G(lam, delta: float):
 def resolvent_sweep(op: DiscretizedOperator, delta: float,
                     n_radial: int = 40, n_angular: int = 40,
                     n_gamma: int = 64, w: float | None = None,
-                    M1: float | None = None,
                     calc: ResolventCalculator | None = None) -> SweepResult:
     """Sample ||(A-lam)^{-1}||_W and ||A(A-lam)^{-1}||_W over the gap region.
 
     The region right of Re lam = -delta (minus the contour square) is covered
     by an n_radial x n_angular log-polar grid truncated at
     |lam| = 10^3 max(1, nu), plus n_gamma contour points.  Sub-regions:
-    G1 (real part beyond M1, near-real), G2 (|Im| > delta), G3 (remainder).
+    G1 (real part beyond M1 = max(1, nu, 2|w|), near-real), G2
+    (|Im| > delta), G3 (remainder).  ||A(A-lam)^{-1}||_W is taken as
+    |lam| ||(A-lam)^{-1}||_W wherever that product is at least 50: the
+    triangle inequality pins the norm to it within 2% there.
     """
     nu = op.nu
     if w is None:
         w = numerical_abscissa(op)
-    if M1 is None:
-        M1 = max(1.0, nu, 2.0 * abs(w))
+    M1 = max(1.0, nu, 2.0 * abs(w))
     calc = calc or ResolventCalculator(op)
     rmax = 1e3 * max(1.0, nu)
     radii = np.geomspace(delta / 4.0, rmax, n_radial)

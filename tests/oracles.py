@@ -1,9 +1,10 @@
 """Independent oracles, written out term by term apart from the code they
 check: the drift perturbation S of B_c and B_c as a difference of blocks, the
 static projector, one damped linear mode in closed form and under the
-exponential step weights, nearest points by k-d tree, and Golub-Kahan with
-an svd at every step, and the traveling wall by bordered Newton on the
-dense Jacobian with LU."""
+exponential step weights, the damped wave step by classical RK4 in physical
+space, nearest points by k-d tree, and Golub-Kahan with an svd at every
+step, and the traveling wall by bordered Newton on the dense Jacobian with
+LU."""
 from __future__ import annotations
 
 import numpy as np
@@ -16,8 +17,8 @@ from neelwall.grid import (
 )
 from neelwall.linops import build_block
 from neelwall.profiles import (
-    H_ENVELOPE, Linearization, Profile, SolverError, solve_static,
-    traveling_residual,
+    CONTINUATION_STEP, H_ENVELOPE, NEWTON_MAX_ITER, Linearization, Profile,
+    SolverError, traveling_residual,
 )
 from neelwall.spectra import GK_MIN_ITER
 
@@ -101,6 +102,49 @@ def integrate_linear_mode(nu: float, Lam: float, u0: float, v0: float,
     return u, v
 
 
+def damped_wave_remainder(grid: Grid, nu: float, c: float, H: float):
+    """w -> the bounded part of phi_t at theta = w + arcsin(tanh x):
+    sin(theta) T(cos theta) - H cos(theta) plus the background forcing
+    (1-c^2) sech'' + c nu sech, with sech'' the spectral derivative of the
+    sampled sech x, as the energy gradient differentiates it."""
+    mult_T = 1.0 + np.abs(grid.k)
+    bg = np.arcsin(np.tanh(grid.x))
+    sech = 1.0 / np.cosh(grid.x)
+    forcing = ((1.0 - c**2) * np.real(np.fft.ifft(grid.k_deriv * np.fft.fft(sech)))
+               + c * nu * sech)
+
+    def remainder(w):
+        theta = w + bg
+        Tc = np.real(np.fft.ifft(mult_T * np.fft.fft(np.cos(theta))))
+        return np.sin(theta) * Tc - H * np.cos(theta) + forcing
+    return remainder
+
+
+def rk4_step(grid: Grid, nu: float, c: float, H: float, dt: float):
+    """(w, phi) -> (w, phi) one step dt later, by classical RK4 on
+    theta_t = phi, phi_t = (1-c^2) w'' + c nu w' + 2c phi' - nu phi + G(w)
+    in physical space, derivatives spectral with the Nyquist mode zeroed;
+    G is damped_wave_remainder."""
+    remainder = damped_wave_remainder(grid, nu, c, H)
+    kd, kd2 = grid.k_deriv, np.real(grid.k_deriv**2)
+
+    def spectral(mult, f):
+        return np.real(np.fft.ifft(mult * np.fft.fft(f)))
+
+    def rhs(w, phi):
+        return phi, ((1.0 - c**2) * spectral(kd2, w) + c * nu * spectral(kd, w)
+                     + 2.0 * c * spectral(kd, phi) - nu * phi + remainder(w))
+
+    def step(w, phi):
+        k1w, k1p = rhs(w, phi)
+        k2w, k2p = rhs(w + dt / 2 * k1w, phi + dt / 2 * k1p)
+        k3w, k3p = rhs(w + dt / 2 * k2w, phi + dt / 2 * k2p)
+        k4w, k4p = rhs(w + dt * k3w, phi + dt * k3p)
+        return (w + dt / 6 * (k1w + 2 * k2w + 2 * k3w + k4w),
+                phi + dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p))
+    return step
+
+
 def nearest_kdtree(points, targets, k: int = 1):
     """(distances, indices), each (len(points), k), of the k targets
     nearest to each point, from scipy's k-d tree on (Re, Im)."""
@@ -160,11 +204,11 @@ def gk_batch_reference(matvec, rmatvec, m, size, tol, max_iter, seed,
     return est
 
 
-def solve_traveling_dense(grid: Grid, H: float, nu: float, tol: float = 1e-10,
-                          init: Profile | None = None, max_step: float = 1e-3,
-                          max_iter: int = 60) -> Profile:
+def solve_traveling_dense(grid: Grid, H: float, nu: float, init: Profile,
+                          tol: float = 1e-10) -> Profile:
     """Bordered Newton (n+1 unknowns: remainder and speed) with continuation
-    in H from init, steps <= max_step; the phase is pinned on init's slope.
+    in H from init, steps <= CONTINUATION_STEP and at most NEWTON_MAX_ITER
+    residual evaluations each; the phase is pinned on init's slope.
     Each step assembles the dense (n+1)^2 Jacobian from
     Linearization.dense() and reuses its LU factors while the residual
     falls fast (a chord step): the reference profiles.solve_traveling
@@ -173,8 +217,6 @@ def solve_traveling_dense(grid: Grid, H: float, nu: float, tol: float = 1e-10,
         raise ValueError(f"|H| <= {H_ENVELOPE} is the supported envelope, got {H}")
     if nu <= 0:
         raise ValueError("nu must be positive")
-    if init is None:
-        init = solve_static(grid, tol=1e-7)
     theta = init.theta
     c = init.c
     theta_bar_prime = derivative(init.theta, 1).values
@@ -183,13 +225,13 @@ def solve_traveling_dense(grid: Grid, H: float, nu: float, tol: float = 1e-10,
     n = grid.n
 
     H_start = init.H
-    n_steps = max(1, int(np.ceil(abs(H - H_start) / max_step)))
+    n_steps = max(1, int(np.ceil(abs(H - H_start) / CONTINUATION_STEP)))
     history = []
     for H_step in np.linspace(H_start, H, n_steps + 1)[1:]:
         lu = None
         prev_res = np.inf
         growth = 0
-        for it in range(max_iter):
+        for it in range(NEWTON_MAX_ITER):
             R = traveling_residual(grid, theta, c, nu, H_step)
             phase = float(dx * np.sum((theta.values - w_ref) * theta_bar_prime))
             res = float(np.hypot(l2_norm(grid, R), abs(phase)))

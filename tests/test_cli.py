@@ -123,7 +123,8 @@ def test_bad_flag_values_exit_3(tmp_path):
 
 
 def test_mobility_takes_field_list(tmp_path, monkeypatch):
-    # count every static solve, whether the command or mobility() makes it
+    # count every static solve, whether the command or a solver makes it:
+    # each moving-wall command continues from its own one static wall
     calls = []
 
     def counted(*args, **kwargs):
@@ -131,6 +132,12 @@ def test_mobility_takes_field_list(tmp_path, monkeypatch):
         return solve_static(*args, **kwargs)
     monkeypatch.setattr(cli, "solve_static", counted)
     monkeypatch.setattr(profiles, "solve_static", counted)
+    for command in ("relative-bound", "solve-moving"):
+        calls.clear()
+        assert run([command, *SMALL, "--H", "0.001",
+                    "--out", str(tmp_path / command)]) == EXIT_OK
+        assert len(calls) == 1, command
+    calls.clear()
     # the = form keeps argparse from reading the leading minus as a flag
     code = run(["mobility", *SMALL, "--H=-0.002,-0.001,0.001,0.002",
                 "--out", str(tmp_path)])

@@ -6,6 +6,8 @@ Oracles:
   * Complex-FFT step: integrate's half-spectrum step and frame recorder
     agree with the same step on full complex spectra and a frame built from
     shift, derivative, energy and h1_norm.
+  * Classical RK4 in physical space (oracles.py), through the same frame
+    recorder: the same trajectory up to the time-stepping error.
   * Dense matrix exponential: per-mode step weights equal expm of the
     companion block.
   * Physical-space modulation: the half-spectrum orthogonality condition,
@@ -31,7 +33,8 @@ from neelwall.grid import (
     Field, derivative, h1_norm, l2_inner, l2_norm, shift, wall_background,
     wall_background_d1, wall_background_d2,
 )
-from oracles import closed_form_damped_mode, integrate_linear_mode
+from oracles import (closed_form_damped_mode, damped_wave_remainder,
+                     integrate_linear_mode, rk4_step)
 
 
 # ---------------------------------------------------------------------------
@@ -88,15 +91,7 @@ def test_simconfig_validation():
     with pytest.raises(ValueError):
         SimConfig(dt=0.01, t_end=1.0, nu=1.0)       # too short to fit decay
     with pytest.raises(ValueError):
-        SimConfig(dt=0.01, t_end=20.0, nu=1.0, integrator="euler")
-    with pytest.raises(ValueError):
         SimConfig(dt=0.01, t_end=20.0, nu=1.0, frame="rotating")
-
-
-def test_rk4_rejects_large_dt(grid256, static256):
-    config = SimConfig(dt=1.0, t_end=20.0, nu=1.0, integrator="explicit-RK4")
-    with pytest.raises(ValueError):
-        integrate(grid256, config, static256)
 
 
 # ---------------------------------------------------------------------------
@@ -230,20 +225,20 @@ def test_decay_fit_handles_offset():
 
 def test_decay_fit_needs_enough_samples():
     with pytest.raises(ValueError):
-        decay_fit(_synthetic_trace(n=10), t_min=19.0)
+        decay_fit(_synthetic_trace(n=8))     # 7 samples after t = 2/nu
 
 
 # ---------------------------------------------------------------------------
 # full integration
 
 
-def _run(grid, reference, dt, integrator="semi-implicit-spectral",
-         t_end=10.0, amplitude=0.05):
-    config = SimConfig(dt=dt, t_end=t_end, nu=1.0, H=0.0,
-                       integrator=integrator,
-                       perturbation=Perturbation("sech", amplitude),
-                       max_frames=256)
-    return integrate(grid, config, reference)
+def _config(dt):
+    return SimConfig(dt=dt, t_end=10.0, nu=1.0, H=0.0,
+                     perturbation=Perturbation("sech", 0.05), max_frames=256)
+
+
+def _run(grid, reference, dt):
+    return integrate(grid, _config(dt), reference)
 
 
 def test_perturbed_wall_relaxes(grid256, static256):
@@ -265,30 +260,38 @@ def test_energy_balance_defect_second_order(grid256, static256):
 
 
 def test_rk4_cross_check(grid256, static256):
-    a = _run(grid256, static256, dt=0.05)
-    b = _run(grid256, static256, dt=0.05, integrator="explicit-RK4")
+    config = _config(dt=0.05)
+    a = integrate(grid256, config, static256)
+    b = _oracle_trace(grid256, static256, config,
+                      rk4_step(grid256, config.nu, 0.0, config.H, config.dt))
     # same trajectory up to the time-stepping error of the coarser scheme
-    assert np.max(np.abs(a.residual_H1 - b.residual_H1)) <= 1e-4
+    assert len(a.times) == len(b["residual_H1"]) == 201
+    assert np.max(np.abs(a.residual_H1 - b["residual_H1"])) <= 1e-4
 
 
-def _complex_fft_trace(grid, reference, config):
-    """Oracle for integrate's exponential path: the step on full complex
-    spectra, with w and phi back in physical space after every step, and a
-    frame every step built from shift, derivative, energy and h1_norm, with
-    the modulation shift from its own Newton iteration."""
-    nu, H, dt = config.nu, config.H, config.dt
-    c = reference.c if config.frame == "comoving" else 0.0
+def _complex_fft_step(grid, nu, c, H, dt):
+    """integrate's exponential step on full complex spectra, with w and phi
+    back in physical space after every step."""
     wts = step_weights(grid, nu, c, dt)
-    mult_T = 1.0 + np.abs(grid.k)
-    bg = np.arcsin(np.tanh(grid.x))
-    sech = 1.0 / np.cosh(grid.x)
-    forcing = ((1.0 - c**2) * np.real(np.fft.ifft(grid.k_deriv * np.fft.fft(sech)))
-               + c * nu * sech)
+    remainder = damped_wave_remainder(grid, nu, c, H)
 
-    def remainder(w):
-        theta = w + bg
-        Tc = np.real(np.fft.ifft(mult_T * np.fft.fft(np.cos(theta))))
-        return np.sin(theta) * Tc - H * np.cos(theta) + forcing
+    def step(w, phi):
+        G = remainder(w)
+        wh, ph, Gh = np.fft.fft(w), np.fft.fft(phi), np.fft.fft(G)
+        ah = wts.E11 * wh + wts.E12 * ph + wts.P1_12 * Gh
+        bh = wts.E21 * wh + wts.E22 * ph + wts.P1_22 * Gh
+        dGh = np.fft.fft(remainder(np.real(np.fft.ifft(ah)))) - Gh
+        return (np.real(np.fft.ifft(ah + wts.P2_12 * dGh)),
+                np.real(np.fft.ifft(bh + wts.P2_22 * dGh)))
+    return step
+
+
+def _oracle_trace(grid, reference, config, step):
+    """Oracle for integrate's frame recorder: the run from the configured
+    perturbation at rest under step(w, phi) -> (w, phi), with a frame every
+    step built from shift, derivative, energy and h1_norm, the modulation
+    shift from its own Newton iteration."""
+    nu, dt = config.nu, config.dt
 
     def fit_shift(theta_full, drift, s):
         for _ in range(30):
@@ -296,10 +299,10 @@ def _complex_fft_trace(grid, reference, config):
             r = theta_full - psi.reconstruct()
             d1 = derivative(psi, 1).values
             d2 = derivative(psi, 2).values
-            step = l2_inner(grid, r, d1) / (l2_inner(grid, d1, d1)
-                                            - l2_inner(grid, r, d2))
-            s -= step
-            if abs(step) <= 1e-14:
+            ds = l2_inner(grid, r, d1) / (l2_inner(grid, d1, d1)
+                                          - l2_inner(grid, r, d2))
+            s -= ds
+            if abs(ds) <= 1e-14:
                 break
         return s
 
@@ -308,18 +311,12 @@ def _complex_fft_trace(grid, reference, config):
     n_steps = int(round(config.t_end / dt))
     out = {key: [] for key in ("residual_H1", "s", "energy", "v_norm", "defect")}
     s, e0, diss = 0.0, None, 0.0
-    for step in range(n_steps + 1):
-        if step > 0:
+    for i in range(n_steps + 1):
+        if i > 0:
             v_sq_prev = l2_norm(grid, phi) ** 2
-            G = remainder(w)
-            wh, ph, Gh = np.fft.fft(w), np.fft.fft(phi), np.fft.fft(G)
-            ah = wts.E11 * wh + wts.E12 * ph + wts.P1_12 * Gh
-            bh = wts.E21 * wh + wts.E22 * ph + wts.P1_22 * Gh
-            dGh = np.fft.fft(remainder(np.real(np.fft.ifft(ah)))) - Gh
-            w = np.real(np.fft.ifft(ah + wts.P2_12 * dGh))
-            phi = np.real(np.fft.ifft(bh + wts.P2_22 * dGh))
+            w, phi = step(w, phi)
             diss += nu * dt * 0.5 * (l2_norm(grid, phi) ** 2 + v_sq_prev)
-        t = step * dt
+        t = i * dt
         drift = reference.c * t if config.frame == "lab" else 0.0
         theta_f = Field(grid, w, "wall")
         s = fit_shift(theta_f.reconstruct(), drift, s)
@@ -344,7 +341,9 @@ def test_integrate_matches_complex_fft_oracle(grid256, wall, frame, request):
     config = SimConfig(dt=0.2, t_end=12.0, nu=1.0, H=reference.H, frame=frame,
                        perturbation=Perturbation("sech", 0.05))
     trace = integrate(grid256, config, reference)
-    oracle = _complex_fft_trace(grid256, reference, config)
+    c = reference.c if frame == "comoving" else 0.0
+    oracle = _oracle_trace(grid256, reference, config, _complex_fft_step(
+        grid256, config.nu, c, config.H, config.dt))
     assert len(trace.times) == 61
     for key, expected in oracle.items():
         got = getattr(trace, key)

@@ -79,7 +79,7 @@ def test_gradient_matches_finite_differences(mode):
 @given(st.integers(min_value=0, max_value=10_000))
 def test_gradient_selftest_random_states(seed):
     theta = _wall(0.05 * smooth_random(G, seed=seed))
-    assert gradient_selftest(theta, n_dirs=2, seed=seed) <= 1e-6
+    assert gradient_selftest(theta, seed=seed) <= 1e-6
 
 
 def test_gradient_output_is_decaying_field():

@@ -1,9 +1,16 @@
-"""perfbench/tracer.py wraps neelwall functions and methods by name, so a
-deleted or renamed one would break only the traced benchmark run: the
-recorder must install, and removing it must restore every patched object."""
+"""The benchmark under perfbench/ calls neelwall by name, so a deleted or
+renamed function, method or keyword would break only a benchmark run.
+
+perfbench/tracer.py wraps functions and methods by name: the recorder must
+install, and removing it must restore every patched object.  The workloads
+in perfbench/workloads.py pass keywords: each must still be a parameter of
+the function or class it is passed to."""
 from __future__ import annotations
 
+import ast
+import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import numpy.fft
@@ -11,7 +18,8 @@ import scipy.linalg
 
 from neelwall import spectra
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def _patched():
@@ -32,3 +40,43 @@ def test_tracer_installs_and_restores():
     finally:
         tracer.uninstall()
     assert all(a is b for a, b in zip(_patched(), before))
+
+
+def _neelwall_calls(tree):
+    """(callee, call node) of every call in the module whose callee resolves,
+    through the module's own `from neelwall... import` names and attribute
+    access, to a function or class defined in neelwall."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("neelwall"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                names[alias.asname or alias.name] = getattr(module, alias.name)
+
+    def resolve(expr):
+        if isinstance(expr, ast.Name):
+            return names.get(expr.id)
+        if isinstance(expr, ast.Attribute):
+            return getattr(resolve(expr.value), expr.attr, None)
+        return None
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            callee = resolve(node.func)
+            if callable(callee) and callee.__module__.startswith("neelwall"):
+                yield callee, node
+
+
+def test_workload_keywords_exist():
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    checked = 0
+    for callee, call in _neelwall_calls(tree):
+        params = inspect.signature(callee).parameters
+        for kw in call.keywords:
+            assert kw.arg in params, (
+                f"perfbench/workloads.py:{call.lineno} passes {kw.arg}= to "
+                f"{callee.__module__}.{callee.__qualname__}")
+            checked += 1
+    # the workloads pass keywords to the solvers, the sweep, the fits, the
+    # region checks and the simulation set-up
+    assert checked >= 20

@@ -17,7 +17,7 @@ import scipy.linalg as sla
 
 from neelwall import grid as grid_module
 from neelwall import profiles
-from neelwall.grid import BACKGROUND_WALL, Field, Grid, derivative, l2_norm, shift
+from neelwall.grid import Grid, derivative, l2_norm
 from neelwall.profiles import (
     SolverError, mobility, reflect_values, solve_static, solve_traveling,
     traveling_residual, wall_mass,
@@ -53,20 +53,9 @@ def test_static_energy_stable_under_refinement(static256, static512):
     assert abs(e1 - e2) / e2 <= 5e-3
 
 
-def test_static_accepts_shifted_initial_guess(grid256, static256):
-    moved = shift(static256.theta, 0.8)
-    prof = solve_static(grid256, tol=5e-8, initial=moved)
-    # recentred: zero crossing back at the origin
-    theta = prof.reconstruct()
-    i = np.argmin(np.abs(grid256.x))
-    assert abs(theta[i]) <= 1e-6
-
-
 def test_static_validation(grid256):
     with pytest.raises(ValueError):
         solve_static(grid256, tol=1e-13)
-    with pytest.raises(ValueError):
-        solve_static(grid256, initial=Field(grid256, np.zeros(grid256.n)))
 
 
 def test_wall_mass_value(static256, static512):
@@ -105,11 +94,11 @@ def test_traveling_nu_scaling(grid256, static256, traveling256):
     assert half.c == pytest.approx(traveling256.c / 2.0, rel=1e-3)
 
 
-def test_traveling_validation(grid256):
+def test_traveling_validation(grid256, static256):
     with pytest.raises(ValueError):
-        solve_traveling(grid256, H=0.5, nu=1.0)      # outside envelope
+        solve_traveling(grid256, H=0.5, nu=1.0, init=static256)  # envelope
     with pytest.raises(ValueError):
-        solve_traveling(grid256, H=1e-3, nu=-1.0)
+        solve_traveling(grid256, H=1e-3, nu=-1.0, init=static256)
 
 
 def test_traveling_continues_from_moving_wall(grid256, static256,
@@ -206,13 +195,12 @@ def test_mobility_fit(grid256, static256):
     assert fit.fit_error <= 1e-2
 
 
-def test_mobility_validation(grid256):
-    with pytest.raises(ValueError):
-        mobility(grid256, 1.0, [1e-3, -1e-3])             # too few
-    with pytest.raises(ValueError):
-        mobility(grid256, 1.0, [1e-2, -1e-2, 2e-2, -2e-2])  # too large
-    with pytest.raises(ValueError):
-        mobility(grid256, 1.0, [1e-3, 2e-3, 3e-3, 4e-3])  # not symmetric
+def test_mobility_validation(grid256, static256):
+    for fields in ([1e-3, -1e-3],                       # too few
+                   [1e-2, -1e-2, 2e-2, -2e-2],          # too large
+                   [1e-3, 2e-3, 3e-3, 4e-3]):           # not symmetric
+        with pytest.raises(ValueError):
+            mobility(grid256, 1.0, fields, static=static256)
 
 
 def test_reflect_values_involution(grid256):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from neelwall.grid import Grid
+from neelwall.profiles import solve_static
 from neelwall.reports import MAGIC, load_profile, store_profile, write_report
 from neelwall.spectra import ResolventSample, SpectrumReport
 
@@ -25,8 +26,42 @@ def test_profile_round_trip_bit_exact(tmp_path, static256):
     assert back.H == static256.H
     assert back.c == static256.c
     assert back.nu == static256.nu
+    assert back.meta["mode"] == "nonlocal"
     # residual is recomputed on load and matches the solver's
     assert back.residual == pytest.approx(static256.residual, rel=1e-6, abs=1e-12)
+
+
+def test_local_profile_round_trip_keeps_mode(tmp_path, grid256):
+    # the reloaded residual is the solve's, in the mode the wall was solved
+    # in; read with the nonlocal gradient it would be ~0.39
+    prof = solve_static(grid256, tol=1e-8, mode="local")
+    path = tmp_path / "wall.prof"
+    store_profile(prof, path)
+    assert b" mode=local\n" in path.read_bytes()
+    back = load_profile(path)
+    assert back.meta["mode"] == "local"
+    assert back.residual == pytest.approx(prof.residual, rel=1e-6, abs=1e-12)
+
+
+def test_profile_without_mode_reads_as_nonlocal(tmp_path, static256):
+    path = tmp_path / "old.prof"
+    store_profile(static256, path)
+    path.write_bytes(path.read_bytes().replace(b" mode=nonlocal", b"", 1))
+    back = load_profile(path)
+    assert back.meta["mode"] == "nonlocal"
+    assert np.array_equal(back.theta.values, static256.theta.values)
+    assert back.residual == pytest.approx(static256.residual, rel=1e-6,
+                                          abs=1e-12)
+
+
+def test_load_rejects_bad_mode(tmp_path, static256, traveling256):
+    for prof, old, new in ((static256, b"mode=nonlocal", b"mode=magnetic"),
+                           (traveling256, b"mode=nonlocal", b"mode=local")):
+        path = tmp_path / "bad_mode.prof"
+        store_profile(prof, path)
+        path.write_bytes(path.read_bytes().replace(old, new, 1))
+        with pytest.raises(ValueError, match="mode"):
+            load_profile(path)
 
 
 def test_profile_resample_records_error(tmp_path, static256, grid512):

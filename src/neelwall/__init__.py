@@ -13,8 +13,9 @@ from .grid import (Field, Grid, apply_T, derivative, half_laplacian,
                    l2_inner, l2_norm, h1_norm, shift, wall_background)
 from .energy import EnergyBreakdown, energy, grad_energy, gradient_selftest
 from .profiles import (Linearization, MobilityFit, Profile, SolverError,
-                       mobility, reflect_values, solve_static,
-                       solve_traveling, traveling_residual, wall_mass)
+                       check_field, mobility, mobility_fields,
+                       reflect_values, solve_static, solve_traveling,
+                       traveling_residual, wall_mass)
 from .linops import (DiscretizedOperator, NullPair, build_Bc, build_L,
                      build_Lc, build_block, null_pair, projector_matrix,
                      translation_mode)

@@ -23,7 +23,8 @@ from .dynamics import (BlowUpError, Perturbation, SimConfig, decay_fit,
 from .energy import gradient_selftest
 from .grid import Field, Grid
 from .linops import build_Bc, build_block, build_L
-from .profiles import Profile, SolverError, mobility, solve_static, solve_traveling
+from .profiles import (Profile, SolverError, check_field, mobility,
+                       mobility_fields, solve_static, solve_traveling)
 from .regions import RegionParams, run_all_checks
 from .reports import store_profile, write_report
 from .spectra import eig_report, relative_bound_fit, resolvent_sweep
@@ -209,9 +210,11 @@ def _require_nonlocal(config):
 
 def _wall(grid: Grid, config, H: float) -> tuple[Profile, Profile]:
     """(static, wall): the static wall, and the wall at field H continued
-    from it (the static wall itself at H = 0)."""
+    from it (the static wall itself at H = 0).  H is checked before the
+    static solve."""
     if H != 0.0:
         _require_nonlocal(config)
+    check_field(H)
     static = _static(grid, config)
     if H == 0.0:
         return static, static
@@ -232,8 +235,8 @@ def _cmd_solve_static(grid, config, out, seed):
 
 def _cmd_solve_moving(grid, config, out, seed):
     _require_nonlocal(config)
-    prof = solve_traveling(grid, _single_field(config), config["nu"],
-                           _static(grid, config))
+    H = check_field(_single_field(config))
+    prof = solve_traveling(grid, H, config["nu"], _static(grid, config))
     path = os.path.join(out, "moving_profile.neelw")
     store_profile(prof, path)
     return prof, [path], {"c": prof.c, "residual": prof.residual,
@@ -243,7 +246,7 @@ def _cmd_solve_moving(grid, config, out, seed):
 
 def _cmd_mobility(grid, config, out, seed):
     _require_nonlocal(config)
-    fields = _field_list(config)
+    fields = mobility_fields(_field_list(config))
     static = _static(grid, config)
     fit = mobility(grid, config["nu"], fields, static=static)
     rows = [{"H": H, "c": c,
@@ -254,7 +257,10 @@ def _cmd_mobility(grid, config, out, seed):
     path = os.path.join(out, "mobility.csv")
     write_report(rows, "csv", path)
     return static, [path], {"beta_measured": fit.beta_measured,
-                            "beta_predicted": fit.beta_predicted}
+                            "beta_predicted": fit.beta_predicted,
+                            "newton_steps": sum(fit.newton_steps.values()),
+                            "krylov_iterations":
+                                sum(fit.krylov_iterations.values())}
 
 
 def _cmd_spectrum(grid, config, out, seed):

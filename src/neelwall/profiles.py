@@ -3,11 +3,11 @@
 The static wall minimizes the reduced energy; the traveling wall (psi, c)
 solves   c^2 psi'' - nu c psi' + grad E(psi) + H cos(psi) = 0
 with speed c determined together with the profile by an inexact bordered
-Newton iteration (phase condition pins the translation family).  Its linear
-steps are matrix-free: GMRES on Linearization.matvec, preconditioned by the
-operator's constant-coefficient far field, which one rfft/irfft pair
-inverts.  For small H the speed obeys the mobility law c ~ H / (M nu) with
-wall mass M = 1/2 ||theta_bar'||_{L2}^2.
+Newton iteration (phase condition pins the translation family), continued
+in H from a secant prediction.  Its linear steps are matrix-free: GMRES on
+Linearization.matvec, preconditioned by the operator's constant-coefficient
+far field, which one rfft/irfft pair inverts.  For small H the speed obeys
+the mobility law c ~ H / (M nu) with wall mass M = 1/2 ||theta_bar'||_{L2}^2.
 """
 
 from __future__ import annotations
@@ -406,12 +406,37 @@ def _bordered_step(lin: Linearization, border_col: np.ndarray,
     return du, float(dc), steps, relres
 
 
+def check_field(H: float) -> float:
+    """H as a float; raises ValueError outside the envelope |H| <= H_ENVELOPE."""
+    H = float(H)
+    if abs(H) > H_ENVELOPE:
+        raise ValueError(f"|H| <= {H_ENVELOPE} is the supported envelope, got {H}")
+    return H
+
+
+def _secant(branch, H: float):
+    """(remainder values, c) at field H, linearly extrapolated through the
+    two converged branch points (H, remainder values, c) in branch."""
+    (H0, w0, c0), (H1, w1, c1) = branch
+    t = (H - H1) / (H1 - H0)
+    return w1 + t * (w1 - w0), c1 + t * (c1 - c0)
+
+
 def solve_traveling(grid: Grid, H: float, nu: float, init: Profile,
                     tol: float = 1e-10) -> Profile:
     """Inexact bordered Newton (n+1 unknowns: remainder and speed) with
     continuation in H from the converged wall init (static or moving),
     steps <= CONTINUATION_STEP and at most NEWTON_MAX_ITER residual
     evaluations each; the phase is pinned on init's slope.
+
+    Each continuation step starts from the secant through the last two
+    converged points of the branch H -> (theta, c) at this nu (Allgower and
+    Georg, Introduction to Numerical Continuation Methods, ch. 2), or from
+    the last point while there is only one.  init is a branch point when it
+    has this nu or is the static wall (H = 0, c = 0 at every nu); the point
+    before it is init.meta["previous_point"] (H, remainder values, c) when
+    init has this grid and nu.  The returned wall records its own
+    previous_point, so a scan continuing from it predicts its first step.
 
     Each Newton step solves the bordered system
     [[L_c, 2c psi'' - nu psi'], [dx theta_bar'^T, 0]] matrix-free by
@@ -420,8 +445,7 @@ def solve_traveling(grid: Grid, H: float, nu: float, init: Profile,
     where |F| is the current residual.  A linear solve that misses it within
     KRYLOV_MAX steps raises SolverError.  meta records the residual
     evaluations (iterations), newton_steps and krylov_iterations."""
-    if abs(H) > H_ENVELOPE:
-        raise ValueError(f"|H| <= {H_ENVELOPE} is the supported envelope, got {H}")
+    H = check_field(H)
     if nu <= 0:
         raise ValueError("nu must be positive")
     theta = init.theta
@@ -430,11 +454,21 @@ def solve_traveling(grid: Grid, H: float, nu: float, init: Profile,
     border_row = grid.dx * theta_bar_prime
     w_ref = theta.values.copy()
 
+    # the last (at most two) converged points (H, remainder values, c) of
+    # the branch at this nu
+    branch = []
+    if init.nu == nu and init.grid == grid and "previous_point" in init.meta:
+        branch.append(init.meta["previous_point"])
+    if init.nu == nu or init.H == 0.0:
+        branch.append((init.H, w_ref, c))
     H_start = init.H
     n_steps = max(1, int(np.ceil(abs(H - H_start) / CONTINUATION_STEP)))
     history = []
     newton_steps = krylov = 0
     for H_step in np.linspace(H_start, H, n_steps + 1)[1:]:
+        if len(branch) == 2 and branch[0][0] != branch[1][0]:
+            w, c = _secant(branch, H_step)
+            theta = theta.with_values(w)
         prev_res = np.inf
         growth = 0
         for it in range(NEWTON_MAX_ITER):
@@ -467,12 +501,16 @@ def solve_traveling(grid: Grid, H: float, nu: float, init: Profile,
             raise SolverError(
                 f"traveling solve stalled at H={H_step} "
                 f"(residual {history[-1]:.3e})", history)
+        branch = branch[-1:] + [(float(H_step), theta.values, float(c))]
     if abs(c) >= 1:
         raise SolverError(f"converged speed |c| = {abs(c)} >= 1", history)
-    return Profile(theta, float(H), float(c), float(nu), history[-1] if history else 0.0,
-                   meta={"iterations": len(history), "newton_steps": newton_steps,
-                         "krylov_iterations": krylov, "L": grid.L, "n": grid.n,
-                         "mode": "nonlocal"})
+    meta = {"iterations": len(history), "newton_steps": newton_steps,
+            "krylov_iterations": krylov, "L": grid.L, "n": grid.n,
+            "mode": "nonlocal"}
+    if len(branch) == 2:
+        meta["previous_point"] = branch[0]
+    return Profile(theta, H, float(c), float(nu), history[-1] if history else 0.0,
+                   meta=meta)
 
 
 def wall_mass(static: Profile) -> float:
@@ -483,19 +521,23 @@ def wall_mass(static: Profile) -> float:
 
 @dataclass(frozen=True)
 class MobilityFit:
+    """The c(H) slope fit of a mobility scan, with each converged field's
+    speed and its wall's newton_steps and krylov_iterations (Profile.meta),
+    and the message of each field that failed."""
+
     M: float
     beta_measured: float
     beta_predicted: float
     fit_error: float
     speeds: dict
     failures: dict
+    newton_steps: dict
+    krylov_iterations: dict
 
 
-def mobility(grid: Grid, nu: float, H_list, static: Profile,
-             tol: float = 1e-10) -> MobilityFit:
-    """Measure the c(H) slope through the origin and compare with 1/(M nu);
-    each field continues from the last converged wall of its sign, the
-    first from the static wall."""
+def mobility_fields(H_list) -> list[float]:
+    """The fields of a mobility scan as floats; raises ValueError unless
+    there are at least 4, each |H| <= 5e-3, symmetric about 0."""
     H_list = [float(H) for H in H_list]
     if len(H_list) < 4:
         raise ValueError("need at least 4 field values")
@@ -503,18 +545,35 @@ def mobility(grid: Grid, nu: float, H_list, static: Profile,
         raise ValueError("mobility scan restricted to |H| <= 5e-3")
     if abs(sum(H_list)) > 1e-15 * max(abs(H) for H in H_list) * len(H_list):
         raise ValueError("field values must be symmetric about 0")
+    return H_list
+
+
+def mobility(grid: Grid, nu: float, H_list, static: Profile,
+             tol: float = 1e-10) -> MobilityFit:
+    """Measure the c(H) slope through the origin and compare with 1/(M nu).
+    Fields run in order of |H|, one solve_traveling call each; each field
+    continues from the last converged wall of its sign, the first from the
+    static wall.  Through that wall's previous_point (the static wall for
+    the second field) each continuation after the first of a sign starts
+    from the secant prediction."""
+    H_list = mobility_fields(H_list)
     M = wall_mass(static)
     speeds, failures, last = {}, {}, {}
+    newton, krylov = {}, {}
     for H in sorted(H_list, key=abs):
         try:
             wall = solve_traveling(grid, H, nu, last.get(np.sign(H), static),
                                    tol=tol)
-            speeds[H], last[np.sign(H)] = wall.c, wall
         except SolverError as exc:
             failures[H] = str(exc)
+            continue
+        speeds[H], last[np.sign(H)] = wall.c, wall
+        newton[H] = wall.meta["newton_steps"]
+        krylov[H] = wall.meta["krylov_iterations"]
     Hs = np.array(sorted(speeds))
     cs = np.array([speeds[H] for H in Hs])
     beta_measured = float(np.sum(cs * Hs) / np.sum(Hs**2))
     beta_predicted = 1.0 / (M * nu)
     fit_error = float(np.max(np.abs(cs - beta_measured * Hs) / np.abs(Hs)))
-    return MobilityFit(M, beta_measured, beta_predicted, fit_error, speeds, failures)
+    return MobilityFit(M, beta_measured, beta_predicted, fit_error, speeds,
+                       failures, newton, krylov)

@@ -212,7 +212,10 @@ def solve_traveling_dense(grid: Grid, H: float, nu: float, init: Profile,
     Each step assembles the dense (n+1)^2 Jacobian from
     Linearization.dense() and reuses its LU factors while the residual
     falls fast (a chord step): the reference profiles.solve_traveling
-    is checked against."""
+    is checked against.  Deliberately unpredicted: every continuation step
+    starts from the last point, not from profiles.solve_traveling's secant,
+    and init's recorded previous_point is ignored, so the oracle shares no
+    starting iterate with the code it checks."""
     if abs(H) > H_ENVELOPE:
         raise ValueError(f"|H| <= {H_ENVELOPE} is the supported envelope, got {H}")
     if nu <= 0:

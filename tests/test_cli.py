@@ -109,22 +109,9 @@ def test_bad_config_file_exits_3(tmp_path):
     assert not (tmp_path / "manifest.json").exists()
 
 
-def test_bad_flag_values_exit_3(tmp_path):
-    assert run(["solve-static", "--n", "256", "--L", "40", "--mode", "weird",
-                "--out", str(tmp_path)]) == EXIT_CONFIG
-    assert run(["frobnicate", "--out", str(tmp_path)]) == EXIT_CONFIG
-    # moving-wall commands reject the local stray-field model
-    for command in ("solve-moving", "mobility"):
-        assert run([command, *SMALL, "--mode", "local",
-                    "--out", str(tmp_path)]) == EXIT_CONFIG
-    # field outside the solver envelope
-    assert run(["solve-moving", *SMALL, "--H", "0.5",
-                "--out", str(tmp_path)]) == EXIT_CONFIG
-
-
-def test_mobility_takes_field_list(tmp_path, monkeypatch):
-    # count every static solve, whether the command or a solver makes it:
-    # each moving-wall command continues from its own one static wall
+@pytest.fixture
+def static_solves(monkeypatch):
+    """Every static solve, whether the command or a solver makes it."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -132,20 +119,51 @@ def test_mobility_takes_field_list(tmp_path, monkeypatch):
         return solve_static(*args, **kwargs)
     monkeypatch.setattr(cli, "solve_static", counted)
     monkeypatch.setattr(profiles, "solve_static", counted)
+    return calls
+
+
+def test_bad_flag_values_exit_3(tmp_path, static_solves):
+    assert run(["solve-static", "--n", "256", "--L", "40", "--mode", "weird",
+                "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert run(["frobnicate", "--out", str(tmp_path)]) == EXIT_CONFIG
+    # moving-wall commands reject the local stray-field model
+    for command in ("solve-moving", "mobility"):
+        assert run([command, *SMALL, "--mode", "local",
+                    "--out", str(tmp_path)]) == EXIT_CONFIG
+    # a field outside the solver envelope, and field lists that the
+    # mobility scan rejects (too few, too large, not symmetric), fail
+    # before any static solve
+    for command, fields in (("solve-moving", "0.5"), ("spectrum", "-0.5"),
+                            ("mobility", "-0.001,0.001"),
+                            ("mobility", "-0.01,-0.001,0.001,0.01"),
+                            ("mobility", "0.001,0.002,0.003,0.004")):
+        assert run([command, *SMALL, f"--H={fields}",
+                    "--out", str(tmp_path)]) == EXIT_CONFIG, (command, fields)
+    assert static_solves == []
+
+
+def test_mobility_takes_field_list(tmp_path, static_solves):
+    # each moving-wall command continues from its own one static wall
     for command in ("relative-bound", "solve-moving"):
-        calls.clear()
+        static_solves.clear()
         assert run([command, *SMALL, "--H", "0.001",
                     "--out", str(tmp_path / command)]) == EXIT_OK
-        assert len(calls) == 1, command
-    calls.clear()
+        assert len(static_solves) == 1, command
+    static_solves.clear()
     # the = form keeps argparse from reading the leading minus as a flag
     code = run(["mobility", *SMALL, "--H=-0.002,-0.001,0.001,0.002",
                 "--out", str(tmp_path)])
     assert code == EXIT_OK
-    assert len(calls) == 1
+    assert len(static_solves) == 1
     m = _manifest(tmp_path)
     assert m["scalars"]["beta_measured"] == pytest.approx(
         m["scalars"]["beta_predicted"], rel=1e-2)
+    # the scan's solver totals: at most two Newton steps for the first
+    # field of each sign and one for the secant-predicted second
+    newton, krylov = (m["scalars"]["newton_steps"],
+                      m["scalars"]["krylov_iterations"])
+    assert 4 <= newton <= 6
+    assert newton <= krylov <= profiles.KRYLOV_MAX * newton
     assert (tmp_path / "mobility.csv").exists()
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy.fft
 import scipy.linalg
 
-from neelwall import spectra
+from neelwall import profiles, spectra
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -40,6 +40,23 @@ def test_tracer_installs_and_restores():
     finally:
         tracer.uninstall()
     assert all(a is b for a, b in zip(_patched(), before))
+
+
+def test_mobility_solves_through_module_attribute(grid256, static256,
+                                                  monkeypatch):
+    # the tracer counts traveling solves by rebinding
+    # profiles.solve_traveling: mobility must call it through the module,
+    # once per field (18 per round of the mobility workload)
+    fields = [-2e-3, -1e-3, -5e-4, 5e-4, 1e-3, 2e-3]
+    calls = []
+    inner = profiles.solve_traveling
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(profiles, "solve_traveling", counted)
+    profiles.mobility(grid256, 1.0, fields, static=static256)
+    assert sorted(calls) == sorted(fields)
 
 
 def _neelwall_calls(tree):

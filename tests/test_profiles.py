@@ -6,8 +6,9 @@ Oracles:
   * Solvability: the traveling speed obeys c = H / (M nu) with
     M = 0.5 ||theta_bar'||^2, to O(H^2).
   * Symmetry: flipping H flips c.
-  * Reference: the dense bordered Newton with LU (tests/oracles.py) gives
-    the same traveling wave as the matrix-free Newton-GMRES.
+  * Reference: the dense bordered Newton with LU (tests/oracles.py),
+    without the secant predictor, gives the same traveling wave as the
+    matrix-free, secant-predicted Newton-GMRES.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from neelwall import grid as grid_module
 from neelwall import profiles
 from neelwall.grid import Grid, derivative, l2_norm
 from neelwall.profiles import (
-    SolverError, mobility, reflect_values, solve_static, solve_traveling,
+    SolverError, mobility, mobility_fields, reflect_values, solve_static, solve_traveling,
     traveling_residual, wall_mass,
 )
 from oracles import solve_traveling_dense
@@ -124,17 +125,94 @@ def test_mobility_continues_from_previous_field(grid256, static256,
             linearizations.append(args[0].n)
             super().__init__(*args, **kwargs)
     monkeypatch.setattr(profiles, "Linearization", Counted)
-    from_static = {H: solve_traveling(grid256, H, 1.0, init=static256).c
+    from_static = {H: solve_traveling(grid256, H, 1.0, init=static256)
                    for H in fields}
     one_by_one = len(linearizations)
     linearizations.clear()
     fit = mobility(grid256, 1.0, fields, static=static256)
     assert not fit.failures
-    # each |H| = 2e-3 solve starts one 1e-3 step away instead of two, so it
-    # takes fewer Newton linearizations
-    assert 0 < len(linearizations) < one_by_one
+    # one linearization per Newton step, in both scans
+    assert one_by_one == sum(w.meta["newton_steps"]
+                             for w in from_static.values())
+    assert len(linearizations) == sum(fit.newton_steps.values())
     for H in fields:
-        assert fit.speeds[H] == pytest.approx(from_static[H], rel=1e-6)
+        steps = fit.newton_steps[H]
+        # the first field of each sign starts from the static wall in both
+        # scans; every later one starts from the secant through the two
+        # walls before it, one step away, and takes fewer Newton steps
+        if abs(H) == 5e-4:
+            assert steps == from_static[H].meta["newton_steps"]
+        else:
+            assert steps < from_static[H].meta["newton_steps"]
+        assert steps <= fit.krylov_iterations[H]
+        assert fit.speeds[H] == pytest.approx(from_static[H].c, rel=1e-6)
+
+
+@pytest.mark.parametrize("nu", [0.5, 1.0, 2.0])
+def test_mobility_secant_fields_take_one_newton_step(grid256, static256, nu):
+    # criterion 06's fields: after the first field of each sign, one Newton
+    # step from the secant prediction reaches the tolerance, and the speeds
+    # are the unpredicted dense oracle's, solved from the static wall
+    fields = [-2e-3, -1e-3, -5e-4, 5e-4, 1e-3, 2e-3]
+    fit = mobility(grid256, nu, fields, static=static256)
+    assert not fit.failures
+    for H in fields:
+        if abs(H) > 5e-4:
+            assert fit.newton_steps[H] <= 1, H
+        dense = solve_traveling_dense(grid256, H, nu, init=static256)
+        assert abs(fit.speeds[H] / dense.c - 1.0) <= 1e-7
+
+
+@pytest.mark.parametrize("nu", [0.5, 2.0])
+def test_mobility_secant_large_extrapolation_ratio(grid256, static256, nu,
+                                                   monkeypatch):
+    # |H| = 5e-3 continues from 2e-4: its first step, to 1.16e-3,
+    # extrapolates the secant through 1e-4 and 2e-4 by a factor 9.6
+    fields = [-1e-4, 1e-4, -2e-4, 2e-4, -5e-3, 5e-3]
+    fit = mobility(grid256, nu, fields, static=static256)
+    # the unpredicted start: every continuation step from the last point
+    monkeypatch.setattr(profiles, "_secant", lambda branch, H: branch[-1][1:])
+    unpredicted = mobility(grid256, nu, fields, static=static256)
+    assert not fit.failures and not unpredicted.failures
+    for H in fields:
+        assert fit.newton_steps[H] <= unpredicted.newton_steps[H], H
+        assert fit.speeds[H] == pytest.approx(unpredicted.speeds[H],
+                                              rel=1e-7)
+
+
+def test_traveling_secant_within_one_call(grid256, static256):
+    # H_ENVELOPE from the static wall in 100 continuation steps: the first
+    # takes two Newton steps, each later one starts from the secant through
+    # the two steps before it
+    steps = round(profiles.H_ENVELOPE / profiles.CONTINUATION_STEP)
+    wall = solve_traveling(grid256, profiles.H_ENVELOPE, 0.5, init=static256)
+    assert wall.meta["newton_steps"] <= steps + 1
+    # one branch point besides the wall itself: the last step before it
+    H_prev, w_prev, c_prev = wall.meta["previous_point"]
+    assert H_prev == pytest.approx(
+        profiles.H_ENVELOPE - profiles.CONTINUATION_STEP)
+    assert w_prev.shape == (grid256.n,)
+    assert 0.0 < c_prev < wall.c
+
+
+def test_secant_only_on_the_same_branch(grid256, static256, traveling256,
+                                        monkeypatch):
+    calls = []
+    secant = profiles._secant
+
+    def counted(branch, H):
+        calls.append(H)
+        return secant(branch, H)
+    monkeypatch.setattr(profiles, "_secant", counted)
+    # traveling256 (nu = 1) recorded the static wall as its previous point
+    solve_traveling(grid256, 2e-3, 1.0, init=traveling256)
+    assert calls == [pytest.approx(2e-3)]
+    calls.clear()
+    # at nu = 2 neither traveling256 nor its previous point is on the branch
+    other = solve_traveling(grid256, 2e-3, 2.0, init=traveling256)
+    assert calls == []
+    assert other.c == pytest.approx(
+        solve_traveling(grid256, 2e-3, 2.0, init=static256).c, rel=1e-6)
 
 
 @pytest.mark.parametrize("nu", [0.5, 2.0])
@@ -200,7 +278,11 @@ def test_mobility_validation(grid256, static256):
                    [1e-2, -1e-2, 2e-2, -2e-2],          # too large
                    [1e-3, 2e-3, 3e-3, 4e-3]):           # not symmetric
         with pytest.raises(ValueError):
+            mobility_fields(fields)
+        with pytest.raises(ValueError):
             mobility(grid256, 1.0, fields, static=static256)
+    assert mobility_fields(np.array([-1e-3, 1e-3, -2e-3, 2e-3])) == [
+        -1e-3, 1e-3, -2e-3, 2e-3]
 
 
 def test_reflect_values_involution(grid256):

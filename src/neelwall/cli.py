@@ -142,6 +142,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
         config[key] = _coerce(key, config[key])
     if config["mode"] not in ("nonlocal", "local"):
         raise ConfigError(f"mode must be nonlocal or local, got {config['mode']!r}")
+    if config["nu"] <= 0:
+        raise ConfigError(f"damping nu must be positive, got {config['nu']}")
     return config
 
 

@@ -109,6 +109,8 @@ class SimConfig:
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        if self.nu <= 0:
+            raise ValueError("nu must be positive")
         if self.t_end < 10.0 / self.nu:
             raise ValueError("t_end must be at least 10/nu to fit a decay")
         if self.frame not in FRAMES:
@@ -693,6 +695,8 @@ def orbital_experiment(grid: Grid, H: float, perturbation: Perturbation,
     """
     if abs(H) > 5e-3:
         raise ValueError("orbital experiment restricted to |H| <= 5e-3")
+    if nu <= 0:
+        raise ValueError("nu must be positive")
     dt = dt if dt is not None else 1e-3 * min(1.0, 1.0 / nu)
     t_end = t_end if t_end is not None else max(20.0, 12.0 / nu)
     p = build_perturbation(grid, perturbation)

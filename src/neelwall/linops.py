@@ -65,8 +65,8 @@ class DiscretizedOperator:
     """Dense realization of one of the model operators.
 
     The matrix is real; the weighted geometry enters through the cached
-    W^{1/2}-conjugated matrix and its Schur factorization, and a static
-    block operator caches the eigendecomposition of its L (modes).
+    W^{1/2}-conjugated matrix, and a static block operator caches the
+    eigendecomposition of its L (modes).
     """
 
     kind: str
@@ -102,13 +102,6 @@ class DiscretizedOperator:
         M[:g.n, :] = multiplier_matrix(g, np.sqrt(w)) @ M[:g.n, :]
         M[:, :g.n] = M[:, :g.n] @ multiplier_matrix(g, 1.0 / np.sqrt(w))
         return M
-
-    @cached_property
-    def weighted_schur(self):
-        """Complex upper-triangular Schur form (T, Q) of the weighted matrix,
-        via the real Schur factorization (the matrix is real)."""
-        T, Q = sla.schur(self.weighted_matrix, output="real")
-        return sla.rsf2csf(T, Q)
 
     @cached_property
     def modes(self):

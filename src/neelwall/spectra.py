@@ -1,27 +1,20 @@
 """Spectra, resolvent sweeps, relative-bound constants, resolvent inequalities.
 
 Resolvent norms ||(A - lam)^{-1}||_W and ||A (A - lam)^{-1}||_W in the
-H1 x L2 geometry W come from one factorization per operator, chosen by the
-operator's kind:
+H1 x L2 geometry W are computed for the static A = [[0, I], [-L, -nu]]
+only, the operator the paper bounds on the gap region; the moving wall
+enters as the relatively bounded perturbation B_c of A, through
+A_c - lam = (I + B_c R(lam))(A - lam), not through a resolvent of its own.
+L is symmetric, so eigh(L) diagonalizes the quadratic pencil and the
+resolvent is explicit in the modes; the weight enters through one Cholesky
+factor C shared by every lam.  A block of lam's then costs one real
+triangular solve and one real product with C per Krylov step (BLAS-3), and
+the spectrum is the pencil image of sigma(L).  eigh(L) is the operator's
+cached DiscretizedOperator.modes, which also gives res_inequality_trials
+its Lambda0 and restricted inverse: one eigh(L) per operator.  Any other
+matrix (A_c with c != 0 included) raises linops.ModalStructureError.
 
-  * Static A = [[0, I], [-L, -nu]] (kind "A"): L is symmetric, so eigh(L)
-    diagonalizes the quadratic pencil and the resolvent is explicit in the
-    modes; the weight enters through one Cholesky factor C shared by every
-    lam.  A block of lam's then costs one real triangular solve and one
-    real product with C per Krylov step (BLAS-3), and the spectrum is the
-    pencil image of sigma(L).  This replaces the non-normal 2n Schur form,
-    which costs about ten times the n x n eigh.  eigh(L) is the operator's
-    cached DiscretizedOperator.modes, which also gives
-    res_inequality_trials its Lambda0 and restricted inverse: one eigh(L)
-    per operator.
-  * Moving A_c (any other kind): L_c is not symmetric and A_c is
-    non-normal, so the weighted matrix keeps its Schur form T; each sample
-    costs a forward and an adjoint triangular solve with T - lam I per
-    Krylov step, in double precision.  No benchmark workload runs this
-    path; it serves A_c and is the reference the modal path is tested
-    against.
-
-Both estimate the extreme singular value by Golub-Kahan bidiagonalization
+The extreme singular value is estimated by Golub-Kahan bidiagonalization
 (_gk_batch), run in lockstep over a block of lam's; sweeps evaluate each
 conjugate pair once (the weighted matrix is real).  Eigenvalues are
 geometry-invariant, so eigen-reports work on the raw real matrices.
@@ -198,8 +191,8 @@ SPECTRUM_MIN_DISTANCE = 1e-8   # resolvents closer to sigma(A) are refused
 GK_MIN_ITER = 12          # steps before the stagnation test may stop a lambda
 GK_MAX_ITER = 80          # Golub-Kahan steps per lambda at most
 GK_TOL = 1e-3             # relative change of the estimate that stops a lambda
-_SCHUR_BYTES = 48         # bytes per entry of the 2n x 2n Schur form not built:
-                          # complex T and Q plus one complex work copy
+_BLOCK_BYTES = 48         # Krylov storage of a block of lam's, in bytes per
+                          # entry of a 2n x 2n matrix (six float64 copies)
 
 
 def _sigma_max(alphas: np.ndarray, betas: np.ndarray) -> np.ndarray:
@@ -288,12 +281,12 @@ def _gk_batch(matvec, rmatvec, m, size, tol, max_iter, seed,
 
 class ResolventCalculator:
     """Weighted resolvent norms ||(A - lam)^{-1}||_W and ||A (A - lam)^{-1}||_W
-    of one block operator, from a factorization chosen by the operator.
+    of the static block operator A, from its modal factorization.
 
-    Static A (kind "A"): the modal factorization.  A = [[0, I], [-L, -nu]]
-    with symmetric L = Q diag(mu) Q^T (op.modes, which raises
-    linops.ModalStructureError on any other structure), K = Q^T (1 + k^2) Q
-    = C^T C (Cholesky), so that ||(A - lam)^{-1}||_W = ||S(lam)||_2 with
+    A = [[0, I], [-L, -nu]] with symmetric L = Q diag(mu) Q^T (op.modes,
+    which raises linops.ModalStructureError on any other structure, a
+    moving A_c included), K = Q^T (1 + k^2) Q = C^T C (Cholesky), so that
+    ||(A - lam)^{-1}||_W = ||S(lam)||_2 with
 
         S = diag(C, I) M_lam diag(C^{-1}, I),
         M_lam = [[-(nu+lam) R, -R], [I - lam (nu+lam) R, -lam R]],
@@ -303,29 +296,18 @@ class ResolventCalculator:
     solve and one real product with C per Krylov step.  These run in single
     precision with no double-precision redo: C is well conditioned
     (cond(K) = max(1 + k^2)), and the near-singular factor R is formed in
-    double before it is rounded.
-
-    Other kinds (A_c, non-normal with a non-symmetric L_c): one Schur form
-    T of the weighted matrix; each Krylov step costs a forward and an
-    adjoint triangular solve with T - lam I, in complex128 only.  The
-    adjoint solve uses conj(solve(A^T, conj(b))): LAPACK's trans="T" path
-    avoids the slow conjugated triangular kernel.
-
-    Both estimate extreme singular values by Golub-Kahan bidiagonalization
-    (_gk_batch, at most GK_MAX_ITER steps to relative tolerance GK_TOL).
-    norm_inv and norm_composed take one lam or a 1-D array of them."""
+    double before it is rounded.  Extreme singular values come from
+    Golub-Kahan bidiagonalization (_gk_batch, at most GK_MAX_ITER steps to
+    relative tolerance GK_TOL).  norm_inv and norm_composed take one lam or
+    a 1-D array of them."""
 
     def __init__(self, op: DiscretizedOperator):
         self.op = op
-        if op.kind == "A":
-            self._mu, Q = op.modes
-            K = apply_multiplier(op.grid, Q.T, op.grid.h1_weight) @ Q
-            self._C = np.asfortranarray(
-                sla.cholesky(0.5 * (K + K.T), check_finite=False), np.float32)
-            self.spectrum = pencil_eigenvalues(self._mu, op.nu)
-        else:
-            self.T, _ = op.weighted_schur
-            self.spectrum = np.diag(self.T)
+        self._mu, Q = op.modes
+        K = apply_multiplier(op.grid, Q.T, op.grid.h1_weight) @ Q
+        self._C = np.asfortranarray(
+            sla.cholesky(0.5 * (K + K.T), check_finite=False), np.float32)
+        self.spectrum = pencil_eigenvalues(self._mu, op.nu)
 
     def spectrum_distance(self, lams) -> np.ndarray:
         """Distance from each lam to the nearest computed eigenvalue."""
@@ -339,14 +321,12 @@ class ResolventCalculator:
                 f"lambda = {lams[i]} within {SPECTRUM_MIN_DISTANCE:.0e} of the "
                 f"computed spectrum (distance {d[i]:.2e})")
 
-    # -- modal path ----------------------------------------------------------
-
     def _block_size(self) -> int:
         """Lambdas per block: worst-case Krylov storage (two bases of
         GK_MAX_ITER + 1 complex64 vectors of length 2n per lambda) fits in
-        the memory of the Schur form this path does not build."""
+        _BLOCK_BYTES per entry of a 2n x 2n matrix."""
         size = 2 * self.op.grid.n
-        return max(1, _SCHUR_BYTES * size // (2 * (GK_MAX_ITER + 1) * 8))
+        return max(1, _BLOCK_BYTES * size // (2 * (GK_MAX_ITER + 1) * 8))
 
     def _modal_ops(self, lams: np.ndarray, composed: bool):
         """(matvec, rmatvec) of S(lam) (or I + lam S(lam)) for a block."""
@@ -389,41 +369,16 @@ class ResolventCalculator:
 
         return mv, rmv
 
-    # -- Schur path ----------------------------------------------------------
-
-    def _schur_ops(self, lam: complex, composed: bool):
-        """(matvec, rmatvec) of (T - lam)^{-1} (or I + lam (T - lam)^{-1})
-        on a block of one row."""
-        A = self.T.copy()
-        np.fill_diagonal(A, self.spectrum - lam)
-
-        def mv(x, act):
-            y = sla.solve_triangular(A, x[0], check_finite=False)[None]
-            return x + lam * y if composed else y
-
-        def rmv(x, act):
-            y = np.conj(sla.solve_triangular(A, np.conj(x[0]), trans="T",
-                                             check_finite=False))[None]
-            return x + np.conj(lam) * y if composed else y
-        return mv, rmv
-
-    # ------------------------------------------------------------------------
-
     def _norms(self, lams: np.ndarray, composed: bool) -> np.ndarray:
         seed = 54321 if composed else 12345
         size = self.spectrum.shape[0]
+        m = self._block_size()
         out = np.empty(len(lams))
-        if self.op.kind == "A":
-            m = self._block_size()
-            for s in range(0, len(lams), m):
-                block = lams[s:s + m]
-                mv, rmv = self._modal_ops(block, composed)
-                out[s:s + m] = _gk_batch(mv, rmv, len(block), size, GK_TOL,
-                                         GK_MAX_ITER, seed, dtype=np.complex64)
-            return out
-        for i, lam in enumerate(lams):
-            mv, rmv = self._schur_ops(lam, composed)
-            out[i] = _gk_batch(mv, rmv, 1, size, GK_TOL, GK_MAX_ITER, seed)[0]
+        for s in range(0, len(lams), m):
+            block = lams[s:s + m]
+            mv, rmv = self._modal_ops(block, composed)
+            out[s:s + m] = _gk_batch(mv, rmv, len(block), size, GK_TOL,
+                                     GK_MAX_ITER, seed, dtype=np.complex64)
         return out
 
     def norm_inv(self, lam):
@@ -492,13 +447,15 @@ def resolvent_sweep(op: DiscretizedOperator, delta: float,
     G1 (real part beyond M1 = max(1, nu, 2|w|), near-real), G2
     (|Im| > delta), G3 (remainder).  ||A(A-lam)^{-1}||_W is taken as
     |lam| ||(A-lam)^{-1}||_W wherever that product is at least 50: the
-    triangle inequality pins the norm to it within 2% there.
+    triangle inequality pins the norm to it within 2% there.  op is the
+    static A: the calculator is built before the numerical abscissa, so any
+    other operator raises ModalStructureError before that eigensolve.
     """
     nu = op.nu
+    calc = calc or ResolventCalculator(op)
     if w is None:
         w = numerical_abscissa(op)
     M1 = max(1.0, nu, 2.0 * abs(w))
-    calc = calc or ResolventCalculator(op)
     rmax = 1e3 * max(1.0, nu)
     radii = np.geomspace(delta / 4.0, rmax, n_radial)
     angles = np.linspace(-np.pi / 2 + 1e-3, np.pi / 2 - 1e-3, n_angular)

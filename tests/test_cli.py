@@ -139,6 +139,11 @@ def test_bad_flag_values_exit_3(tmp_path, static_solves):
                             ("mobility", "0.001,0.002,0.003,0.004")):
         assert run([command, *SMALL, f"--H={fields}",
                     "--out", str(tmp_path)]) == EXIT_CONFIG, (command, fields)
+    # zero or negative damping is refused with the configuration
+    for command in SUBCOMMANDS:
+        for nu in ("0", "-1"):
+            assert run([command, *SMALL, f"--nu={nu}",
+                        "--out", str(tmp_path)]) == EXIT_CONFIG, (command, nu)
     assert static_solves == []
 
 

@@ -92,6 +92,10 @@ def test_simconfig_validation():
         SimConfig(dt=0.01, t_end=1.0, nu=1.0)       # too short to fit decay
     with pytest.raises(ValueError):
         SimConfig(dt=0.01, t_end=20.0, nu=1.0, frame="rotating")
+    # damping is checked before the 10/nu decay window is formed
+    for nu in (0.0, -1.0):
+        with pytest.raises(ValueError, match="nu must be positive"):
+            SimConfig(dt=0.01, t_end=20.0, nu=nu)
 
 
 # ---------------------------------------------------------------------------
@@ -431,3 +435,11 @@ def test_orbital_experiment_rejects_large_field(grid256, static256):
     with pytest.raises(ValueError):
         orbital_experiment(grid256, H=0.1, perturbation=Perturbation(),
                            nu=1.0, reference=static256)
+
+
+def test_orbital_experiment_rejects_nonpositive_nu(grid256, static256):
+    # checked before the 1/nu defaults of dt and t_end are formed
+    for nu in (0.0, -1.0):
+        with pytest.raises(ValueError, match="nu must be positive"):
+            orbital_experiment(grid256, H=0.0, perturbation=Perturbation(),
+                               nu=nu, reference=static256)

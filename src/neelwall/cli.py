@@ -303,7 +303,10 @@ def _cmd_resolvent_sweep(grid, config, out, seed):
                **{f"sup_{k}": v for k, v in sweep.sup_by_region.items()}}
     json_path = os.path.join(out, "resolvent_summary.jsonl")
     write_report(summary, "json-lines", json_path)
-    return prof, [csv_path, json_path], {"sup_G": sweep.sup_G, "w": sweep.w}
+    return prof, [csv_path, json_path], {
+        "sup_G": sweep.sup_G, "w": sweep.w,
+        "krylov_steps_mean": sweep.krylov_steps_mean,
+        "krylov_steps_max": sweep.krylov_steps_max}
 
 
 def _cmd_relative_bound(grid, config, out, seed):

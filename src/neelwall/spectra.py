@@ -7,17 +7,20 @@ enters as the relatively bounded perturbation B_c of A, through
 A_c - lam = (I + B_c R(lam))(A - lam), not through a resolvent of its own.
 L is symmetric, so eigh(L) diagonalizes the quadratic pencil and the
 resolvent is explicit in the modes; the weight enters through one Cholesky
-factor C shared by every lam.  A block of lam's then costs one real
-triangular solve and one real product with C per Krylov step (BLAS-3), and
-the spectrum is the pencil image of sigma(L).  eigh(L) is the operator's
+factor C and its inverse, both formed once and shared by every lam.  A
+block of lam's then costs one real triangular product with C and one with
+C^{-1} per application of the weighted resolvent or its adjoint (BLAS-3),
+and the spectrum is the pencil image of sigma(L).  eigh(L) is the operator's
 cached DiscretizedOperator.modes, which also gives res_inequality_trials
 its Lambda0 and restricted inverse: one eigh(L) per operator.  Any other
 matrix (A_c with c != 0 included) raises linops.ModalStructureError.
 
-The extreme singular value is estimated by Golub-Kahan bidiagonalization
-(_gk_batch), run in lockstep over a block of lam's; sweeps evaluate each
-conjugate pair once (the weighted matrix is real).  Eigenvalues are
-geometry-invariant, so eigen-reports work on the raw real matrices.
+The norm ||S||_2 of the weighted resolvent S (see ResolventCalculator) is
+estimated by Lanczos on S*S with full reorthogonalization against one
+Krylov basis (_gk_batch), run in lockstep over a block of lam's; sweeps
+evaluate each conjugate pair once (the weighted matrix is real).
+Eigenvalues are geometry-invariant, so eigen-reports work on the raw real
+matrices.
 
 Nearest-point queries on spectra (distance to sigma(A), the pencil
 cross-check, eigenvalue matching) are brute force in numpy over row chunks
@@ -174,7 +177,7 @@ def numerical_abscissa(op: DiscretizedOperator) -> float:
     return float(val[0])
 
 
-@dataclass
+@dataclass(slots=True)
 class ResolventSample:
     lam: complex
     norm_inv: float
@@ -189,80 +192,80 @@ class SpectrumDistanceError(ValueError):
 
 SPECTRUM_MIN_DISTANCE = 1e-8   # resolvents closer to sigma(A) are refused
 GK_MIN_ITER = 12          # steps before the stagnation test may stop a lambda
-GK_MAX_ITER = 80          # Golub-Kahan steps per lambda at most
+GK_MAX_ITER = 80          # Lanczos steps per lambda at most
 GK_TOL = 1e-3             # relative change of the estimate that stops a lambda
-_BLOCK_BYTES = 48         # Krylov storage of a block of lam's, in bytes per
-                          # entry of a 2n x 2n matrix (six float64 copies)
+_BLOCK_BYTES = 48         # twice the Krylov storage of a block of lam's, in
+                          # bytes per entry of a 2n x 2n matrix
 
 
-def _sigma_max(alphas: np.ndarray, betas: np.ndarray) -> np.ndarray:
-    """Largest singular value of each lower-bidiagonal matrix with diagonal
-    alphas (m, k) and subdiagonal betas (m, k - 1), by one batched svd."""
+def _top_eigenvalue(alphas: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of each symmetric tridiagonal matrix with diagonal
+    alphas (m, k) and off-diagonal betas (m, k - 1), by one batched
+    eigvalsh."""
     m, k = alphas.shape
     i = np.arange(k)
-    B = np.zeros((m, k, k))
-    B[:, i, i] = alphas
-    B[:, i[1:], i[:-1]] = betas
-    return np.linalg.svd(B, compute_uv=False)[:, 0]
+    T = np.zeros((m, k, k))
+    T[:, i, i] = alphas
+    T[:, i[1:], i[:-1]] = betas
+    return np.linalg.eigvalsh(T)[:, -1]
 
 
 def _gk_batch(matvec, rmatvec, m, size, tol, max_iter, seed,
-              dtype=np.complex128) -> np.ndarray:
-    """sigma_max of m operators by Golub-Kahan bidiagonalization with full
-    reorthogonalization, run in lockstep from one random start vector.
+              dtype=np.complex128) -> tuple[np.ndarray, np.ndarray]:
+    """sigma_max of m operators S and the Krylov steps each took, by
+    Lanczos on S*S with full reorthogonalization (Golub-Kahan in its
+    one-sided form), run in lockstep from one random start vector.
 
     matvec(X, act) applies operator act[j] to row j of X (len(act) x
-    size); rmatvec applies the adjoints.  Reorthogonalization is one array
-    operation per stored Krylov vector, the small bidiagonal factors of the
-    block share one batched svd per step, and an operator leaves the block
-    once its estimate changes by at most tol (relative) after GK_MIN_ITER
-    steps, or its bidiagonalization terminates.  Krylov vectors stay in
-    `dtype` so single-precision solves are not upcast.
+    size); rmatvec applies the adjoints.  Step j forms p = S*(S v_j), so
+    alpha_j = ||S v_j||^2, and reorthogonalizes p against the one stored
+    basis V, one array operation per vector; the estimate is
+    sqrt(lambda_max(T_j)) of the tridiagonal T_j, which is B_j^T B_j of
+    the bidiagonal B_j two-sided Golub-Kahan would build from the same
+    start.  The small eigensolves of the block share one batched eigvalsh
+    per step, and an operator leaves the block once its estimate changes
+    by at most tol (relative) after GK_MIN_ITER steps, or its Lanczos run
+    terminates (b < 1e-12 max(lambda_max, 1), the zero operator at once).
+    Krylov vectors stay in `dtype` so single-precision products are not
+    upcast.
 
-    The svd runs only where its estimate is read: from step GK_MIN_ITER - 1
-    on (the stagnation test compares with the step before), at the last
-    step, and on rows that may meet the breakdown test b < 1e-12 sigma_max.
-    sigma_max(B) <= ||B||_F, so a row with b >= 2e-12 max(||B||_F, 1) cannot
-    (the factor 2 covers rounding).  A row whose alpha vanishes keeps the
-    previous step's estimate."""
+    The eigensolve runs only where its estimate is read: from step
+    GK_MIN_ITER - 1 on (the stagnation test compares with the step
+    before), at the last step, and on rows that may meet the breakdown
+    test.  lambda_max(T) <= ||T||_F, so a row with b >= 2e-12
+    max(||T||_F, 1) cannot (the factor 2 covers rounding)."""
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     v0 = (v0 / np.linalg.norm(v0)).astype(dtype)
     act = np.arange(m)
     Vs = [np.tile(v0, (m, 1))]
-    Us = []
     alphas = np.zeros((m, max_iter))
     betas = np.zeros((m, max_iter))
     est = np.zeros(m)
+    steps = np.zeros(m, dtype=int)
     for j in range(max_iter):
         u = matvec(Vs[-1], act)
-        if Us:
-            u -= b[:, None] * Us[-1]
-        for uu in Us:
-            u -= np.vecdot(uu, u)[:, None] * uu
-        a = np.linalg.norm(u, axis=1)
-        dead = a == 0.0
-        u /= np.where(dead, 1.0, a)[:, None]
-        Us.append(u)
+        a = np.linalg.norm(u, axis=1) ** 2
         w = rmatvec(u, act) - a[:, None] * Vs[-1]
+        if j:
+            w -= b[:, None] * Vs[-2]
         for vv in Vs:
             w -= np.vecdot(vv, w)[:, None] * vv
         b = np.linalg.norm(w, axis=1)
         alphas[act, j], betas[act, j] = a, b
-        if dead.any() and j:
-            gone = act[dead]
-            est[gone] = _sigma_max(alphas[gone, :j], betas[gone, :j - 1])
+        steps[act] = j + 1
         if j + 2 >= GK_MIN_ITER or j + 1 == max_iter:
-            rows = ~dead
+            rows = np.ones(len(act), dtype=bool)
         else:
             fro = np.sqrt(np.sum(alphas[act, :j + 1]**2, axis=1)
-                          + np.sum(betas[act, :j]**2, axis=1))
-            rows = ~dead & (b < 2e-12 * np.maximum(fro, 1.0))
-        done = dead.copy()
+                          + 2.0 * np.sum(betas[act, :j]**2, axis=1))
+            rows = b < 2e-12 * np.maximum(fro, 1.0)
+        done = np.zeros(len(act), dtype=bool)
         if rows.any():
             live = act[rows]
-            new = _sigma_max(alphas[live, :j + 1], betas[live, :j])
-            stop = b[rows] < 1e-12 * np.maximum(new, 1.0)
+            top = _top_eigenvalue(alphas[live, :j + 1], betas[live, :j])
+            new = np.sqrt(np.maximum(top, 0.0))
+            stop = b[rows] < 1e-12 * np.maximum(top, 1.0)
             if j + 1 >= GK_MIN_ITER:
                 stop |= np.abs(new - est[live]) <= tol * new
             done[rows] = stop
@@ -272,11 +275,24 @@ def _gk_batch(matvec, rmatvec, m, size, tol, max_iter, seed,
             act = act[keep]
             if not act.size:
                 break
-            Us = [x[keep] for x in Us]
             Vs = [x[keep] for x in Vs]
             w, b = w[keep], b[keep]
         Vs.append(w / b[:, None])
-    return est
+    return est, steps
+
+
+def _triangular_product(F: np.ndarray, X: np.ndarray,
+                        trans: bool = False) -> np.ndarray:
+    """F x (F^T x if trans) for every row x of the complex64 X (a, n), with
+    F real, upper triangular, float32 and in Fortran order: one strmm on
+    the real and imaginary parts of every row at once, the rows going to a
+    real (n, 2a) array and back.  It goes through scipy's BLAS:
+    numpy and scipy may link separate OpenBLAS builds, whose idle thread
+    pools then compete for the cores between alternating calls."""
+    Z = np.ascontiguousarray(X.T).view(np.float32)
+    # F Z computed as (Z^T F^T)^T, so the C-ordered Z needs no copy
+    Z = blas.strmm(1.0, F, Z.T, side=1, trans_a=not trans)
+    return Z.T.view(np.complex64).T
 
 
 class ResolventCalculator:
@@ -292,22 +308,26 @@ class ResolventCalculator:
         M_lam = [[-(nu+lam) R, -R], [I - lam (nu+lam) R, -lam R]],
         R = diag(1 / (mu + lam^2 + nu lam)).
 
-    C is shared by every lam, so a block of lam's costs one real triangular
-    solve and one real product with C per Krylov step.  These run in single
-    precision with no double-precision redo: C is well conditioned
-    (cond(K) = max(1 + k^2)), and the near-singular factor R is formed in
-    double before it is rounded.  Extreme singular values come from
-    Golub-Kahan bidiagonalization (_gk_batch, at most GK_MAX_ITER steps to
-    relative tolerance GK_TOL).  norm_inv and norm_composed take one lam or
-    a 1-D array of them."""
+    C and its inverse (dtrtri, once, in double) are shared by every lam,
+    so a block of lam's costs one real triangular product with C and one
+    with C^{-1} per application of S or S*.  These run in single precision
+    with no double-precision redo: C is well conditioned (cond(K) =
+    max(1 + k^2)), and the near-singular factor R is formed in double
+    before it is rounded.  ||S||_2 comes from Lanczos on S*S (_gk_batch,
+    at most GK_MAX_ITER steps to relative tolerance GK_TOL).  norm_inv and
+    norm_composed take one lam or a 1-D array of them; last_steps holds
+    the Krylov steps each lam of the latest call took."""
 
     def __init__(self, op: DiscretizedOperator):
         self.op = op
         self._mu, Q = op.modes
         K = apply_multiplier(op.grid, Q.T, op.grid.h1_weight) @ Q
-        self._C = np.asfortranarray(
-            sla.cholesky(0.5 * (K + K.T), check_finite=False), np.float32)
+        C = sla.cholesky(0.5 * (K + K.T), check_finite=False)
+        Cinv, _ = sla.lapack.dtrtri(C)   # the diagonal of C is positive
+        self._C = np.asfortranarray(C, np.float32)
+        self._Cinv = np.asfortranarray(Cinv, np.float32)
         self.spectrum = pencil_eigenvalues(self._mu, op.nu)
+        self.last_steps = np.zeros(0, dtype=int)
 
     def spectrum_distance(self, lams) -> np.ndarray:
         """Distance from each lam to the nearest computed eigenvalue."""
@@ -322,49 +342,33 @@ class ResolventCalculator:
                 f"computed spectrum (distance {d[i]:.2e})")
 
     def _block_size(self) -> int:
-        """Lambdas per block: worst-case Krylov storage (two bases of
+        """Lambdas per block: worst-case Krylov storage (one basis of
         GK_MAX_ITER + 1 complex64 vectors of length 2n per lambda) fits in
-        _BLOCK_BYTES per entry of a 2n x 2n matrix."""
+        half of _BLOCK_BYTES per entry of a 2n x 2n matrix."""
         size = 2 * self.op.grid.n
         return max(1, _BLOCK_BYTES * size // (2 * (GK_MAX_ITER + 1) * 8))
 
     def _modal_ops(self, lams: np.ndarray, composed: bool):
         """(matvec, rmatvec) of S(lam) (or I + lam S(lam)) for a block."""
-        n, nu, C = self.op.grid.n, self.op.nu, self._C
+        n, nu, C, Cinv = self.op.grid.n, self.op.nu, self._C, self._Cinv
         R = (1.0 / (self._mu + (lams * lams + nu * lams)[:, None])
              ).astype(np.complex64)
         lams = lams.astype(np.complex64)[:, None]
 
-        # The products with C act on the real and imaginary parts of every
-        # row at once: rows (a, n) go to a real (n, 2a) array and back.
-        # Both go through scipy's BLAS: numpy and scipy may link separate
-        # OpenBLAS builds, whose idle thread pools then compete for the
-        # cores between alternating calls.
-        def columns(X):
-            return np.ascontiguousarray(X.T).view(np.float32)
-
-        def with_C(X, trans=False):
-            # C Z computed as (Z^T C^T)^T, so the C-ordered Z needs no copy
-            Z = blas.strmm(1.0, C, columns(X).T, side=1, trans_a=not trans)
-            return Z.T.view(np.complex64).T
-
-        def solve_C(X, trans=False):
-            Z = sla.solve_triangular(C, columns(X), trans="T" if trans else "N",
-                                     check_finite=False)
-            return np.ascontiguousarray(Z).view(np.complex64).T
-
         def mv(X, act):
             lam, Ra = lams[act], R[act]
-            z = solve_C(X[:, :n])
+            z = _triangular_product(Cinv, X[:, :n])
             top = -Ra * ((nu + lam) * z + X[:, n:])
-            out = np.concatenate([with_C(top), z + lam * top], axis=1)
+            out = np.concatenate([_triangular_product(C, top), z + lam * top],
+                                 axis=1)
             return X + lam * out if composed else out
 
         def rmv(Y, act):
             clam, Ra = np.conj(lams[act]), np.conj(R[act])
-            t = -Ra * (with_C(Y[:, :n], trans=True) + clam * Y[:, n:])
-            out = np.concatenate([solve_C(Y[:, n:] + (nu + clam) * t,
-                                          trans=True), t], axis=1)
+            t = -Ra * (_triangular_product(C, Y[:, :n], trans=True)
+                       + clam * Y[:, n:])
+            out = np.concatenate([_triangular_product(
+                Cinv, Y[:, n:] + (nu + clam) * t, trans=True), t], axis=1)
             return Y + clam * out if composed else out
 
         return mv, rmv
@@ -374,13 +378,14 @@ class ResolventCalculator:
         size = self.spectrum.shape[0]
         m = self._block_size()
         out = np.empty(len(lams))
+        self.last_steps = np.empty(len(lams), dtype=int)
         for s in range(0, len(lams), m):
             block = lams[s:s + m]
             mv, rmv = self._modal_ops(block, composed)
-            out[s:s + m] = _gk_batch(mv, rmv, len(block), size, GK_TOL,
-                                     GK_MAX_ITER, seed, dtype=np.complex64)
+            out[s:s + m], self.last_steps[s:s + m] = _gk_batch(
+                mv, rmv, len(block), size, GK_TOL, GK_MAX_ITER, seed,
+                dtype=np.complex64)
         return out
-
     def norm_inv(self, lam):
         """||(A - lam)^{-1}||_W = 1/sigma_min(A - lam) in the weighted
         geometry, for one lam (returns a float) or a 1-D array of them."""
@@ -407,6 +412,8 @@ class SweepResult:
     delta: float
     flagged: bool            # any sample above 1e6
     envelope_margin: float   # max over G1 of ||A(A-lam)^{-1}|| / envelope
+    krylov_steps_mean: float  # Lanczos steps per computed norm: mean
+    krylov_steps_max: int     # and maximum
     nudged: list = dc_field(default_factory=list)  # (original, used) lambdas
 
     @property
@@ -492,10 +499,13 @@ def resolvent_sweep(op: DiscretizedOperator, delta: float,
         first.setdefault(key, lam)
     distinct = np.array(list(first.values()), dtype=complex)
     ninv = calc.norm_inv(distinct)
+    steps = [calc.last_steps]
     ncomp = np.abs(distinct) * ninv
     todo = ncomp < 50.0
     if np.any(todo):
         ncomp[todo] = calc.norm_composed(distinct[todo])
+        steps.append(calc.last_steps)
+    steps = np.concatenate(steps)
     norms = dict(zip(first, zip(ninv.tolist(), ncomp.tolist())))
 
     samples = []
@@ -511,7 +521,8 @@ def resolvent_sweep(op: DiscretizedOperator, delta: float,
             env = 1.0 + abs(lam) / (lam.real - w)
             envelope_margin = max(envelope_margin, ncomp / env)
     return SweepResult(samples, sup_by_region, float(w), float(M1),
-                       float(delta), flagged, envelope_margin, nudged)
+                       float(delta), flagged, envelope_margin,
+                       float(np.mean(steps)), int(np.max(steps)), nudged)
 
 
 def _label(lam: complex, delta: float, M1: float) -> str:

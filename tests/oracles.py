@@ -2,9 +2,9 @@
 check: the drift perturbation S of B_c and B_c as a difference of blocks, the
 static projector, one damped linear mode in closed form and under the
 exponential step weights, the damped wave step by classical RK4 in physical
-space, nearest points by k-d tree, and Golub-Kahan with an svd at every
-step, and the traveling wall by bordered Newton on the dense Jacobian with
-LU."""
+space, nearest points by k-d tree, and Lanczos on S*S with an eigvalsh at
+every step, and the traveling wall by bordered Newton on the dense Jacobian
+with LU."""
 from __future__ import annotations
 
 import numpy as np
@@ -156,52 +156,49 @@ def nearest_kdtree(points, targets, k: int = 1):
 
 
 def gk_batch_reference(matvec, rmatvec, m, size, tol, max_iter, seed,
-                       dtype=np.complex128) -> np.ndarray:
-    """Golub-Kahan sigma_max estimates with the batched bidiagonal svd run
-    at every step: the loop spectra._gk_batch must reproduce bit for bit."""
+                       dtype=np.complex128):
+    """Lanczos sigma_max estimates on S*S, with the batched tridiagonal
+    eigvalsh run at every step: the loop spectra._gk_batch must reproduce
+    its estimates bit for bit, and its step counts."""
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     v0 = (v0 / np.linalg.norm(v0)).astype(dtype)
     act = np.arange(m)
     Vs = [np.tile(v0, (m, 1))]
-    Us = []
     alphas = np.zeros((m, max_iter))
     betas = np.zeros((m, max_iter))
     est = np.zeros(m)
+    steps = np.zeros(m, dtype=int)
     for j in range(max_iter):
         u = matvec(Vs[-1], act)
-        if Us:
-            u -= b[:, None] * Us[-1]
-        for uu in Us:
-            u -= np.vecdot(uu, u)[:, None] * uu
-        a = np.linalg.norm(u, axis=1)
-        dead = a == 0.0
-        u /= np.where(dead, 1.0, a)[:, None]
-        Us.append(u)
+        a = np.linalg.norm(u, axis=1) ** 2
         w = rmatvec(u, act) - a[:, None] * Vs[-1]
+        if j:
+            w -= b[:, None] * Vs[-2]
         for vv in Vs:
             w -= np.vecdot(vv, w)[:, None] * vv
         b = np.linalg.norm(w, axis=1)
         alphas[act, j], betas[act, j] = a, b
+        steps[act] = j + 1
         k = np.arange(j + 1)
-        B = np.zeros((len(act), j + 1, j + 1))
-        B[:, k, k] = alphas[act, :j + 1]
-        B[:, k[1:], k[:-1]] = betas[act, :j]
-        new = np.linalg.svd(B, compute_uv=False)[:, 0]
-        done = dead | (b < 1e-12 * np.maximum(new, 1.0))
+        T = np.zeros((len(act), j + 1, j + 1))
+        T[:, k, k] = alphas[act, :j + 1]
+        T[:, k[1:], k[:-1]] = betas[act, :j]
+        top = np.linalg.eigvalsh(T)[:, -1]
+        new = np.sqrt(np.maximum(top, 0.0))
+        done = b < 1e-12 * np.maximum(top, 1.0)
         if j + 1 >= GK_MIN_ITER:
             done |= np.abs(new - est[act]) <= tol * new
-        est[act] = np.where(dead, est[act], new)
+        est[act] = new
         if done.any():
             keep = ~done
             act = act[keep]
             if not act.size:
                 break
-            Us = [x[keep] for x in Us]
             Vs = [x[keep] for x in Vs]
             w, b = w[keep], b[keep]
         Vs.append(w / b[:, None])
-    return est
+    return est, steps
 
 
 def solve_traveling_dense(grid: Grid, H: float, nu: float, init: Profile,

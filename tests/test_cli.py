@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from neelwall import cli, profiles
+from neelwall import cli, profiles, spectra
 from neelwall.cli import (
     DEFAULTS, EXIT_CONFIG, EXIT_OK, SUBCOMMANDS, _COMMANDS, run,
 )
@@ -190,3 +190,7 @@ def test_resolvent_sweep_summary_counts_nudges(tmp_path):
     assert summary["nudged"] == 0
     assert summary["flagged"] is False
     assert summary["sup_Gamma"] > 0
+    # the Lanczos steps per computed norm, as an aggregate of the sweep
+    scalars = _manifest(tmp_path)["scalars"]
+    assert 1 <= scalars["krylov_steps_mean"] <= scalars["krylov_steps_max"]
+    assert scalars["krylov_steps_max"] <= spectra.GK_MAX_ITER

@@ -9,7 +9,9 @@ Oracles:
   * Dense eigh: the relative-bound constant a^2 is the top eigenvalue of
     the plainly formed B~^T B~ - b^2 A~^T A~, attained by its eigenvector.
   * scipy's k-d tree: the brute-force nearest-point queries on spectra.
-  * Golub-Kahan with an svd at every step: the estimates of _gk_batch.
+  * Lanczos on S*S with an eigvalsh at every step: the estimates of
+    _gk_batch.
+  * scipy's solve_triangular in double: the float32 products with C^{-1}.
 """
 from __future__ import annotations
 
@@ -18,13 +20,14 @@ import pytest
 import scipy.linalg as sla
 
 from neelwall import spectra
-from neelwall.grid import Grid
+from neelwall.grid import Grid, multiplier_matrix
 from neelwall.linops import (DiscretizedOperator, ModalStructureError,
                              weighted_state_norm)
 from neelwall.profiles import solve_static
 from neelwall.spectra import (
     GK_MIN_ITER, ResolventCalculator,
-    SpectrumDistanceError, _gk_batch, eig_report, gamma_square, in_region_G,
+    SpectrumDistanceError, _gk_batch, _triangular_product, eig_report,
+    gamma_square, in_region_G,
     match_eigenvalues, numerical_abscissa, pencil_crosscheck,
     pencil_eigenvalues, pencil_gap, relative_bound_fit, res_inequality_trials,
     resolvent_sweep,
@@ -226,8 +229,47 @@ def test_composed_shortcut_consistent(static256):
                                                 rel=2e-2)
 
 
+@pytest.fixture(scope="module")
+def calc512(static512):
+    return ResolventCalculator(build_block(static512, with_c=False))
+
+
+def test_lanczos_norms_match_dense_svd_n512(calc512):
+    # one lam next to an eigenvalue of modulus ~1 and one far on the
+    # near-real G1 line (M1 = 1, |lam| <= 10^3 at nu = 1)
+    op = calc512.op
+    sigma = calc512.spectrum[
+        np.argmin(np.abs(np.abs(calc512.spectrum) - 1.0))]
+    lams = np.array([sigma + 2e-3, 300.0 + 0.05j])
+    ninv = calc512.norm_inv(lams)
+    ncomp = calc512.norm_composed(lams)
+    for lam, got_inv, got_comp in zip(lams, ninv, ncomp):
+        exact_inv, exact_comp = _dense_norms(op, lam)
+        assert got_inv == pytest.approx(exact_inv, rel=1e-2)
+        assert got_comp == pytest.approx(exact_comp, rel=1e-2)
+
+
+def test_inverse_factor_product_matches_solve(calc512):
+    # C^{-1} X by one float32 strmm with the stored inverse against a
+    # double-precision triangular solve with C formed here from scratch
+    g = calc512.op.grid
+    _, Q = calc512.op.modes
+    K = Q.T @ multiplier_matrix(g, g.h1_weight) @ Q
+    C = sla.cholesky(0.5 * (K + K.T))
+    rng = np.random.default_rng(5)
+    X = (rng.standard_normal((36, g.n))
+         + 1j * rng.standard_normal((36, g.n))).astype(np.complex64)
+    for trans in (False, True):
+        got = _triangular_product(calc512._Cinv, X, trans=trans)
+        exact = sla.solve_triangular(C, X.T.astype(np.complex128),
+                                     trans="T" if trans else "N").T
+        assert (np.linalg.norm(got - exact)
+                <= 1e-5 * np.linalg.norm(exact))
+
+
 def _gk_both(mv, rmv, m, size, seed, dtype=np.complex128):
-    """Both loops' estimates; they must also run the same Krylov steps."""
+    """Both loops' estimates; they must also run the same Krylov steps and
+    report the same step counts."""
     steps = ([], [])
 
     def recorded(log):
@@ -237,9 +279,11 @@ def _gk_both(mv, rmv, m, size, seed, dtype=np.complex128):
         return matvec
 
     args = (m, size, 1e-3, 80, seed)
-    got = _gk_batch(recorded(steps[0]), rmv, *args, dtype=dtype)
-    ref = gk_batch_reference(recorded(steps[1]), rmv, *args, dtype=dtype)
+    got, got_steps = _gk_batch(recorded(steps[0]), rmv, *args, dtype=dtype)
+    ref, ref_steps = gk_batch_reference(recorded(steps[1]), rmv, *args,
+                                        dtype=dtype)
     assert steps[0] == steps[1]
+    assert got_steps.tolist() == ref_steps.tolist()
     return got, ref
 
 
@@ -275,36 +319,32 @@ def test_gk_batch_breakdown_matches_reference():
     np.testing.assert_allclose(got[1:], diags[1:].max(axis=1), rtol=1e-12)
 
 
-def test_gk_batch_dead_row_keeps_previous_estimate():
-    # u_0 = e_1 (alpha_0 = 1), and the second product is b_0 u_0 exactly, so
-    # alpha_1 = 0: the row keeps the step-0 estimate, which no svd formed
-    # at step 0.  rmv repeats the loop's arithmetic for b_0.
+def test_gk_batch_invariant_krylov_space_stops_exactly(monkeypatch):
+    # S = 2 I leaves span{v_0} invariant and S = diag(1, 3, 1, 3, ...)
+    # leaves span{v_0, S*S v_0} invariant, so Lanczos breaks down after one
+    # and after two steps, long before GK_MIN_ITER, and sqrt(lambda_max(T))
+    # is ||S||_2 exactly.  Only rows that may meet the breakdown test reach
+    # the eigensolve: row 0 at step 0, row 1 at step 1 (its b_0 is not
+    # small).
     size = 8
-    z = np.random.default_rng(3).standard_normal(size) + 0j
-    e1 = np.eye(1, size, dtype=complex)
+    diags = np.array([np.full(size, 2.0), np.tile([1.0, 3.0], size // 2)])
 
-    def ops():
-        state = {}
+    def mv(X, act):
+        return X * diags[act]
 
-        def mv(X, act):
-            if "b" not in state:
-                state["v0"] = X.copy()
-                return e1.copy()
-            return state["b"][:, None] * e1
+    solved = []
+    top = spectra._top_eigenvalue
 
-        def rmv(U, act):
-            r = state["v0"] + z
-            if "b" not in state:
-                w = r - np.ones(1)[:, None] * state["v0"]
-                w -= np.vecdot(state["v0"], w)[:, None] * state["v0"]
-                state["b"] = np.linalg.norm(w, axis=1)
-            return r
-        return mv, rmv
-
-    got = _gk_batch(*ops(), 1, size, 1e-3, 80, 7)
-    ref = gk_batch_reference(*ops(), 1, size, 1e-3, 80, 7)
-    assert got.tobytes() == ref.tobytes()
-    assert got[0] == 1.0
+    def recorded(alphas, betas):
+        solved.append(alphas.shape)
+        return top(alphas, betas)
+    monkeypatch.setattr(spectra, "_top_eigenvalue", recorded)
+    est, steps = _gk_batch(mv, mv, 2, size, 1e-3, 80, 7)
+    ref, ref_steps = gk_batch_reference(mv, mv, 2, size, 1e-3, 80, 7)
+    assert est.tobytes() == ref.tobytes()
+    assert steps.tolist() == ref_steps.tolist() == [1, 2]
+    assert solved == [(1, 1), (1, 2)]
+    np.testing.assert_allclose(est, [2.0, 3.0], rtol=1e-14)
 
 
 def test_modal_conjugate_points_agree(A_op256):

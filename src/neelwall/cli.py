@@ -274,7 +274,10 @@ def _cmd_spectrum(grid, config, out, seed):
     write_report(report, "csv", path)
     scalars = {"lambda0_re": report.lambda0.real,
                "lambda0_im": report.lambda0.imag,
-               "gap": report.gap}
+               "gap": report.gap,
+               **{k: report.meta[k] for k in ("solver", "newton_steps",
+                                              "structure_residual")
+                  if k in report.meta}}
     if report.Lambda0_num is not None:
         scalars["Lambda0"] = report.Lambda0_num
     return prof, [path], scalars

@@ -20,6 +20,10 @@ computed after conjugation by W^{1/2}, never in the raw Euclidean geometry.
 
 DiscretizedOperator.modes caches the one eigh of the static A's symmetric L;
 it serves both spectra.ResolventCalculator and a_perp_inverse.
+DiscretizedOperator.hamiltonian_spectrum gives sigma(A_c) from the
+Hamiltonian form of its quadratic pencil: one eigh of size n, a few LU
+steps of size n, and one eigvalsh of size 2n - 2 in place of dgeev on the
+2n block.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import blas
 
 from .grid import (
     Grid,
@@ -41,11 +46,27 @@ from .profiles import Linearization, Profile
 SCALAR_KINDS = ("L", "Lc")
 BLOCK_KINDS = ("A", "Ac", "Bc")
 SYMMETRY_TOL = 1e-12      # max |L - L^T| / max |L| accepted by modes
+PAIR_NEWTON_MAX = 8       # Newton steps for the real pair of A_c at most
+PAIR_NEWTON_TOL = 1e-8    # relative step after which the pair is converged
+                          # (the iteration converges cubically)
 
 
 class ModalStructureError(ValueError):
     """A matrix that is not [[0, I], [-L, -nu I]] with a symmetric L, so
-    DiscretizedOperator.modes (the modal factorization) does not apply."""
+    DiscretizedOperator.modes (the modal factorization) does not apply, or
+    not [[0, I], [-L_c, E - nu I]] with E skew and L_c - L_c^T = -nu E, so
+    DiscretizedOperator.hamiltonian_spectrum does not."""
+
+
+@dataclass(frozen=True)
+class HamiltonianSpectrum:
+    """sigma(A_c) from DiscretizedOperator.hamiltonian_spectrum."""
+
+    eigenvalues: np.ndarray        # the real pair, then -nu/2 +- i omega
+    pair: tuple[float, float]      # the real pair -nu/2 + s, -nu/2 - s
+    newton_steps: int              # LU steps that found s
+    structure_residual: float      # the larger relative residual of the
+                                   # two structure checks
 
 
 def weighted_state_norm(grid: Grid, U: np.ndarray) -> float:
@@ -103,28 +124,183 @@ class DiscretizedOperator:
         M[:, :g.n] = M[:, :g.n] @ multiplier_matrix(g, 1.0 / np.sqrt(w))
         return M
 
+    def _bottom_blocks(self):
+        """(-L, D): the bottom blocks of a block matrix [[0, I], [-L, D]],
+        whose top row is checked exactly, else ModalStructureError."""
+        n = self.grid.n
+        M = self.matrix
+        top = M[:n, n:]
+        if (np.any(M[:n, :n]) or np.count_nonzero(top) != n
+                or np.any(np.diagonal(top) != 1.0)):
+            raise ModalStructureError(
+                f"kind {self.kind} matrix is not [[0, I], [-L, D]]")
+        return M[n:, :n], M[n:, n:]
+
     @cached_property
     def modes(self):
         """(mu, Q) = eigh(L) of a static block matrix [[0, I], [-L, -nu I]]:
         the eigenvalues of L in ascending order and its orthonormal
         eigenvectors.  The block structure is checked exactly and the
         symmetry of L to SYMMETRY_TOL (relative), else ModalStructureError."""
-        n = self.grid.n
-        M = self.matrix
-        top, damp = M[:n, n:], M[n:, n:]
-        if (np.any(M[:n, :n]) or np.count_nonzero(top) != n
-                or np.any(np.diagonal(top) != 1.0)
-                or np.count_nonzero(damp) != n
+        lower, damp = self._bottom_blocks()
+        if (np.count_nonzero(damp) != self.grid.n
                 or np.any(np.diagonal(damp) != -self.nu)):
             raise ModalStructureError(
                 f"kind {self.kind} matrix is not [[0, I], [-L, -nu I]]")
-        L = -M[n:, :n]
-        asym = float(np.max(np.abs(L - L.T)) / np.max(np.abs(L)))
+        L = -lower
+        asym = _relative(L - L.T, L)
         if asym > SYMMETRY_TOL:
             raise ModalStructureError(
                 f"L is not symmetric: max |L - L^T| / max |L| = {asym:.2e} "
                 f"> {SYMMETRY_TOL:.0e}")
         return sla.eigh(L)
+
+    def hamiltonian_spectrum(self) -> HamiltonianSpectrum | None:
+        """sigma of a moving block [[0, I], [-L_c, E - nu I]] from the
+        Hamiltonian form of its pencil; None unless K~ = sym(L_c) - nu^2/4
+        has exactly one negative eigenvalue (it has more when
+        Lambda0 < nu^2/4, and then more than one pair leaves the line).
+
+        Checked first, to SYMMETRY_TOL relative, else ModalStructureError:
+        the top row [0, I] exactly, E skew (relative to the damping block)
+        and L_c - L_c^T = -nu E (relative to L_c).
+
+        With sigma = lam + nu/2 the pencil is Q(sigma) = sigma^2 - sigma E
+        + K~, gyroscopic.  Take K~ = V diag(kappa) V^T, C = sqrt|kappa| V^T,
+        the skew N = [[0, C], [-C^T, E]] and Sigma = diag(sign kappa, 1):
+        then Z = N Sigma has det(Z - sigma) = det Q(sigma).  Z is skew in
+        the indefinite form of Sigma, which has one negative square, so all
+        of sigma(Z) is imaginary but one real pair +-s (Pontryagin;
+        Kapitula & Promislow 2013, ch. 7).  s comes from two-sided Newton on
+        Q (_real_pair).  Two Householder reflectors split the pair's
+        eigenvectors off Sigma Z; on the rest Sigma's Gram matrix is
+        I - 2 b b^T, positive definite, and its inverse square root makes the
+        rest a real skew S.  eigvalsh(S^T S) gives omega^2 twice over, and
+        sigma(A_c) = {-nu/2 +- s} + {-nu/2 +- i omega}."""
+        n, nu = self.grid.n, self.nu
+        lower, damp = self._bottom_blocks()
+        E = damp + nu * np.eye(n)
+        residual = max(_relative(E + E.T, damp),     # lower = -L_c
+                       _relative(nu * E - (lower - lower.T), lower))
+        if residual > SYMMETRY_TOL:
+            raise ModalStructureError(
+                f"kind {self.kind} matrix is not [[0, I], [-L_c, E - nu I]] "
+                f"with E skew and L_c - L_c^T = -nu E: relative residual "
+                f"{residual:.2e} > {SYMMETRY_TOL:.0e}")
+        Kt = lower + lower.T
+        Kt *= -0.5
+        Kt.flat[::n + 1] -= 0.25 * nu * nu
+        kappa, V = sla.eigh(Kt, driver="evd")
+        if np.count_nonzero(kappa < 0) != 1:
+            return None
+        s, right, left, steps = _real_pair(Kt, E, kappa[0], V[:, 0])
+        del Kt
+
+        # Sigma Z = Sigma N Sigma = [[0, SC], [-SC^T, E]], SC = Sigma C
+        SC = np.sqrt(np.abs(kappa))[:, None] * V.T
+        SC[0] = -SC[0]
+        del V
+        K = np.empty((2 * n, 2 * n))
+        K[:n, :n] = 0.0
+        K[:n, n:] = SC
+        K[n:, :n] = -SC.T
+        K[n:, n:] = E
+        # Sigma times the eigenvectors (C b / sigma, b) of Z at sigma = +-s
+        p = np.concatenate([SC @ right / s, right])
+        q = np.concatenate([-(SC @ left) / s, left])
+        del SC, E
+        v1 = _householder(p, 0)
+        v2 = _householder(_reflect(q, v1), 1)
+        _reflect_skew(K, v1)
+        _reflect_skew(K, v2)
+        # b = U^T e_0 for the complement U of the pair, Sigma = I - 2 e_0 e_0^T
+        e0 = np.zeros(2 * n)
+        e0[0] = 1.0
+        b = _reflect(_reflect(e0, v1), v2)[2:]
+        beta = float(b @ b)
+        if not beta < 0.5:
+            raise RuntimeError(
+                f"the Sigma-Gram matrix I - 2 b b^T of the complement of the "
+                f"real pair is not positive definite: |b|^2 = {beta:.3e}")
+        S = np.array(K[2:, 2:])
+        del K
+        # S <- P S P for P = (I - 2 b b^T)^{-1/2} = I + g b b^T; S stays skew
+        g = float(np.expm1(-0.5 * np.log1p(-2.0 * beta)) / beta if beta
+                  else 0.0)
+        w = S @ b
+        blas.dger(g, b, w, a=S.T, overwrite_a=True)
+        blas.dger(-g, w, b, a=S.T, overwrite_a=True)
+        StS = blas.dsyrk(1.0, S.T)
+        del S
+        omega2 = sla.eigh(StS, lower=False, eigvals_only=True,
+                          overwrite_a=True, check_finite=False)
+        omega = np.sqrt(np.maximum(0.5 * (omega2[0::2] + omega2[1::2]), 0.0))
+        pair = (-0.5 * nu + s, -0.5 * nu - s)
+        vals = np.concatenate([np.array(pair, dtype=complex),
+                               -0.5 * nu + 1j * omega, -0.5 * nu - 1j * omega])
+        return HamiltonianSpectrum(vals, pair, steps, residual)
+
+
+def _relative(R: np.ndarray, ref: np.ndarray) -> float:
+    """max |R| / max |ref|, and 0 for R = 0."""
+    top = np.max(np.abs(R))
+    return float(top / np.max(np.abs(ref))) if top else 0.0
+
+
+def _real_pair(Kt: np.ndarray, E: np.ndarray, kappa0: float, v0: np.ndarray):
+    """(s, x, y, steps): the real root s > 0 of det Q(s) = 0, Q(sigma) =
+    sigma^2 - sigma E + Kt, with Q(s) x = 0 and Q(s)^T y = 0, by two-sided
+    Newton (Rayleigh functional) from sigma = sqrt(-kappa0), x = y = v0.
+
+    Each step solves with one LU of Q(sigma) on both sides, x <- Q^{-1} Q' x
+    and y <- Q^{-T} Q'^T y, and takes the root of the scalar quadratic
+    y^T Q(sigma) x = 0 nearest sigma.  Q(sigma)^T = Q(-sigma), so y is also
+    the eigenvector of the partner root -s."""
+    sigma, x, y = float(np.sqrt(-kappa0)), v0, v0
+    diag = np.s_[::Kt.shape[0] + 1]
+    for step in range(1, PAIR_NEWTON_MAX + 1):
+        Q = Kt - sigma * E
+        Q.flat[diag] += sigma * sigma
+        lu = sla.lu_factor(Q, overwrite_a=True, check_finite=False)
+        x = sla.lu_solve(lu, 2.0 * sigma * x - E @ x, check_finite=False)
+        y = sla.lu_solve(lu, 2.0 * sigma * y + E @ y, trans=1,
+                         check_finite=False)
+        x /= np.linalg.norm(x)
+        y /= np.linalg.norm(y)
+        a, b, c = y @ x, -(y @ (E @ x)), y @ (Kt @ x)
+        disc = np.emath.sqrt(b * b - 4.0 * a * c)
+        roots = (-b + np.array([disc, -disc])) / (2.0 * a)
+        new = float(roots[np.argmin(np.abs(roots - sigma))].real)
+        change, sigma = abs(new - sigma), new
+        if change <= PAIR_NEWTON_TOL * sigma:
+            return sigma, x, y, step
+    raise RuntimeError(
+        f"real pair of A_c not converged in {PAIR_NEWTON_MAX} Newton steps: "
+        f"last step {change:.2e} at sigma = {sigma:.6e}")
+
+
+def _householder(x: np.ndarray, k: int) -> np.ndarray:
+    """v with v[:k] = 0 whose reflector I - 2 v v^T / v^T v maps x[k:] onto
+    the k-th axis."""
+    v = np.zeros_like(x)
+    v[k:] = x[k:]
+    v[k] += np.copysign(np.linalg.norm(x[k:]), x[k])
+    return v
+
+
+def _reflect(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(I - 2 v v^T / v^T v) x."""
+    return x - (2.0 * (v @ x) / (v @ v)) * v
+
+
+def _reflect_skew(K: np.ndarray, v: np.ndarray) -> None:
+    """K <- H K H in place for a skew K and H = I - tau v v^T: with w = K v
+    and v^T K v = 0 that is K - tau (w v^T - v w^T), two rank-one updates
+    of the Fortran view K^T."""
+    tau = 2.0 / (v @ v)
+    w = K @ v
+    blas.dger(-tau, v, w, a=K.T, overwrite_a=True)
+    blas.dger(tau, w, v, a=K.T, overwrite_a=True)
 
 
 # ---------------------------------------------------------------------------

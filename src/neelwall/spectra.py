@@ -20,7 +20,16 @@ estimated by Lanczos on S*S with full reorthogonalization against one
 Krylov basis (_gk_batch), run in lockstep over a block of lam's; sweeps
 evaluate each conjugate pair once (the weighted matrix is real).
 Eigenvalues are geometry-invariant, so eigen-reports work on the raw real
-matrices.
+matrices.  eig_report has three eigen paths, named in meta["solver"]:
+"eigh" for the symmetric L; "hamiltonian" for a moving A_c whose
+K~ = sym(L_c) - nu^2/4 has one negative eigenvalue, where the gyroscopic
+pencil puts all of sigma(A_c) but one real pair on Re lam = -nu/2
+(linops.DiscretizedOperator.hamiltonian_spectrum: eigh of size n and
+eigvalsh of size 2n - 2); and "dgeev" for the rest.  The static A stays on
+dgeev: criterion 05's pencil check compares eigh(L) with an independent
+dense eigvals(A), so its report is never derived from sigma(L).  An A_c
+whose K~ has more negative eigenvalues (Lambda0 < nu^2/4) has more pairs
+off the line and stays on dgeev too.
 
 Nearest-point queries on spectra (distance to sigma(A), the pencil
 cross-check, eigenvalue matching) are brute force in numpy over row chunks
@@ -60,10 +69,24 @@ class SpectrumReport:
 
 
 def eig_report(op: DiscretizedOperator) -> SpectrumReport:
-    """Full eigen-decomposition report of a discretized operator."""
+    """Full eigen-decomposition report of a discretized operator.
+
+    meta["solver"] names the eigensolver: "eigh" for L, "hamiltonian" for
+    an A_c whose K~ has one negative eigenvalue (then meta also carries the
+    real pair, its Newton steps and the structure residual), and "dgeev"
+    for everything else, the static A included."""
+    meta = {"L": op.grid.L, "n": op.grid.n, "nu": op.nu, "c": op.c,
+            "H": op.H}
+    ham = op.hamiltonian_spectrum() if op.kind == "Ac" else None
     if op.kind == "L":
         vals = sla.eigh(0.5 * (op.matrix + op.matrix.T), eigvals_only=True)
         vals = vals.astype(complex)
+        meta["solver"] = "eigh"
+    elif ham is not None:
+        vals = ham.eigenvalues
+        meta.update(solver="hamiltonian", pair=ham.pair,
+                    newton_steps=ham.newton_steps,
+                    structure_residual=ham.structure_residual)
     else:
         try:
             vals = sla.eigvals(op.matrix)
@@ -72,6 +95,7 @@ def eig_report(op: DiscretizedOperator) -> SpectrumReport:
             raise RuntimeError(
                 f"eigensolver failed for kind {op.kind} "
                 f"(condition number {cond:.3e})") from exc
+        meta["solver"] = "dgeev"
     order = np.argsort(-vals.real)
     vals = vals[order]
     i0 = int(np.argmin(np.abs(vals)))
@@ -84,9 +108,7 @@ def eig_report(op: DiscretizedOperator) -> SpectrumReport:
         gap = float(-np.max(rest.real))
         Lambda0 = None
     mult = int(np.sum(np.abs(vals - lam0) < 1e-6))
-    return SpectrumReport(vals, lam0, gap, Lambda0, mult, op.kind,
-                          meta={"L": op.grid.L, "n": op.grid.n, "nu": op.nu,
-                                "c": op.c, "H": op.H})
+    return SpectrumReport(vals, lam0, gap, Lambda0, mult, op.kind, meta=meta)
 
 
 def pencil_gap(nu: float, Lambda0: float) -> float:

@@ -64,6 +64,15 @@ def Ac_op256(traveling256):
 
 
 @pytest.fixture(scope="session")
+def moving_blocks256(grid256, static256):
+    """A_c at n = 256 for nu in (0.5, 1, 2) and three fields, keyed
+    (nu, H)."""
+    return {(nu, H): build_block(solve_traveling(grid256, H, nu, tol=5e-8,
+                                                 init=static256))
+            for nu in (0.5, 1.0, 2.0) for H in (5e-4, 1e-3, 2e-3)}
+
+
+@pytest.fixture(scope="session")
 def Lc_op256(traveling256):
     return build_Lc(traveling256)
 

@@ -68,7 +68,21 @@ def test_spectrum_static(tmp_path):
     m = _manifest(tmp_path)
     assert abs(m["scalars"]["lambda0_re"]) <= 1e-4
     assert m["scalars"]["Lambda0"] > 0.3
+    assert m["scalars"]["solver"] == "eigh"
     assert (tmp_path / "spectrum.csv").exists()
+
+
+def test_spectrum_moving(tmp_path):
+    code = run(["spectrum", *SMALL, "--H", "0.001", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    m = _manifest(tmp_path)["scalars"]
+    # sigma(A_c) from its Hamiltonian form: the real pair holds the
+    # translation eigenvalue, everything else sits on Re lam = -nu/2
+    assert m["solver"] == "hamiltonian"
+    assert 1 <= m["newton_steps"] <= 4
+    assert m["structure_residual"] <= 1e-12
+    assert m["gap"] == pytest.approx(0.5, abs=1e-10)
+    assert abs(m["lambda0_re"]) <= 1e-4
 
 
 def test_simulate_quick(tmp_path):

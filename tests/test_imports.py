@@ -1,7 +1,8 @@
 """Import footprint: `import neelwall` loads numpy and scipy.linalg only.
 
 scipy.spatial (with the scipy.special it pulls in) and scipy.sparse add
-about 11 MB to every process; ARPACK is imported where it is called.
+about 11 MB to every process; ARPACK is imported where it is called, and
+the eigen-report of a moving block does not call it.
 """
 from __future__ import annotations
 
@@ -38,3 +39,18 @@ def test_import_loads_no_spatial_special_or_sparse():
     assert not loaded & {"spatial", "special", "sparse"}, got["modules"]
     floor = _fresh("import numpy, scipy.linalg")
     assert got["peak_rss_mb"] <= floor["peak_rss_mb"] + 5.0
+
+
+def test_moving_eig_report_loads_no_sparse():
+    got = _fresh("""
+from neelwall.grid import Grid
+from neelwall.linops import build_block
+from neelwall.profiles import solve_static, solve_traveling
+from neelwall.spectra import eig_report
+g = Grid(L=40.0, n=256)
+wall = solve_traveling(g, 1e-3, 1.0, tol=5e-8,
+                       init=solve_static(g, tol=5e-8))
+assert eig_report(build_block(wall)).meta["solver"] == "hamiltonian"
+""")
+    assert not any(m.startswith("scipy.sparse") for m in got["modules"]), (
+        got["modules"])

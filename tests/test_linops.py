@@ -7,6 +7,8 @@ Oracles:
     (oracles.s_matrix_direct).
   * Linearization.matvec (FFT) equals its dense() matrix, and its batched
     transform equals the two separate ones bit for bit.
+  * Dense eigvals: the moving block's pencil is gyroscopic, so all of
+    sigma(A_c) but one real pair lies on Re lam = -nu/2.
 """
 from __future__ import annotations
 
@@ -223,3 +225,23 @@ def test_modes_and_a_perp_inverse_reject_bad_operators(L_op256, A_op256):
 def test_null_pair_requires_block(L_op256):
     with pytest.raises(ValueError):
         null_pair(L_op256)
+
+
+@pytest.mark.parametrize("nu", [0.5, 1.0, 2.0])
+def test_moving_block_is_gyroscopic(moving_blocks256, nu):
+    # with sigma = lam + nu/2 the pencil of A_c is sigma^2 - sigma E + K~,
+    # E = A_22 + nu I skew and K~ symmetric; one negative eigenvalue of K~
+    # leaves one real pair off the line Re lam = -nu/2 (dense oracle only)
+    for H in (5e-4, 2e-3):
+        M = moving_blocks256[nu, H].matrix
+        n = M.shape[0] // 2
+        E = M[n:, n:] + nu * np.eye(n)
+        Lc = -M[n:, :n]
+        assert np.max(np.abs(E + E.T)) <= 1e-12 * np.max(np.abs(E))
+        assert (np.max(np.abs(Lc - Lc.T + nu * E))
+                <= 1e-12 * np.max(np.abs(Lc)))
+        lam = sla.eigvals(M)
+        off = np.abs(lam.real + nu / 2.0) > 1e-10
+        assert np.count_nonzero(off) == 2
+        assert np.all(lam[off].imag == 0.0)
+        assert abs(np.sum(lam[off].real) + nu) <= 1e-10

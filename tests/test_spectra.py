@@ -3,6 +3,7 @@
 Oracles:
   * Quadratic pencil: for c = 0 the block spectrum is the image of the
     scalar spectrum under lam^2 + nu lam + Lam = 0 (exact map).
+  * Dense eigvals (dgeev): the Hamiltonian eigen-report of A_c.
   * Dense SVD: resolvent norms agree with svdvals of
     W^{1/2}(A - lam)W^{-1/2}.
   * Asymptotics: |lam| ||(A - lam)^{-1}|| -> 1 as lam -> +infinity.
@@ -33,6 +34,7 @@ from neelwall.spectra import (
     resolvent_sweep,
 )
 from neelwall.linops import build_Bc, build_block
+from neelwall.profiles import solve_traveling
 from oracles import gk_batch_reference, nearest_kdtree
 
 
@@ -62,6 +64,81 @@ def test_eig_report_block_gap(A_op256):
 def test_pencil_crosscheck_static(L_op256, A_op256):
     dist = pencil_crosscheck(eig_report(L_op256), eig_report(A_op256), nu=1.0)
     assert dist <= 1e-7
+
+
+def _hausdorff(a, b):
+    d = np.abs(a[:, None] - b[None, :])
+    return max(np.max(np.min(d, axis=1)), np.max(np.min(d, axis=0)))
+
+
+@pytest.mark.parametrize("nu", [0.5, 1.0, 2.0])
+def test_hamiltonian_report_matches_dgeev(moving_blocks256, nu):
+    for H in (5e-4, 1e-3, 2e-3):
+        op = moving_blocks256[nu, H]
+        rep = eig_report(op)
+        assert rep.meta["solver"] == "hamiltonian"
+        assert 1 <= rep.meta["newton_steps"] <= 4
+        assert rep.meta["structure_residual"] <= 1e-12
+        assert rep.meta["pair"] == pytest.approx(
+            (rep.lambda0.real, -nu - rep.lambda0.real), abs=1e-12)
+        ref = sla.eigvals(op.matrix)
+        assert _hausdorff(rep.eigenvalues, ref) <= 1e-10
+        pairs, _, unmatched = match_eigenvalues(ref, rep.eigenvalues)
+        assert len(pairs) == len(ref) and not unmatched
+        i0 = int(np.argmin(np.abs(ref)))
+        assert abs(rep.lambda0 - ref[i0]) <= 1e-12
+        assert rep.gap == pytest.approx(-np.max(np.delete(ref, i0).real),
+                                        abs=1e-10)
+        assert rep.multiplicity0 == np.sum(np.abs(ref - ref[i0]) < 1e-6)
+        ref_rep = spectra.SpectrumReport(ref, ref[i0], 0.0, None, 1, "Ac")
+        for delta in (0.2 * nu, 0.6 * nu, 1.2 * nu):
+            assert (rep.count_inside_square(delta)
+                    == ref_rep.count_inside_square(delta))
+
+
+def test_eig_report_routing(grid256, static256, L_op256, A_op256, Ac_op256,
+                            monkeypatch):
+    # K~ = sym(L_c) - nu^2/4 has many negative eigenvalues once
+    # nu^2/4 > Lambda0: that block goes to dgeev, unchanged
+    op = build_block(solve_traveling(grid256, 1e-3, 2.5, tol=5e-8,
+                                     init=static256))
+    rep = eig_report(op)
+    assert rep.meta["solver"] == "dgeev"
+    assert "newton_steps" not in rep.meta
+    assert np.array_equal(np.sort_complex(rep.eigenvalues),
+                          np.sort_complex(sla.eigvals(op.matrix)))
+    assert eig_report(L_op256).meta["solver"] == "eigh"
+    # the static A keeps its independent dense eigvals (criterion 05's
+    # pencil check compares it with eigh(L)); A_c does not call it
+    calls = []
+    inner = sla.eigvals
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(sla, "eigvals", counted)
+    assert eig_report(A_op256).meta["solver"] == "dgeev"
+    assert calls == [A_op256.matrix.shape]
+    assert eig_report(Ac_op256).meta["solver"] == "hamiltonian"
+    assert len(calls) == 1
+
+
+def test_hamiltonian_report_rejects_bad_structure(Ac_op256):
+    n = Ac_op256.grid.n
+
+    def variant(i, j, dv):
+        M = np.array(Ac_op256.matrix)
+        M[i, j] += dv
+        return DiscretizedOperator("Ac", M, Ac_op256.grid, Ac_op256.nu,
+                                   Ac_op256.c, Ac_op256.H)
+
+    with pytest.raises(ModalStructureError, match="E skew"):
+        eig_report(variant(n, n + 1, 1e-3))      # drift block not skew
+    with pytest.raises(ModalStructureError, match="E skew"):
+        eig_report(variant(n + 1, 0, 1e-3))      # L_c - L_c^T != -nu E
+    with pytest.raises(ModalStructureError, match="is not"):
+        eig_report(variant(0, 0, 1e-3))          # top-left 0
 
 
 def test_pencil_eigenvalues_closed_form():

@@ -27,7 +27,8 @@ from .profiles import (Profile, SolverError, check_field, mobility,
                        mobility_fields, solve_static, solve_traveling)
 from .regions import RegionParams, run_all_checks
 from .reports import store_profile, write_report
-from .spectra import eig_report, relative_bound_fit, resolvent_sweep
+from .spectra import (eig_report, pencil_gap, relative_bound_fit,
+                      resolvent_sweep)
 
 EXIT_OK = 0
 EXIT_SOLVER = 2
@@ -188,8 +189,9 @@ def _write_manifest(out_dir, command, config, grid, seed, outputs,
         fh.write("\n")
 
 
-def _default_delta(nu: float, gap: float) -> float:
-    return 0.4 * min(gap, nu / 2.0)
+def _default_delta(nu: float, Lambda0: float) -> float:
+    """0.4 times the gap of A, the pencil's (below Lambda0 for large nu)."""
+    return 0.4 * pencil_gap(nu, Lambda0)
 
 
 def _static_tol(grid: Grid) -> float:
@@ -289,7 +291,7 @@ def _op_and_delta(grid, config):
     L_report = eig_report(build_L(prof))
     delta = config["delta"]
     if delta is None:
-        delta = _default_delta(config["nu"], L_report.gap)
+        delta = _default_delta(config["nu"], L_report.Lambda0_num)
     return prof, L_report, delta
 
 
@@ -307,7 +309,7 @@ def _cmd_resolvent_sweep(grid, config, out, seed):
     json_path = os.path.join(out, "resolvent_summary.jsonl")
     write_report(summary, "json-lines", json_path)
     return prof, [csv_path, json_path], {
-        "sup_G": sweep.sup_G, "w": sweep.w,
+        "delta": delta, "sup_G": sweep.sup_G, "w": sweep.w,
         "krylov_steps_mean": sweep.krylov_steps_mean,
         "krylov_steps_max": sweep.krylov_steps_max}
 

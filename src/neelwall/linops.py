@@ -11,12 +11,12 @@ Block operators (2n x 2n, geometry H1 x L2):
 
 L and L_c are the dense matrices of profiles.Linearization, the one
 definition of the linearization; the blocks are assembled around them.
-Zero modes use shift-invert ARPACK; scipy.sparse.linalg is imported there,
-on first use, not with this module.
+Zero modes come from inverse iteration through one LU of the matrix,
+started from the profile derivative, so none depends on a random start.
 
 The H1 x L2 inner product is realized exactly by the diagonal Fourier weight
 blockdiag(1 + k^2, 1); every operator norm, adjoint, and singular value is
-computed after conjugation by W^{1/2}, never in the raw Euclidean geometry.
+computed in that geometry, never in the raw Euclidean one.
 
 DiscretizedOperator.modes caches the one eigh of the static A's symmetric L;
 it serves both spectra.ResolventCalculator and a_perp_inverse.
@@ -49,6 +49,9 @@ SYMMETRY_TOL = 1e-12      # max |L - L^T| / max |L| accepted by modes
 PAIR_NEWTON_MAX = 8       # Newton steps for the real pair of A_c at most
 PAIR_NEWTON_TOL = 1e-8    # relative step after which the pair is converged
                           # (the iteration converges cubically)
+ZERO_MODE_TOL = 1e-13     # zero-mode inverse iteration ends when the unit
+ZERO_MODE_MAX_STEPS = 14  # iterate moves by at most TOL, or fails after 14
+                          # steps a side (10x separation: error 1 -> 1e-13)
 
 
 class ModalStructureError(ValueError):
@@ -85,8 +88,7 @@ def _weight(grid: Grid, U: np.ndarray, inverse: bool = False) -> np.ndarray:
 class DiscretizedOperator:
     """Dense realization of one of the model operators.
 
-    The matrix is real; the weighted geometry enters through the cached
-    W^{1/2}-conjugated matrix, and a static block operator caches the
+    The matrix is real; a static block operator caches the
     eigendecomposition of its L (modes).
     """
 
@@ -110,19 +112,6 @@ class DiscretizedOperator:
     @property
     def is_block(self) -> bool:
         return self.kind in BLOCK_KINDS
-
-    @cached_property
-    def weighted_matrix(self) -> np.ndarray:
-        """W^{1/2} M W^{-1/2} with the H1 Fourier weight W = 1 + k^2 on the
-        first block; identity conjugation for scalar (L2) kinds."""
-        if not self.is_block:
-            return self.matrix
-        g = self.grid
-        w = g.h1_weight
-        M = self.matrix.copy()
-        M[:g.n, :] = multiplier_matrix(g, np.sqrt(w)) @ M[:g.n, :]
-        M[:, :g.n] = M[:, :g.n] @ multiplier_matrix(g, 1.0 / np.sqrt(w))
-        return M
 
     def _bottom_blocks(self):
         """(-L, D): the bottom blocks of a block matrix [[0, I], [-L, D]],
@@ -390,49 +379,49 @@ class NullPair:
     right: np.ndarray
     left: np.ndarray
     overlap: float
-    lambda0: complex
-    lambda_next: complex
+    lambda0: float
     grid: Grid
 
 
-def _two_eigs_nearest_zero(M: np.ndarray, lu, trans: int):
-    """Two eigenvalues of M (trans=0) or M^T (trans=1) nearest 0, by
-    shift-invert Arnoldi through an existing LU factorization of M."""
-    import scipy.sparse.linalg as spla   # ARPACK, loaded on first use
-    n = M.shape[0]
-    op = spla.LinearOperator((n, n),
-                             matvec=lambda b: sla.lu_solve(lu, b, trans=trans))
-    # shift-invert at real sigma never applies the matrix itself, so M.T is
-    # passed as a view; the fixed start vector makes the result reproducible
-    vals, vecs = spla.eigs(M.T if trans else M, k=2, OPinv=op, sigma=0.0,
-                           which="LM", v0=np.random.default_rng(0).standard_normal(n))
-    order = np.argsort(np.abs(vals))
-    return vals[order], vecs[:, order]
-
-
-def _real_phase(v: np.ndarray) -> np.ndarray:
-    """An eigenvector that is real up to a phase, made real: rotate its
-    dominant component onto the positive real axis."""
-    pivot = v[int(np.argmax(np.abs(v)))]
-    return np.real(v * np.conj(pivot) / np.abs(pivot))
-
-
-def _right_zero_mode(op: DiscretizedOperator):
-    """(lu, v): the LU factors of the matrix and its real eigenvector of
-    smallest |lambda|, oriented along the profile derivative (increasing
-    wall) when the operator carries a profile."""
-    lu = sla.lu_factor(op.matrix)
-    _, vecs = _two_eigs_nearest_zero(op.matrix, lu, trans=0)
-    v = _real_phase(vecs[:, 0])
-    if op.profile is not None:
-        dpsi = derivative(op.profile.theta, 1).values
-        if np.dot(v[:op.grid.n], dpsi) < 0:
-            v = -v
-    return lu, v
+def _zero_mode(op: DiscretizedOperator) -> list:
+    """[(lam0, x)] for a scalar kind, [(lam0, x), (lam0, y)] for a block:
+    the eigenvalue of smallest |lambda|, its unit right eigenvector x and
+    unit Euclidean left eigenvector y, by inverse iteration through one LU
+    of the matrix (Golub & Van Loan, Matrix Computations, 7.6.1) from
+    theta' (scalar kinds), or (theta', 0) and (nu theta', theta') (blocks
+    [[0, I], [-L, D]]; exact for D = -nu I, L theta' = 0).  Iterates keep
+    the orientation of their start; lam0 is the Rayleigh quotient
+    1 / x^T M^{-1} x of the last step.  A step shrinks the error by
+    |lambda0 / lambda1|, so a tenfold separated mode settles within
+    ZERO_MODE_MAX_STEPS from within 45 degrees; else RuntimeError."""
+    if op.profile is None:
+        raise ValueError("operator carries no profile")
+    dth = derivative(op.profile.theta, 1).values
+    lu = sla.lu_factor(op.matrix, check_finite=False)
+    starts = ([np.concatenate([dth, np.zeros_like(dth)]),
+               np.concatenate([op.nu * dth, dth])] if op.is_block else [dth])
+    out = []
+    for trans, start in enumerate(starts):
+        x = start / np.linalg.norm(start)
+        for step in range(1, ZERO_MODE_MAX_STEPS + 1):
+            z = sla.lu_solve(lu, x, trans=trans, check_finite=False)
+            lam = 1.0 / float(x @ z)
+            z *= np.copysign(1.0 / np.linalg.norm(z), z @ start)
+            change, x = float(np.linalg.norm(z - x)), z
+            if change <= ZERO_MODE_TOL:
+                break
+        else:
+            raise RuntimeError(
+                f"zero mode not separated: inverse iteration still moved "
+                f"the unit iterate by {change:.2e} at step {step} "
+                f"(tolerance {ZERO_MODE_TOL:.0e})")
+        out.append((lam, x))
+    return out
 
 
 def translation_mode(op: DiscretizedOperator) -> np.ndarray:
-    """Discrete translation zero mode: the eigenvector of smallest |lambda|.
+    """Discrete translation zero mode: the unit eigenvector of smallest
+    |lambda|, by inverse iteration from the profile derivative (_zero_mode).
 
     The spectral derivative of the profile is a near-null direction in the
     interior but carries an O(1) defect concentrated within a few grid
@@ -441,33 +430,23 @@ def translation_mode(op: DiscretizedOperator) -> np.ndarray:
     the profile derivative to ~1e-6 in overlap and satisfies the zero-mode
     bound; use it whenever "the translation mode" is meant discretely.
     """
-    _, v = _right_zero_mode(op)
-    return v / np.linalg.norm(v)
+    return _zero_mode(op)[0][1]
 
 
 def null_pair(op: DiscretizedOperator) -> NullPair:
     """Translation zero mode of A_c: right and left eigenvectors nearest 0
-    (left in the weighted-adjoint sense)."""
+    (left in the weighted-adjoint sense), from one LU (_zero_mode)."""
     if not op.is_block:
         raise ValueError("null_pair needs a block operator")
-    if op.profile is None:
-        raise ValueError("operator carries no profile")
     g = op.grid
-    lu, right = _right_zero_mode(op)
-    right = right / weighted_state_norm(g, right)
-
-    vals_t, vecs_t = _two_eigs_nearest_zero(op.matrix, lu, trans=1)
-    lam0, lam1 = vals_t
-    if abs(lam1) < 10 * abs(lam0):
-        raise RuntimeError(
-            f"zero mode not separated: |lambda0| = {abs(lam0):.2e}, "
-            f"next |lambda| = {abs(lam1):.2e} (need 10x)")
+    (lam0, x), (_, y) = _zero_mode(op)
+    right = x / weighted_state_norm(g, x)
     # weighted adjoint eigenvector: left = W^{-1} y with A^T y ~ 0
-    left = _weight(g, _real_phase(vecs_t[:, 0]), inverse=True)
+    left = _weight(g, y, inverse=True)
     left = left / weighted_state_norm(g, left)
     # <right, left>_W = dx * right^T W left
-    overlap = float(g.dx * np.dot(right, np.conj(_weight(g, left))).real)
-    return NullPair(right, left, overlap, complex(vals_t[0]), complex(vals_t[1]), g)
+    overlap = float(g.dx * np.dot(right, _weight(g, left)))
+    return NullPair(right, left, overlap, lam0, g)
 
 
 def projector_matrix(pair: NullPair) -> np.ndarray:

@@ -31,11 +31,11 @@ dense eigvals(A), so its report is never derived from sigma(L).  An A_c
 whose K~ has more negative eigenvalues (Lambda0 < nu^2/4) has more pairs
 off the line and stays on dgeev too.
 
-Nearest-point queries on spectra (distance to sigma(A), the pencil
-cross-check, eigenvalue matching) are brute force in numpy over row chunks
-of a few MB (_nearest); ARPACK (scipy.sparse.linalg) is imported only by the
-eigsh branch of numerical_abscissa, so importing this module loads neither
-scipy.spatial nor scipy.sparse.
+The numerical abscissa of A is closed form in the same modal factor C (one
+eigh of size n, no random start).  Nearest-point queries on spectra
+(distance to sigma(A), the pencil cross-check, eigenvalue matching) are
+brute force in numpy over row chunks of a few MB (_nearest), so this module
+loads neither scipy.spatial nor scipy's sparse package, in any use.
 """
 
 from __future__ import annotations
@@ -187,16 +187,31 @@ def match_eigenvalues(base: np.ndarray, perturbed: np.ndarray):
     return pairs, np.array(drifts), unmatched
 
 
+def _modal_factor(op: DiscretizedOperator):
+    """(mu, C, C^{-1}): mu, Q = op.modes of a static block A and the upper
+    Cholesky factor of K = Q^T (1 + k^2) Q = C^T C, with its inverse."""
+    mu, Q = op.modes
+    K = apply_multiplier(op.grid, Q.T, op.grid.h1_weight) @ Q
+    C = sla.cholesky(0.5 * (K + K.T), check_finite=False)
+    Cinv, _ = sla.lapack.dtrtri(C)
+    return mu, C, Cinv
+
+
 def numerical_abscissa(op: DiscretizedOperator) -> float:
-    """Largest eigenvalue of the symmetric part of the weighted matrix;
-    sharp constant w with ||(A - lam)^{-1}||_W <= 1/(Re lam - w)."""
-    M = op.weighted_matrix
-    if M.shape[0] <= 1200:
-        return float(sla.eigh(0.5 * (M + M.T), eigvals_only=True)[-1])
-    import scipy.sparse.linalg as spla   # ARPACK, loaded on first use
-    sym = spla.LinearOperator(M.shape, matvec=lambda x: 0.5 * (M @ x + M.T @ x))
-    val = spla.eigsh(sym, k=1, which="LA", return_eigenvectors=False)
-    return float(val[0])
+    """Largest eigenvalue w of the symmetric part of the static A in the
+    H1 x L2 geometry: the sharp w with ||(A - lam)^{-1}||_W <= 1/(Re lam - w)
+    (Kato, IV 3).  In the W-orthonormal coordinates (C Q^T u, Q^T v) of
+    _modal_factor, A is [[0, C], [-diag(mu) C^{-1}, -nu]]; its symmetric
+    part [[0, X], [X^T, -nu]], X = (C - C^{-T} diag(mu))/2, has the
+    eigenvalues (-nu +- sqrt(nu^2 + 4 sigma^2))/2 per singular value sigma
+    of X, so w comes from sigma_max(X)^2, the top eigenvalue of X X^T."""
+    mu, C, Cinv = _modal_factor(op)
+    X = 0.5 * (C - Cinv.T * mu)
+    n = len(mu)
+    sig2 = sla.eigh(blas.dsyrk(1.0, X.T, trans=1), lower=False,   # X X^T
+                    eigvals_only=True, overwrite_a=True, check_finite=False,
+                    subset_by_index=[n - 1, n - 1])[0]
+    return float(2.0 * sig2 / (op.nu + np.sqrt(op.nu**2 + 4.0 * sig2)))
 
 
 @dataclass(slots=True)
@@ -342,10 +357,7 @@ class ResolventCalculator:
 
     def __init__(self, op: DiscretizedOperator):
         self.op = op
-        self._mu, Q = op.modes
-        K = apply_multiplier(op.grid, Q.T, op.grid.h1_weight) @ Q
-        C = sla.cholesky(0.5 * (K + K.T), check_finite=False)
-        Cinv, _ = sla.lapack.dtrtri(C)   # the diagonal of C is positive
+        self._mu, C, Cinv = _modal_factor(op)
         self._C = np.asfortranarray(C, np.float32)
         self._Cinv = np.asfortranarray(Cinv, np.float32)
         self.spectrum = pencil_eigenvalues(self._mu, op.nu)
@@ -446,15 +458,18 @@ class SweepResult:
 def gamma_square(delta: float, m: int) -> np.ndarray:
     """m points on the square contour with side 2*delta centered at 0,
     starting at the corner delta(-1+i) and walking clockwise (each corner
-    appears exactly once)."""
-    per_side = max(m // 4, 1)
+    appears exactly once); m must be a positive multiple of 4, else
+    ValueError."""
+    if m <= 0 or m % 4:
+        raise ValueError(f"m must be a positive multiple of 4, got {m}")
+    per_side = m // 4
     fwd = np.linspace(-delta, delta, per_side, endpoint=False)
     bwd = np.linspace(delta, -delta, per_side, endpoint=False)
     pts = np.concatenate([fwd + 1j * delta,        # top: (-d,d) -> (d,d)
                           delta + 1j * bwd,        # right: (d,d) -> (d,-d)
                           bwd - 1j * delta,        # bottom: (d,-d) -> (-d,-d)
                           -delta + 1j * fwd])      # left: (-d,-d) -> (-d,d)
-    return pts[:m]
+    return pts
 
 
 def in_region_G(lam, delta: float):

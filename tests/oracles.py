@@ -1,21 +1,25 @@
 """Independent oracles, written out term by term apart from the code they
 check: the drift perturbation S of B_c and B_c as a difference of blocks, the
-static projector, one damped linear mode in closed form and under the
-exponential step weights, the damped wave step by classical RK4 in physical
-space, nearest points by k-d tree, and Lanczos on S*S with an eigvalsh at
-every step, and the traveling wall by bordered Newton on the dense Jacobian
-with LU."""
+dense W^{1/2}-conjugated matrix of an operator, the null pair by
+shift-invert ARPACK, the static projector, one damped linear mode in closed
+form and under the exponential step weights, the damped wave step by
+classical RK4 in physical space, nearest points by k-d tree, and Lanczos on
+S*S with an eigvalsh at every step, and the traveling wall by bordered
+Newton on the dense Jacobian with LU."""
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 from scipy.spatial import cKDTree
 
 from neelwall.dynamics import _companion_function
 from neelwall.grid import (
     Grid, apply_multiplier, derivative, l2_norm, multiplier_matrix,
 )
-from neelwall.linops import build_block
+from neelwall.linops import (
+    DiscretizedOperator, NullPair, _weight, build_block, weighted_state_norm,
+)
 from neelwall.profiles import (
     CONTINUATION_STEP, H_ENVELOPE, NEWTON_MAX_ITER, Linearization, Profile,
     SolverError, traveling_residual,
@@ -47,6 +51,60 @@ def bc_difference(moving: Profile, static: Profile) -> np.ndarray:
     """B_c as the difference of the two assembled 2n x 2n blocks."""
     return (build_block(moving, with_c=True).matrix
             - build_block(static, with_c=False, nu=moving.nu).matrix)
+
+
+def weighted_matrix(op: DiscretizedOperator) -> np.ndarray:
+    """W^{1/2} M W^{-1/2} with the H1 Fourier weight W = 1 + k^2 on the
+    first block, formed densely; the matrix itself for scalar (L2) kinds."""
+    if not op.is_block:
+        return op.matrix
+    g = op.grid
+    w = g.h1_weight
+    M = op.matrix.copy()
+    M[:g.n, :] = multiplier_matrix(g, np.sqrt(w)) @ M[:g.n, :]
+    M[:, :g.n] = M[:, :g.n] @ multiplier_matrix(g, 1.0 / np.sqrt(w))
+    return M
+
+
+def _two_eigs_nearest_zero(M: np.ndarray, lu, trans: int):
+    """Two eigenvalues of M (trans=0) or M^T (trans=1) nearest 0 and their
+    eigenvectors, by shift-invert Arnoldi through an LU of M from a fixed
+    start vector."""
+    n = M.shape[0]
+    op = spla.LinearOperator((n, n),
+                             matvec=lambda b: sla.lu_solve(lu, b, trans=trans))
+    vals, vecs = spla.eigs(M.T if trans else M, k=2, OPinv=op, sigma=0.0,
+                           which="LM",
+                           v0=np.random.default_rng(0).standard_normal(n))
+    order = np.argsort(np.abs(vals))
+    return vals[order], vecs[:, order]
+
+
+def _real_phase(v: np.ndarray) -> np.ndarray:
+    """Rotate the dominant component onto the positive real axis."""
+    pivot = v[int(np.argmax(np.abs(v)))]
+    return np.real(v * np.conj(pivot) / np.abs(pivot))
+
+
+def null_pair_arpack(op: DiscretizedOperator) -> NullPair:
+    """Null pair of a block operator by shift-invert ARPACK on M and M^T:
+    right vector oriented along (theta', 0), weighted-adjoint left vector
+    W^{-1} y with M^T y ~ 0, lambda0 from the transposed solve, which must
+    sit ten times closer to 0 than the next eigenvalue."""
+    g = op.grid
+    lu = sla.lu_factor(op.matrix)
+    _, vecs = _two_eigs_nearest_zero(op.matrix, lu, trans=0)
+    right = _real_phase(vecs[:, 0])
+    if np.dot(right[:g.n], derivative(op.profile.theta, 1).values) < 0:
+        right = -right
+    right = right / weighted_state_norm(g, right)
+    vals, vecs = _two_eigs_nearest_zero(op.matrix, lu, trans=1)
+    if abs(vals[1]) < 10 * abs(vals[0]):
+        raise RuntimeError("zero mode not separated")
+    left = _weight(g, _real_phase(vecs[:, 0]), inverse=True)
+    left = left / weighted_state_norm(g, left)
+    overlap = float(g.dx * np.dot(right, _weight(g, left)))
+    return NullPair(right, left, overlap, complex(vals[0]), g)
 
 
 def static_projector_matrix(static: Profile, nu: float | None = None) -> np.ndarray:

@@ -208,3 +208,22 @@ def test_resolvent_sweep_summary_counts_nudges(tmp_path):
     scalars = _manifest(tmp_path)["scalars"]
     assert 1 <= scalars["krylov_steps_mean"] <= scalars["krylov_steps_max"]
     assert scalars["krylov_steps_max"] <= spectra.GK_MAX_ITER
+
+
+def test_resolvent_sweep_default_delta_inside_gap_of_A(tmp_path, monkeypatch):
+    # nu = 3 > 2 sqrt(Lambda0): the gap of A is the pencil's, below Lambda0,
+    # and the default contour must still enclose lambda0 alone
+    ops = []
+
+    def recorded(op, delta, **kwargs):
+        ops.append(op)
+        return spectra.resolvent_sweep(op, delta, **kwargs)
+    monkeypatch.setattr(cli, "resolvent_sweep", recorded)
+    code = run(["resolvent-sweep", *SMALL, "--nu", "3",
+                "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    delta = _manifest(tmp_path)["scalars"]["delta"]
+    report = spectra.eig_report(ops[0])
+    assert ops[0].nu == 3.0
+    assert delta < report.gap
+    assert report.count_inside_square(delta) == 1

@@ -1,11 +1,15 @@
 """Import footprint: `import neelwall` loads numpy and scipy.linalg only.
 
 scipy.spatial (with the scipy.special it pulls in) and scipy.sparse add
-about 11 MB to every process; ARPACK is imported where it is called, and
-the eigen-report of a moving block does not call it.
+about 11 MB to every process.  No module under src/neelwall imports
+scipy.sparse, at module level or inside a function: zero modes come from
+inverse iteration through an LU and the numerical abscissa from the modal
+factor, so neither the eigen-reports, the null pair, the translation mode
+nor a resolvent sweep loads it.
 """
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -51,6 +55,41 @@ g = Grid(L=40.0, n=256)
 wall = solve_traveling(g, 1e-3, 1.0, tol=5e-8,
                        init=solve_static(g, tol=5e-8))
 assert eig_report(build_block(wall)).meta["solver"] == "hamiltonian"
+""")
+    assert not any(m.startswith("scipy.sparse") for m in got["modules"]), (
+        got["modules"])
+
+
+def _imported_modules(path: Path):
+    """Every module an import statement anywhere in the file names."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def test_src_never_imports_sparse():
+    files = sorted(Path(SRC, "neelwall").glob("*.py"))
+    assert files
+    found = [(f.name, m) for f in files for m in _imported_modules(f)
+             if m.startswith("scipy.sparse")]
+    assert not found, found
+
+
+def test_zero_modes_and_sweep_load_no_sparse():
+    got = _fresh("""
+from neelwall.grid import Grid
+from neelwall.linops import build_L, build_block, null_pair, translation_mode
+from neelwall.profiles import solve_static, solve_traveling
+from neelwall.spectra import resolvent_sweep
+g = Grid(L=40.0, n=256)
+static = solve_static(g, tol=5e-8)
+translation_mode(build_L(static))
+null_pair(build_block(solve_traveling(g, 1e-3, 1.0, tol=5e-8, init=static)))
+resolvent_sweep(build_block(static, with_c=False), 0.2, n_radial=4,
+                n_angular=4, n_gamma=8)
 """)
     assert not any(m.startswith("scipy.sparse") for m in got["modules"]), (
         got["modules"])

@@ -9,6 +9,8 @@ Oracles:
     transform equals the two separate ones bit for bit.
   * Dense eigvals: the moving block's pencil is gyroscopic, so all of
     sigma(A_c) but one real pair lies on Re lam = -nu/2.
+  * Shift-invert ARPACK (oracles.null_pair_arpack): the null pair by
+    inverse iteration through one LU.
 """
 from __future__ import annotations
 
@@ -25,7 +27,10 @@ from neelwall.linops import (
 )
 from neelwall.profiles import Linearization, solve_traveling
 from conftest import smooth_random
-from oracles import bc_difference, s_matrix_direct, static_projector_matrix
+from oracles import (
+    bc_difference, null_pair_arpack, s_matrix_direct, static_projector_matrix,
+    weighted_matrix,
+)
 
 
 def test_L_is_gradient_jacobian(static256, L_op256):
@@ -109,7 +114,7 @@ def test_Bc_matches_direct_assembly(traveling256, static256):
     # bottom-left block of B_c is -S; top row vanishes except 2c d_z
     assert np.max(np.abs(Bc.matrix[n:, :n] + S)) <= 1e-12
     assert np.max(np.abs(Bc.matrix[:n, :])) == 0.0
-    assert sla.svdvals(Bc.weighted_matrix)[0] <= 100 * abs(traveling256.c)
+    assert sla.svdvals(weighted_matrix(Bc))[0] <= 100 * abs(traveling256.c)
 
 
 @pytest.mark.parametrize("H", [1e-3, -1e-3, 0.0])
@@ -152,7 +157,6 @@ def test_null_pair_and_projector(Ac_op256):
     pair = null_pair(Ac_op256)
     g = pair.grid
     assert abs(pair.lambda0) <= 1e-5
-    assert abs(pair.lambda_next) > 10 * abs(pair.lambda0)
     assert pair.overlap != 0.0
     # weighted defect of the right eigenvector equals |lambda0|
     defect = weighted_state_norm(g, Ac_op256.matrix @ pair.right)
@@ -167,11 +171,54 @@ def test_null_pair_and_projector(Ac_op256):
 
 
 def test_null_pair_deterministic(Ac_op256):
-    # ARPACK starts from a fixed vector, so repeated calls agree bitwise
     a, b = null_pair(Ac_op256), null_pair(Ac_op256)
     assert np.array_equal(a.right, b.right)
     assert np.array_equal(a.left, b.left)
-    assert a.lambda0 == b.lambda0 and a.lambda_next == b.lambda_next
+    assert a.lambda0 == b.lambda0
+
+
+def _sine(a: np.ndarray, b: np.ndarray) -> float:
+    """Sine of the angle between the lines through a and b."""
+    a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
+    return float(np.linalg.norm(a - np.dot(a, b) * b))
+
+
+@pytest.mark.parametrize("n", [256, 512])
+def test_null_pair_matches_arpack(n, traveling256, traveling512):
+    # inverse iteration through one LU against the shift-invert ARPACK pair
+    # it replaced
+    op = build_block(traveling256 if n == 256 else traveling512)
+    pair, ref = null_pair(op), null_pair_arpack(op)
+    assert pair.lambda0 == pytest.approx(ref.lambda0.real, rel=1e-12)
+    assert _sine(pair.right, ref.right) <= 1e-7
+    assert _sine(pair.left, ref.left) <= 1e-7
+    assert np.dot(pair.right, ref.right) > 0.0      # both follow theta'
+    assert abs(pair.overlap) == pytest.approx(abs(ref.overlap), rel=1e-10)
+
+
+def _shifted(op: DiscretizedOperator, s: float) -> DiscretizedOperator:
+    """op with L replaced by L - s I (the same profile)."""
+    n = op.grid.n
+    M = np.array(op.matrix)
+    if op.is_block:
+        M[n:, :n] += s * np.eye(n)
+    else:
+        M -= s * np.eye(n)
+    return DiscretizedOperator(op.kind, M, op.grid, op.nu, op.c, op.H,
+                               op.profile)
+
+
+def test_zero_mode_separation_certificate(L_op256, A_op256):
+    # L - I/2 has eigenvalues near -1/2 and +1/2; the pencil of the block
+    # puts 0.37 next to -0.5 +- 0.14i: the smallest two |lambda| lie within
+    # 10x, so inverse iteration cannot settle and both entry points refuse
+    for op in (_shifted(L_op256, 0.5), _shifted(A_op256, 0.5)):
+        two = np.sort(np.abs(sla.eigvals(op.matrix)))[:2]
+        assert two[1] < 10 * two[0]
+        with pytest.raises(RuntimeError, match="not separated"):
+            translation_mode(op)
+    with pytest.raises(RuntimeError, match="not separated"):
+        null_pair(_shifted(A_op256, 0.5))
 
 
 def test_static_projector(static256):

@@ -8,7 +8,9 @@ Oracles:
     W^{1/2}(A - lam)W^{-1/2}.
   * Asymptotics: |lam| ||(A - lam)^{-1}|| -> 1 as lam -> +infinity.
   * Dense eigh: the relative-bound constant a^2 is the top eigenvalue of
-    the plainly formed B~^T B~ - b^2 A~^T A~, attained by its eigenvector.
+    the plainly formed B~^T B~ - b^2 A~^T A~, attained by its eigenvector;
+    the numerical abscissa is the top eigenvalue of the symmetric part of
+    the dense weighted A~.
   * scipy's k-d tree: the brute-force nearest-point queries on spectra.
   * Lanczos on S*S with an eigvalsh at every step: the estimates of
     _gk_batch.
@@ -35,7 +37,7 @@ from neelwall.spectra import (
 )
 from neelwall.linops import build_Bc, build_block
 from neelwall.profiles import solve_traveling
-from oracles import gk_batch_reference, nearest_kdtree
+from oracles import gk_batch_reference, nearest_kdtree, weighted_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +232,21 @@ def test_numerical_abscissa_bounds_spectrum(A_op256):
     assert w >= np.max(rep.eigenvalues.real) - 1e-10
 
 
+@pytest.mark.parametrize("n", [256, 1024])
+def test_numerical_abscissa_matches_dense(n, A_op256):
+    # closed form from the modal factor against eigvalsh of the symmetric
+    # part of the dense weighted matrix
+    if n == 256:
+        op = A_op256
+    else:
+        g = Grid(40.0, n)
+        op = build_block(solve_static(g, tol=max(1e-8, 1e-6 * g.dx**2)),
+                         with_c=False)
+    M = weighted_matrix(op)
+    ref = sla.eigvalsh(0.5 * (M + M.T), subset_by_index=[2 * n - 1, 2 * n - 1])
+    assert numerical_abscissa(op) == pytest.approx(ref[0], rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # resolvent norms
 
@@ -266,7 +283,7 @@ def static_wall(request, static256):
 
 def _dense_norms(op, lam):
     """(||(A - lam)^{-1}||_W, ||A (A - lam)^{-1}||_W) by dense SVD."""
-    M = op.weighted_matrix
+    M = weighted_matrix(op)
     shifted = M - lam * np.eye(M.shape[0])
     inv = np.linalg.inv(shifted)
     return (1.0 / sla.svdvals(shifted)[-1],
@@ -493,10 +510,18 @@ def test_gamma_square_geometry():
     delta, m = 0.2, 64
     pts = gamma_square(delta, m)
     assert len(pts) == m
+    assert len(gamma_square(delta, 4)) == 4
     assert np.max(np.abs(pts.real)) == pytest.approx(delta)
     assert np.max(np.abs(pts.imag)) == pytest.approx(delta)
     assert np.all(np.maximum(np.abs(pts.real), np.abs(pts.imag))
                   >= delta - 1e-12)
+
+
+@pytest.mark.parametrize("m", [66, 2, 0, -4])
+def test_gamma_square_rejects_bad_counts(m):
+    # 66 would give 64 points and 2 a fragment of the top side
+    with pytest.raises(ValueError, match="multiple of 4"):
+        gamma_square(0.2, m)
 
 
 def test_in_region_G():
@@ -547,7 +572,7 @@ def test_relative_bound_exact_against_dense(A_op256, traveling256, static256,
     assert point.b == pytest.approx(abs(c) * np.sqrt(4.0 + c * c), rel=1e-14)
 
     # dense reference: full eigh of the Gram difference formed with plain @
-    Bt, At = Bc.weighted_matrix, A_op256.weighted_matrix
+    Bt, At = weighted_matrix(Bc), weighted_matrix(A_op256)
     vals, vecs = np.linalg.eigh(Bt.T @ Bt - point.b**2 * (At.T @ At))
     assert point.a**2 == pytest.approx(vals[-1], rel=1e-8)
     # the maximizing eigenvector attains the bound; raw state U = W^{-1/2} V

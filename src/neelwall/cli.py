@@ -18,10 +18,10 @@ import time
 import numpy as np
 
 from . import __version__
-from .dynamics import (BlowUpError, Perturbation, SimConfig, decay_fit,
-                       integrate, orbital_experiment)
+from .dynamics import (BlowUpError, ModulationError, Perturbation,
+                       SimConfig, decay_fit, integrate, orbital_experiment)
 from .energy import gradient_selftest
-from .grid import Field, Grid
+from .grid import Field, Grid, apply_multiplier
 from .linops import build_Bc, build_block, build_L
 from .profiles import (Profile, SolverError, check_field, mobility,
                        mobility_fields, solve_static, solve_traveling)
@@ -351,8 +351,10 @@ def _cmd_orbital(grid, config, out, seed):
     _, ref = _wall(grid, config, H)
     verdict = orbital_experiment(grid, H, Perturbation(seed=seed), ref.nu,
                                  ref, dt=config["dt"], t_end=config["t_end"])
-    trace_path = os.path.join(out, "orbital_trace.csv")
-    write_report(verdict.trace, "csv", trace_path)
+    outputs = []
+    if verdict.trace is not None:
+        outputs.append(os.path.join(out, "orbital_trace.csv"))
+        write_report(verdict.trace, "csv", outputs[-1])
     fit = verdict.fit
     summary = {"stable": verdict.stable,
                "decay_rate": fit.omega if fit else float("nan"),
@@ -362,9 +364,11 @@ def _cmd_orbital(grid, config, out, seed):
                "a2_ratio": verdict.a2_ratio,
                "a2_bound": verdict.a2_bound,
                "a3_exponent": verdict.a3_exponent}
-    verdict_path = os.path.join(out, "orbital_verdict.jsonl")
-    write_report(summary, "json-lines", verdict_path)
-    return ref, [trace_path, verdict_path], {
+    if "failure" in verdict.meta:
+        summary["failure"] = verdict.meta["failure"]
+    outputs.append(os.path.join(out, "orbital_verdict.jsonl"))
+    write_report(summary, "json-lines", outputs[-1])
+    return ref, outputs, {
         "stable": bool(verdict.stable), "wall_speed": verdict.wall_speed}
 
 
@@ -404,8 +408,8 @@ def _startup_selftest():
     trusted then)."""
     g = Grid(20.0, 64)
     rng = np.random.default_rng(12345)
-    w = 0.05 * np.real(np.fft.ifft(
-        np.where(np.abs(g.k) <= 2.0, np.fft.fft(rng.standard_normal(g.n)), 0)))
+    w = 0.05 * apply_multiplier(g, rng.standard_normal(g.n),
+                                np.abs(g.k) <= 2.0)
     theta = Field(g, w, "wall")
     err = gradient_selftest(theta)
     if err > 1e-6:
@@ -430,12 +434,12 @@ def run(argv=None) -> int:
         _startup_selftest()
         body = _COMMANDS[args.command]
         profile, outputs, scalars = body(grid, config, out, seed)
+    except (SolverError, BlowUpError, ModulationError, RuntimeError) as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SolverError, BlowUpError, RuntimeError) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     _write_manifest(out, args.command, config, grid, seed, outputs,
                     _periodization(profile), t0, scalars)
     return EXIT_OK

@@ -7,6 +7,7 @@ The evolution (comoving frame moving at speed c; lab frame is c = 0)
     phi_t   = (1-c^2) theta_zz + c nu theta_z + 2c phi_z - nu phi
               + sin(theta) T(cos theta) - H cos(theta)
 
+(phi_t = -R(theta) + 2c phi_z - nu phi with R = profiles.traveling_residual)
 is integrated by an exponential two-stage rule: the Fourier-diagonal linear
 part (per mode the 2x2 companion block [[0,1],[-(1-c^2)k^2 + i c nu k,
 -nu + 2ick]]) is propagated by its exact matrix exponential, and the bounded
@@ -38,6 +39,7 @@ from .grid import (
     BACKGROUND_WALL,
     Field,
     Grid,
+    apply_multiplier,
     derivative,
     h1_norm,
     l2_inner,
@@ -48,7 +50,7 @@ from .grid import (
     wall_background_d1,
     wall_background_d2,
 )
-from .profiles import Linearization, Profile
+from .profiles import Linearization, Profile, traveling_residual
 
 FRAMES = ("lab", "comoving")
 PERTURBATION_SHAPES = ("sech", "odd_sech", "noise")
@@ -90,7 +92,7 @@ def build_perturbation(grid: Grid, pert: Perturbation) -> np.ndarray:
         rng = np.random.default_rng(pert.seed)
         raw = rng.standard_normal(grid.n)
         keep = np.abs(grid.k) <= 0.25 * np.max(np.abs(grid.k))
-        p = np.real(np.fft.ifft(keep * np.fft.fft(raw)))
+        p = apply_multiplier(grid, raw, keep)
         p *= np.exp(-((grid.x / (grid.L / 3)) ** 2))  # keep it decaying
         p /= h1_norm(grid, p)
     return pert.amplitude * p
@@ -252,25 +254,13 @@ def _inner(weights: np.ndarray, fh: np.ndarray, gh: np.ndarray) -> float:
     return float(weights @ (fh.real * gh.real + fh.imag * gh.imag))
 
 
-@lru_cache(maxsize=8)
-def _background_d2_spectral(grid: Grid) -> np.ndarray:
-    """Spectral derivative of the sampled background slope.
-
-    The discrete energy gradient differentiates the full first derivative
-    spectrally, so using the analytic second derivative here would leave a
-    small dt-independent defect in the energy balance.
-    """
-    d1 = wall_background_d1(grid.x)
-    out = np.real(np.fft.ifft(grid.k_deriv * np.fft.fft(d1)))
-    out.setflags(write=False)
-    return out
-
-
 def _background_forcing(grid: Grid, nu: float, c: float) -> np.ndarray:
     """Constant part of phi_t from the wall background:
-    (1-c^2) phi_bg'' + c nu phi_bg'."""
-    return ((1.0 - c**2) * _background_d2_spectral(grid)
-            + c * nu * _half_grid(grid).d1)
+    (1-c^2) phi_bg'' + c nu phi_bg', with phi_bg'' spectral as in the energy
+    gradient (the analytic one leaves a dt-independent energy defect)."""
+    d1 = _half_grid(grid).d1
+    return ((1.0 - c**2) * apply_multiplier(grid, d1, grid.k_deriv)
+            + c * nu * d1)
 
 
 def _cos_parts(grid: Grid, w: np.ndarray):
@@ -289,20 +279,6 @@ def _remainder_term(grid: Grid, parts, H: float,
     theta, cos_t, cos_h = parts
     Tc = np.fft.irfft(_half_grid(grid).T * cos_h, grid.n)
     return np.sin(theta) * Tc - H * cos_t + forcing
-
-
-def _full_rhs(grid: Grid, w: np.ndarray, phi: np.ndarray, nu: float, c: float,
-              H: float, forcing: np.ndarray):
-    """(theta_t, phi_t) in physical space: the full right-hand side F that
-    the quadratic-remainder check expands around the wave."""
-    wh = np.fft.fft(w)
-    ph = np.fft.fft(phi)
-    w_z = np.real(np.fft.ifft(grid.k_deriv * wh))
-    w_zz = np.real(np.fft.ifft(np.real(grid.k_deriv**2) * wh))
-    phi_z = np.real(np.fft.ifft(grid.k_deriv * ph))
-    G = _remainder_term(grid, _cos_parts(grid, w), H, forcing)
-    dphi = (1.0 - c**2) * w_zz + c * nu * w_z + 2.0 * c * phi_z - nu * phi + G
-    return phi, dphi
 
 
 def wall_position_of(grid: Grid, theta_full: np.ndarray,
@@ -625,9 +601,13 @@ def taylor_translation_check(reference: Profile):
 
 
 def quadratic_remainder_check(reference: Profile, nu: float):
-    """Size of F(phi + W) - F(phi) - DF(phi) W against ||W||^2, for one
-    band-limited random direction W (seed 0) at amplitudes 1e-2, 5e-3 and
-    2.5e-3.
+    """Size of F(psi + W) - F(psi) - DF(psi) W against ||W||^2, for one
+    band-limited random direction W = (w_u, w_v) (seed 0) at amplitudes
+    1e-2, 5e-3 and 2.5e-3, for the comoving system
+    F(w, phi) = (phi, -R(theta) + 2c phi' - nu phi) with R the traveling
+    residual (profiles.traveling_residual) and DR = L_c
+    (Linearization.matvec).  F is affine in phi, so the remainder is
+    (0, -(R(psi + w_u) - R(psi) - L_c w_u)); R's background parts cancel.
 
     Returns (constants, exponent): per-amplitude remainder/||W||^2 and the
     log-log slope of remainder vs ||W|| (2 for a quadratic nonlinearity).
@@ -635,34 +615,22 @@ def quadratic_remainder_check(reference: Profile, nu: float):
     g = reference.grid
     c, H = reference.c, reference.H
     rng = np.random.default_rng(0)
-    raw_u = rng.standard_normal(g.n)
-    raw_v = rng.standard_normal(g.n)
     keep = np.abs(g.k) <= 0.25 * np.max(np.abs(g.k))
-    shape_u = np.real(np.fft.ifft(keep * np.fft.fft(raw_u)))
-    shape_v = np.real(np.fft.ifft(keep * np.fft.fft(raw_v)))
+    shape_u, shape_v = apply_multiplier(g, rng.standard_normal((2, g.n)), keep)
     shape_u /= h1_norm(g, shape_u)
     shape_v /= l2_norm(g, shape_v)
 
-    # F(theta, phi) of the comoving first-order system, matrix-free
-    forcing = _background_forcing(g, nu, c)
-    w0 = reference.theta.values
-    phi0 = np.zeros(g.n)
-    F0u, F0v = _full_rhs(g, w0, phi0, nu, c, H, forcing)
+    theta = reference.theta
+    R0 = traveling_residual(g, theta, c, nu, H)
     Lc = Linearization(g, reference.reconstruct(), c, nu, H)
-
     sizes, rems = [], []
     for amp in (1e-2, 5e-3, 2.5e-3):
         wu, wv = amp * shape_u, amp * shape_v
-        Fu, Fv = _full_rhs(g, w0 + wu, phi0 + wv, nu, c, H, forcing)
-        # DF at the wave applied to W: (w_v, -L_c w_u + 2c w_v' - nu w_v)
-        lin_u = wv
-        wv_z = np.real(np.fft.ifft(g.k_deriv * np.fft.fft(wv)))
-        lin_v = -Lc.matvec(wu) + 2.0 * c * wv_z - nu * wv
-        rem = state_norm(g, Fu - F0u - lin_u, Fv - F0v - lin_v)
+        R = traveling_residual(g, theta.with_values(theta.values + wu),
+                               c, nu, H)
+        rems.append(l2_norm(g, R - R0 - Lc.matvec(wu)))
         sizes.append(state_norm(g, wu, wv))
-        rems.append(rem)
-    sizes = np.array(sizes)
-    rems = np.array(rems)
+    sizes, rems = np.array(sizes), np.array(rems)
     constants = rems / sizes**2
     exponent = float(np.polyfit(np.log(sizes), np.log(rems), 1)[0])
     return constants, exponent

@@ -4,8 +4,8 @@ Everything downstream (energy, profiles, operators, dynamics) is built on the
 primitives here: the grid on [-L, L), the half-Laplacian multiplier |k|, the
 nonlocal operator T = 1 + (-Delta)^{1/2}, the H1 weight 1 + k^2, spectral
 derivatives, and the inner products (L2, H1, homogeneous H^{1/2}) and the
-H1 x L2 state norm.  The profile-dependent a-form is
-profiles.Linearization.a_form, beside the coefficients it reads.
+H1 x L2 state norm.  apply_multiplier is the one real Fourier multiplier;
+the profile-dependent a-form is <L u, u> through profiles.Linearization.
 
 Phases that connect -pi/2 to +pi/2 are not periodic, so a Field may carry a
 fixed wall background phi_bg(x) = arcsin(tanh x) and store only the decaying
@@ -184,7 +184,7 @@ def shift(f: Field, s: float) -> Field:
     if abs(s) >= f.grid.L / 2:
         raise ValueError(f"|shift| must be < L/2 = {f.grid.L / 2}, got {s}")
     g = f.grid
-    shifted = np.real(np.fft.ifft(np.exp(1j * g.k * s) * np.fft.fft(f.values)))
+    shifted = apply_multiplier(g, f.values, np.exp(1j * g.k * s))
     if f.background == BACKGROUND_WALL:
         shifted = shifted + wall_background(g.x + s) - g.background
     return Field(g, shifted, f.background)

@@ -121,8 +121,9 @@ class Linearization:
     traveling Newton steps.
 
     matvec is the operator the solvers apply (the static Newton-CG polish,
-    the traveling Newton-GMRES, the quadratic-remainder check); dense() is
-    the matrix that linops assembles into L, L_c, A, A_c and B_c."""
+    the traveling Newton-GMRES, the quadratic-remainder check, the a-form
+    <L u, u> of the resolvent trials); dense() is the matrix that linops
+    assembles into L, L_c, A, A_c and B_c."""
 
     def __init__(self, grid: Grid, psi_full: np.ndarray, c: float = 0.0,
                  nu: float = 1.0, H: float = 0.0, mode: str = "nonlocal"):
@@ -152,22 +153,6 @@ class Linearization:
         M += s[:, None] * multiplier_matrix(self.grid, self.T) * s[None, :]
         M -= np.diag(self.potential)
         return M
-
-    def a_form(self, u, v) -> complex:
-        """The sesquilinear form a[u, v] = <u', v'> + <s T(s u), v>
-        - <(c_psi + H s) u, v> (second argument conjugated): <L u, v> at
-        c = 0; the drift terms of L_c are not included."""
-        g, s = self.grid, self.s
-        u = np.asarray(u)
-        v = np.asarray(v)
-        du = np.fft.ifft(g.k_deriv * np.fft.fft(u))
-        dv = np.fft.ifft(g.k_deriv * np.fft.fft(v))
-        Tsu = np.fft.ifft(self.T * np.fft.fft(s * u))
-        val = g.dx * np.sum(du * np.conj(dv)
-                            + (s * Tsu - self.potential * u) * np.conj(v))
-        if np.iscomplexobj(u) or np.iscomplexobj(v):
-            return val
-        return float(np.real(val))
 
 
 def _newton_polish(theta: Field, mode: str, tol: float, history: list):

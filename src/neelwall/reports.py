@@ -8,7 +8,6 @@ file without it reads as nonlocal.
 """
 from __future__ import annotations
 
-import dataclasses
 import io
 import json
 import os
@@ -126,17 +125,19 @@ def _cell(value):
     return [("", str(value))]
 
 
-def _rows_of(record):
-    """Normalize a report object to (name, list-of-ordered-dicts)."""
+def _rows_of(record) -> list[dict]:
+    """The rows of a report: one per eigenvalue of a SpectrumReport, per
+    sample of a SweepResult or list of ResolventSamples, per frame of a
+    SimTrace, per dict of a list of dicts, or the one row of a dict."""
     if isinstance(record, SpectrumReport):
-        return "spectrum", [
+        return [
             {"index": i, "re": lam.real, "im": lam.imag}
             for i, lam in enumerate(record.eigenvalues)
         ]
     if isinstance(record, SweepResult):
         record = record.samples
     if isinstance(record, SimTrace):
-        return "trace", [
+        return [
             {"t": record.times[i],
              "residual_H1": record.residual_H1[i],
              "wall_position": record.wall_position[i],
@@ -147,8 +148,8 @@ def _rows_of(record):
             for i in range(len(record.times))
         ]
     if isinstance(record, (list, tuple)):
-        if record and isinstance(record[0], ResolventSample):
-            return "resolvent", [
+        if record and all(isinstance(s, ResolventSample) for s in record):
+            return [
                 {"re_lambda": s.lam.real, "im_lambda": s.lam.imag,
                  "norm_inv": s.norm_inv,
                  "norm_composed": (np.nan if s.norm_composed is None
@@ -156,30 +157,13 @@ def _rows_of(record):
                  "region": s.region}
                 for s in record
             ]
-        if record and dataclasses.is_dataclass(record[0]):
-            return "records", [_flatten(dataclasses.asdict(r)) for r in record]
-        if record and isinstance(record[0], dict):
-            return "records", [_flatten(r) for r in record]
-        return "records", list(record)
-    if dataclasses.is_dataclass(record):
-        return "record", [_flatten(dataclasses.asdict(record))]
+        if all(isinstance(r, dict) for r in record):
+            return list(record)
+        kinds = ", ".join(sorted({type(r).__name__ for r in record}))
+        raise TypeError(f"cannot serialize a report list of {kinds}")
     if isinstance(record, dict):
-        return "record", [_flatten(record)]
+        return [record]
     raise TypeError(f"cannot serialize report of type {type(record).__name__}")
-
-
-def _flatten(d: dict) -> dict:
-    out = {}
-    for key, value in d.items():
-        if isinstance(value, dict):
-            for k2, v2 in _flatten(value).items():
-                out[f"{key}.{k2}"] = v2
-        elif isinstance(value, np.ndarray):
-            for i, v in enumerate(value.ravel()):
-                out[f"{key}[{i}]"] = complex(v) if np.iscomplexobj(value) else float(v)
-        else:
-            out[key] = value
-    return out
 
 
 def _json_value(value):
@@ -203,11 +187,11 @@ def write_report(record, fmt: str, path) -> None:
     """
     if fmt not in ("csv", "json-lines"):
         raise ValueError(f"format must be 'csv' or 'json-lines', got {fmt!r}")
-    _, rows = _rows_of(record)
+    rows = _rows_of(record)
     buf = io.StringIO()
     if fmt == "csv":
         if rows:
-            header, cells = [], []
+            header = []
             for key, value in rows[0].items():
                 for suffix, _ in _cell(value):
                     header.append(f"{key}{suffix}")

@@ -41,6 +41,7 @@ loads neither scipy.spatial nor scipy's sparse package, in any use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -188,13 +189,14 @@ def match_eigenvalues(base: np.ndarray, perturbed: np.ndarray):
 
 
 def _modal_factor(op: DiscretizedOperator):
-    """(mu, C, C^{-1}): mu, Q = op.modes of a static block A and the upper
-    Cholesky factor of K = Q^T (1 + k^2) Q = C^T C, with its inverse."""
+    """(mu, C, C^{-1}, X): mu, Q = op.modes of a static block A, the upper
+    Cholesky factor of K = Q^T (1 + k^2) Q = C^T C with its inverse, and
+    X = (C - C^{-T} diag(mu))/2 of numerical_abscissa."""
     mu, Q = op.modes
     K = apply_multiplier(op.grid, Q.T, op.grid.h1_weight) @ Q
     C = sla.cholesky(0.5 * (K + K.T), check_finite=False)
     Cinv, _ = sla.lapack.dtrtri(C)
-    return mu, C, Cinv
+    return mu, C, Cinv, 0.5 * (C - Cinv.T * mu)
 
 
 def numerical_abscissa(op: DiscretizedOperator) -> float:
@@ -205,13 +207,16 @@ def numerical_abscissa(op: DiscretizedOperator) -> float:
     part [[0, X], [X^T, -nu]], X = (C - C^{-T} diag(mu))/2, has the
     eigenvalues (-nu +- sqrt(nu^2 + 4 sigma^2))/2 per singular value sigma
     of X, so w comes from sigma_max(X)^2, the top eigenvalue of X X^T."""
-    mu, C, Cinv = _modal_factor(op)
-    X = 0.5 * (C - Cinv.T * mu)
-    n = len(mu)
+    return _abscissa(_modal_factor(op)[3], op.nu)
+
+
+def _abscissa(X: np.ndarray, nu: float) -> float:
+    """numerical_abscissa from the X of _modal_factor at damping nu."""
+    n = X.shape[0]
     sig2 = sla.eigh(blas.dsyrk(1.0, X.T, trans=1), lower=False,   # X X^T
                     eigvals_only=True, overwrite_a=True, check_finite=False,
                     subset_by_index=[n - 1, n - 1])[0]
-    return float(2.0 * sig2 / (op.nu + np.sqrt(op.nu**2 + 4.0 * sig2)))
+    return float(2.0 * sig2 / (nu + np.sqrt(nu**2 + 4.0 * sig2)))
 
 
 @dataclass(slots=True)
@@ -357,11 +362,19 @@ class ResolventCalculator:
 
     def __init__(self, op: DiscretizedOperator):
         self.op = op
-        self._mu, C, Cinv = _modal_factor(op)
+        self._mu, C, Cinv, self._X = _modal_factor(op)   # X until w is read
         self._C = np.asfortranarray(C, np.float32)
         self._Cinv = np.asfortranarray(Cinv, np.float32)
         self.spectrum = pencil_eigenvalues(self._mu, op.nu)
         self.last_steps = np.zeros(0, dtype=int)
+
+    @cached_property
+    def w(self) -> float:
+        """numerical_abscissa(op) from the calculator's double-precision modal
+        factor; its eigensolve runs on first use."""
+        w = _abscissa(self._X, self.op.nu)
+        del self._X
+        return w
 
     def spectrum_distance(self, lams) -> np.ndarray:
         """Distance from each lam to the nearest computed eigenvalue."""
@@ -492,13 +505,12 @@ def resolvent_sweep(op: DiscretizedOperator, delta: float,
     (|Im| > delta), G3 (remainder).  ||A(A-lam)^{-1}||_W is taken as
     |lam| ||(A-lam)^{-1}||_W wherever that product is at least 50: the
     triangle inequality pins the norm to it within 2% there.  op is the
-    static A: the calculator is built before the numerical abscissa, so any
-    other operator raises ModalStructureError before that eigensolve.
+    static A (any other operator raises ModalStructureError); w defaults to
+    calc.w, the numerical abscissa from the calculator's own modal factor.
     """
     nu = op.nu
     calc = calc or ResolventCalculator(op)
-    if w is None:
-        w = numerical_abscissa(op)
+    w = calc.w if w is None else w
     M1 = max(1.0, nu, 2.0 * abs(w))
     rmax = 1e3 * max(1.0, nu)
     radii = np.geomspace(delta / 4.0, rmax, n_radial)
@@ -657,6 +669,8 @@ def res_inequality_trials(A_op: DiscretizedOperator, delta: float,
     """Check the a-form resolvent inequalities of the static block operator
     A_op on random perpendicular data.  L, Lambda0 = mu[1] and the inverse
     of A on ran(P) all come from A_op (its matrix, modes and profile).
+    ||f||_a^2 = <L f, f> = dx (x^T L x + y^T L y) for f = x + iy, by
+    Linearization.matvec (L is real and symmetric: no cross terms).
 
     For (lam - A)U = F:   |conj(lam)||u||_a^2 + (lam+nu)||v||^2| <= ||U||_Z ||F||_Z.
     For (A - lam)Aperp^{-1}U = F: smallest feasible C1, C2 with
@@ -675,6 +689,10 @@ def res_inequality_trials(A_op: DiscretizedOperator, delta: float,
     Lm = -A_op.matrix[n:, :n]
     Lambda0 = float(A_op.modes[0][1])
 
+    def a_sq(f):
+        return max(g.dx * (f.real @ lin.matvec(f.real)
+                           + f.imag @ lin.matvec(f.imag)), 0.0)
+
     def rand_perp():
         z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         z = np.fft.ifft(cut * np.fft.fft(z))
@@ -687,7 +705,7 @@ def res_inequality_trials(A_op: DiscretizedOperator, delta: float,
     for _ in range(trials):
         u, v = rand_perp(), rand_perp()
         lam = sample_lambda_in_G(rng, delta, nu)
-        ua_sq = max(np.real(lin.a_form(u, u)), 0.0)
+        ua_sq = a_sq(u)
         v_sq = np.real(l2_inner(g, v, v))
         UZ = np.sqrt(ua_sq + v_sq)
         lhs = abs(np.conj(lam) * ua_sq + (lam + nu) * v_sq)
@@ -696,7 +714,7 @@ def res_inequality_trials(A_op: DiscretizedOperator, delta: float,
         f = lam * u - v
         # two real products: a complex u would upcast all of Lm
         gg = Lm @ u.real + 1j * (Lm @ u.imag) + (lam + nu) * v
-        fa_sq = max(np.real(lin.a_form(f, f)), 0.0)
+        fa_sq = a_sq(f)
         FZ = np.sqrt(fa_sq + np.real(l2_inner(g, gg, gg)))
         defect = UZ * FZ - lhs
         min_defect = min(min_defect, defect)
@@ -708,7 +726,7 @@ def res_inequality_trials(A_op: DiscretizedOperator, delta: float,
         AiU = aperp(U.real) + 1j * aperp(U.imag)
         F = U - lam * AiU
         fb, gb = F[:n], F[n:]
-        fb_sq = max(np.real(lin.a_form(fb, fb)), 0.0)
+        fb_sq = a_sq(fb)
         FZb = np.sqrt(fb_sq + np.real(l2_inner(g, gb, gb)))
         denom1 = (abs(lam) * np.sqrt(ua_sq) + abs(lam + nu) * np.sqrt(v_sq)) * FZb
         if denom1 > 0:

@@ -2,10 +2,10 @@
 check: the drift perturbation S of B_c and B_c as a difference of blocks, the
 dense W^{1/2}-conjugated matrix of an operator, the null pair by
 shift-invert ARPACK, the static projector, one damped linear mode in closed
-form and under the exponential step weights, the damped wave step by
-classical RK4 in physical space, nearest points by k-d tree, and Lanczos on
-S*S with an eigvalsh at every step, and the traveling wall by bordered
-Newton on the dense Jacobian with LU."""
+form and under the exponential step weights, the damped wave right-hand
+side in physical space and its step by classical RK4, nearest points by k-d
+tree, and Lanczos on S*S with an eigvalsh at every step, and the traveling
+wall by bordered Newton on the dense Jacobian with LU."""
 from __future__ import annotations
 
 import numpy as np
@@ -178,8 +178,8 @@ def damped_wave_remainder(grid: Grid, nu: float, c: float, H: float):
     return remainder
 
 
-def rk4_step(grid: Grid, nu: float, c: float, H: float, dt: float):
-    """(w, phi) -> (w, phi) one step dt later, by classical RK4 on
+def damped_wave_rhs(grid: Grid, nu: float, c: float, H: float):
+    """(w, phi) -> (theta_t, phi_t) of
     theta_t = phi, phi_t = (1-c^2) w'' + c nu w' + 2c phi' - nu phi + G(w)
     in physical space, derivatives spectral with the Nyquist mode zeroed;
     G is damped_wave_remainder."""
@@ -192,6 +192,13 @@ def rk4_step(grid: Grid, nu: float, c: float, H: float, dt: float):
     def rhs(w, phi):
         return phi, ((1.0 - c**2) * spectral(kd2, w) + c * nu * spectral(kd, w)
                      + 2.0 * c * spectral(kd, phi) - nu * phi + remainder(w))
+    return rhs
+
+
+def rk4_step(grid: Grid, nu: float, c: float, H: float, dt: float):
+    """(w, phi) -> (w, phi) one step dt later, by classical RK4 on
+    damped_wave_rhs."""
+    rhs = damped_wave_rhs(grid, nu, c, H)
 
     def step(w, phi):
         k1w, k1p = rhs(w, phi)

@@ -9,9 +9,9 @@ import json
 import numpy as np
 import pytest
 
-from neelwall import cli, profiles, spectra
+from neelwall import cli, dynamics, profiles, spectra
 from neelwall.cli import (
-    DEFAULTS, EXIT_CONFIG, EXIT_OK, SUBCOMMANDS, _COMMANDS, run,
+    DEFAULTS, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, SUBCOMMANDS, _COMMANDS, run,
 )
 from neelwall.grid import Grid
 from neelwall.profiles import solve_static
@@ -93,6 +93,40 @@ def test_simulate_quick(tmp_path):
     assert m["scalars"]["decay_rate"] > 0.2
     assert m["scalars"]["decay_r2"] >= 0.95
     assert abs(m["scalars"]["final_defect"]) <= 1e-4
+
+
+@pytest.fixture
+def modulation_fails(monkeypatch):
+    """Every modulation fit of the integrator raises ModulationError."""
+    def failing(*args, **kwargs):
+        raise dynamics.ModulationError("no modulation bracket (test)")
+    monkeypatch.setattr(dynamics, "_fit_shift", failing)
+
+
+def test_simulate_modulation_failure_is_a_solver_failure(
+        tmp_path, modulation_fails, capsys):
+    code = run(["simulate", *SMALL, "--H", "0", "--dt", "0.02",
+                "--t-end", "10", "--out", str(tmp_path)])
+    assert code == EXIT_SOLVER
+    assert "solver failure: no modulation bracket" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_orbital_modulation_failure_is_an_unstable_verdict(
+        tmp_path, modulation_fails):
+    code = run(["orbital", *SMALL, "--H", "0", "--dt", "0.02",
+                "--t-end", "10", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    with open(tmp_path / "orbital_verdict.jsonl") as fh:
+        verdict = json.loads(fh.readline())
+    assert verdict["stable"] is False
+    assert verdict["failure"] == "no modulation bracket (test)"
+    # no trace was recorded, so none is written or listed
+    assert not (tmp_path / "orbital_trace.csv").exists()
+    m = _manifest(tmp_path)
+    assert [p.rsplit("/", 1)[-1] for p in m["outputs"]] == [
+        "orbital_verdict.jsonl"]
+    assert m["scalars"]["stable"] is False
 
 
 def test_config_file_precedence(tmp_path):

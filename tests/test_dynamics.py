@@ -8,6 +8,8 @@ Oracles:
     shift, derivative, energy and h1_norm.
   * Classical RK4 in physical space (oracles.py), through the same frame
     recorder: the same trajectory up to the time-stepping error.
+  * The RK4 oracle's right-hand side with the dense L_c: the same
+    quadratic-remainder constants and exponent as quadratic_remainder_check.
   * Dense matrix exponential: per-mode step weights equal expm of the
     companion block.
   * Physical-space modulation: the half-spectrum orthogonality condition,
@@ -30,11 +32,12 @@ from neelwall.dynamics import (
 )
 from neelwall.energy import energy
 from neelwall.grid import (
-    Field, derivative, h1_norm, l2_inner, l2_norm, shift, wall_background,
-    wall_background_d1, wall_background_d2,
+    Field, derivative, h1_norm, l2_inner, l2_norm, shift, state_norm,
+    wall_background, wall_background_d1, wall_background_d2,
 )
+from neelwall.profiles import Linearization
 from oracles import (closed_form_damped_mode, damped_wave_remainder,
-                     integrate_linear_mode, rk4_step)
+                     damped_wave_rhs, integrate_linear_mode, rk4_step)
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +401,36 @@ def test_quadratic_remainder_scaling(traveling256):
     assert abs(exponent - 2.0) <= 0.1
     # prefactor is amplitude-independent for a genuinely quadratic remainder
     assert np.max(constants) <= 2.0 * np.min(constants)
+
+
+def test_quadratic_remainder_matches_oracle_rhs(traveling256):
+    # the same remainder F(psi + W) - F(psi) - DF(psi) W with F the RK4
+    # oracle's right-hand side and L_c from the dense matrix
+    g, c, H, nu = traveling256.grid, traveling256.c, traveling256.H, 1.0
+    assert H == 1e-3
+    rng = np.random.default_rng(0)
+    keep = np.abs(g.k) <= 0.25 * np.max(np.abs(g.k))
+    shape_u, shape_v = (np.real(np.fft.ifft(keep * np.fft.fft(raw)))
+                        for raw in rng.standard_normal((2, g.n)))
+    shape_u /= h1_norm(g, shape_u)
+    shape_v /= l2_norm(g, shape_v)
+    rhs = damped_wave_rhs(g, nu, c, H)
+    Lc = Linearization(g, traveling256.reconstruct(), c, nu, H).dense()
+    w0, phi0 = traveling256.theta.values, np.zeros(g.n)
+    F0u, F0v = rhs(w0, phi0)
+    sizes, rems = [], []
+    for amp in (1e-2, 5e-3, 2.5e-3):
+        wu, wv = amp * shape_u, amp * shape_v
+        Fu, Fv = rhs(w0 + wu, phi0 + wv)
+        wv_z = np.real(np.fft.ifft(g.k_deriv * np.fft.fft(wv)))
+        lin_v = -Lc @ wu + 2.0 * c * wv_z - nu * wv
+        rems.append(state_norm(g, Fu - F0u - wv, Fv - F0v - lin_v))
+        sizes.append(state_norm(g, wu, wv))
+    sizes, rems = np.array(sizes), np.array(rems)
+    constants, exponent = quadratic_remainder_check(traveling256, nu)
+    assert np.allclose(constants, rems / sizes**2, rtol=1e-8, atol=0.0)
+    assert exponent == pytest.approx(
+        np.polyfit(np.log(sizes), np.log(rems), 1)[0], rel=1e-8)
 
 
 def test_orbital_experiment_static(grid256, static256):

@@ -10,6 +10,10 @@ Oracles:
 """
 from __future__ import annotations
 
+import ast
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +23,7 @@ from neelwall.grid import (
     h1_norm, half_laplacian, hhalf_seminorm_sq, l2_inner, l2_norm,
     multiplier_matrix, shift, state_norm, wall_background, wall_background_d1,
 )
-from neelwall.profiles import Linearization
+from neelwall import grid as grid_module
 from conftest import smooth_random
 
 G = Grid(L=40.0, n=256)
@@ -205,11 +209,31 @@ def test_state_norm_matches_components():
         np.hypot(h1_norm(G, u), l2_norm(G, v)), rel=1e-12)
 
 
-def test_a_form_hermitian():
-    a_form = Linearization(G, wall_background(G.x)).a_form
-    u = smooth_random(G, seed=6)
-    v = smooth_random(G, seed=7)
-    assert a_form(u, v) == pytest.approx(a_form(v, u), rel=1e-10, abs=1e-12)
+# the only places in src that transform to a real multiplier product by
+# hand, each with its reason
+OWN_REAL_MULTIPLIERS = {
+    ("grid.py", "apply_multiplier"),   # the definition itself
+    ("profiles.py", "matvec"),         # two transforms in one batched call
+    ("linops.py", "_weight"),          # divides by the weight: a multiply
+                                       # by 1/w would round differently
+}
+
+
+def test_real_multipliers_go_through_apply_multiplier():
+    found = set()
+    for path in sorted(Path(grid_module.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        functions = [node for node in ast.walk(ast.parse(source))
+                     if isinstance(node, (ast.FunctionDef,
+                                          ast.AsyncFunctionDef))]
+        for lineno, line in enumerate(source.splitlines(), start=1):
+            if re.search(r"np\.real\(\s*np\.fft\.ifft\(", line):
+                enclosing = [f for f in functions
+                             if f.lineno <= lineno <= f.end_lineno]
+                name = (min(enclosing, key=lambda f: f.end_lineno - f.lineno)
+                        .name if enclosing else "<module>")
+                found.add((path.name, name))
+    assert found == OWN_REAL_MULTIPLIERS
 
 
 # ---------------------------------------------------------------------------

@@ -147,3 +147,10 @@ def test_write_report_rejects_unknown_format(tmp_path):
 def test_write_report_rejects_unserializable(tmp_path):
     with pytest.raises(TypeError):
         write_report(object(), "csv", tmp_path / "r.csv")
+    # a list of anything but dicts or resolvent samples, before any write
+    for fmt in ("csv", "json-lines"):
+        with pytest.raises(TypeError, match="float"):
+            write_report([0.5, 1.5], fmt, tmp_path / "r.out")
+        with pytest.raises(TypeError, match="dict, float"):
+            write_report([{"x": 1.0}, 2.0], fmt, tmp_path / "r.out")
+    assert not (tmp_path / "r.out").exists()

@@ -247,6 +247,22 @@ def test_numerical_abscissa_matches_dense(n, A_op256):
     assert numerical_abscissa(op) == pytest.approx(ref[0], rel=1e-12)
 
 
+def test_sweep_forms_one_modal_factor(A_op256, monkeypatch):
+    # the sweep takes its numerical abscissa from the calculator's factor
+    calls = []
+    factor = spectra._modal_factor
+
+    def counted(op):
+        calls.append(op)
+        return factor(op)
+    monkeypatch.setattr(spectra, "_modal_factor", counted)
+    sweep = resolvent_sweep(A_op256, 0.2, n_radial=2, n_angular=2, n_gamma=4)
+    assert len(calls) == 1
+    w = numerical_abscissa(A_op256)
+    assert sweep.w == w
+    assert ResolventCalculator(A_op256).w == w
+
+
 # ---------------------------------------------------------------------------
 # resolvent norms
 

@@ -121,8 +121,8 @@ class Linearization:
     traveling Newton steps.
 
     matvec is the operator the solvers apply (the static Newton-CG polish,
-    the traveling Newton-GMRES, the quadratic-remainder check, the a-form
-    <L u, u> of the resolvent trials); dense() is the matrix that linops
+    the traveling Newton-GMRES, the quadratic-remainder check, L u and the
+    a-form <L u, u> of the resolvent trials); dense() is the matrix that linops
     assembles into L, L_c, A, A_c and B_c."""
 
     def __init__(self, grid: Grid, psi_full: np.ndarray, c: float = 0.0,

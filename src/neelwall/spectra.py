@@ -16,9 +16,10 @@ its Lambda0 and restricted inverse: one eigh(L) per operator.  Any other
 matrix (A_c with c != 0 included) raises linops.ModalStructureError.
 
 The norm ||S||_2 of the weighted resolvent S (see ResolventCalculator) is
-estimated by Lanczos on S*S with full reorthogonalization against one
-Krylov basis (_gk_batch), run in lockstep over a block of lam's; sweeps
-evaluate each conjugate pair once (the weighted matrix is real).
+the top Ritz value of three-term Lanczos on S*S (_gk_batch), which stores
+no Krylov basis and needs no reorthogonalization (Paige 1976; Parlett,
+ch. 13), run in lockstep over a block of lam's sized by its working set;
+sweeps evaluate each conjugate pair once (the weighted matrix is real).
 Eigenvalues are geometry-invariant, so eigen-reports work on the raw real
 matrices.  eig_report has three eigen paths, named in meta["solver"]:
 "eigh" for the symmetric L; "hamiltonian" for a moving A_c whose
@@ -236,8 +237,8 @@ SPECTRUM_MIN_DISTANCE = 1e-8   # resolvents closer to sigma(A) are refused
 GK_MIN_ITER = 12          # steps before the stagnation test may stop a lambda
 GK_MAX_ITER = 80          # Lanczos steps per lambda at most
 GK_TOL = 1e-3             # relative change of the estimate that stops a lambda
-_BLOCK_BYTES = 48         # twice the Krylov storage of a block of lam's, in
-                          # bytes per entry of a 2n x 2n matrix
+_BLOCK_BYTES = 1 << 26    # working set of one block of lam's (64 MiB)
+_BLOCK_VECTORS = 8        # complex64 rows of length 2n per lam in that set
 
 
 def _top_eigenvalue(alphas: np.ndarray, betas: np.ndarray) -> np.ndarray:
@@ -254,46 +255,46 @@ def _top_eigenvalue(alphas: np.ndarray, betas: np.ndarray) -> np.ndarray:
 
 def _gk_batch(matvec, rmatvec, m, size, tol, max_iter, seed,
               dtype=np.complex128) -> tuple[np.ndarray, np.ndarray]:
-    """sigma_max of m operators S and the Krylov steps each took, by
-    Lanczos on S*S with full reorthogonalization (Golub-Kahan in its
-    one-sided form), run in lockstep from one random start vector.
+    """sigma_max of m operators S and the Krylov steps each took, by the
+    three-term Lanczos recurrence on S*S (one-sided Golub-Kahan), run in
+    lockstep from one random start vector.
 
     matvec(X, act) applies operator act[j] to row j of X (len(act) x
-    size); rmatvec applies the adjoints.  Step j forms p = S*(S v_j), so
-    alpha_j = ||S v_j||^2, and reorthogonalizes p against the one stored
-    basis V, one array operation per vector; the estimate is
-    sqrt(lambda_max(T_j)) of the tridiagonal T_j, which is B_j^T B_j of
-    the bidiagonal B_j two-sided Golub-Kahan would build from the same
-    start.  The small eigensolves of the block share one batched eigvalsh
-    per step, and an operator leaves the block once its estimate changes
-    by at most tol (relative) after GK_MIN_ITER steps, or its Lanczos run
-    terminates (b < 1e-12 max(lambda_max, 1), the zero operator at once).
-    Krylov vectors stay in `dtype` so single-precision products are not
-    upcast.
+    size); rmatvec applies the adjoints.  Step j forms w = S*(S v_j) -
+    alpha_j v_j - beta_{j-1} v_{j-1}, alpha_j = ||S v_j||^2, from the last
+    two vectors: no basis is stored or reorthogonalized against.  The top
+    Ritz value sqrt(lambda_max(T_j)) needs none: in finite precision Ritz
+    values stay in the spectrum up to rounding and lost orthogonality only
+    repeats converged ones (Paige 1976; Parlett, The Symmetric Eigenvalue
+    Problem, ch. 13), and lambda_max(T_j) never decreases (T_j leads
+    T_{j+1}).  An operator leaves the block once its estimate changes by at
+    most tol (relative) after GK_MIN_ITER steps, or its run terminates
+    (b < 1e-12 max(lambda_max, 1), the zero operator at once).  Vectors
+    stay in `dtype`, so single-precision products are not upcast.
 
-    The eigensolve runs only where its estimate is read: from step
-    GK_MIN_ITER - 1 on (the stagnation test compares with the step
-    before), at the last step, and on rows that may meet the breakdown
-    test.  lambda_max(T) <= ||T||_F, so a row with b >= 2e-12
-    max(||T||_F, 1) cannot (the factor 2 covers rounding)."""
+    One batched eigvalsh per step solves the small T_j, only where the
+    estimate is read: from step GK_MIN_ITER - 1 on (the stagnation test
+    compares with the step before), at the last step, and on rows that may
+    meet the breakdown test.  lambda_max(T) <= ||T||_F, so a row with
+    b >= 2e-12 max(||T||_F, 1) cannot (the factor 2 covers rounding)."""
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     v0 = (v0 / np.linalg.norm(v0)).astype(dtype)
     act = np.arange(m)
-    Vs = [np.tile(v0, (m, 1))]
-    alphas = np.zeros((m, max_iter))
-    betas = np.zeros((m, max_iter))
+    v, v_prev = np.tile(v0, (m, 1)), None
+    alphas, betas = np.zeros((2, m, max_iter))
     est = np.zeros(m)
     steps = np.zeros(m, dtype=int)
     for j in range(max_iter):
-        u = matvec(Vs[-1], act)
-        a = np.linalg.norm(u, axis=1) ** 2
-        w = rmatvec(u, act) - a[:, None] * Vs[-1]
+        u = matvec(v, act)
+        # row norms over the real view: one temporary, not two
+        a = np.linalg.norm(u.view(u.real.dtype), axis=1) ** 2
+        w = rmatvec(u, act)
+        del u                      # out of the working set before S v_{j+1}
+        w -= a[:, None] * v
         if j:
-            w -= b[:, None] * Vs[-2]
-        for vv in Vs:
-            w -= np.vecdot(vv, w)[:, None] * vv
-        b = np.linalg.norm(w, axis=1)
+            w -= b[:, None] * v_prev
+        b = np.linalg.norm(w.view(w.real.dtype), axis=1)
         alphas[act, j], betas[act, j] = a, b
         steps[act] = j + 1
         if j + 2 >= GK_MIN_ITER or j + 1 == max_iter:
@@ -317,9 +318,9 @@ def _gk_batch(matvec, rmatvec, m, size, tol, max_iter, seed,
             act = act[keep]
             if not act.size:
                 break
-            Vs = [x[keep] for x in Vs]
-            w, b = w[keep], b[keep]
-        Vs.append(w / b[:, None])
+            v, w, b = v[keep], w[keep], b[keep]
+        w /= b[:, None]
+        v_prev, v = v, w
     return est, steps
 
 
@@ -331,9 +332,9 @@ def _triangular_product(F: np.ndarray, X: np.ndarray,
     real (n, 2a) array and back.  It goes through scipy's BLAS:
     numpy and scipy may link separate OpenBLAS builds, whose idle thread
     pools then compete for the cores between alternating calls."""
-    Z = np.ascontiguousarray(X.T).view(np.float32)
-    # F Z computed as (Z^T F^T)^T, so the C-ordered Z needs no copy
-    Z = blas.strmm(1.0, F, Z.T, side=1, trans_a=not trans)
+    Z = np.array(X.T, order="C").view(np.float32)    # always a copy of X
+    # F Z computed as (Z^T F^T)^T, so strmm overwrites the C-ordered Z
+    Z = blas.strmm(1.0, F, Z.T, side=1, trans_a=not trans, overwrite_b=1)
     return Z.T.view(np.complex64).T
 
 
@@ -355,10 +356,11 @@ class ResolventCalculator:
     with C^{-1} per application of S or S*.  These run in single precision
     with no double-precision redo: C is well conditioned (cond(K) =
     max(1 + k^2)), and the near-singular factor R is formed in double
-    before it is rounded.  ||S||_2 comes from Lanczos on S*S (_gk_batch,
-    at most GK_MAX_ITER steps to relative tolerance GK_TOL).  norm_inv and
-    norm_composed take one lam or a 1-D array of them; last_steps holds
-    the Krylov steps each lam of the latest call took."""
+    before it is rounded.  ||S||_2 comes from three-term Lanczos on S*S
+    (_gk_batch, at most GK_MAX_ITER steps to relative tolerance GK_TOL), in
+    blocks of lam's sized by _block_size.  norm_inv and norm_composed take
+    one lam or a 1-D array of them; last_steps holds the Krylov steps each
+    lam of the latest call took."""
 
     def __init__(self, op: DiscretizedOperator):
         self.op = op
@@ -389,11 +391,10 @@ class ResolventCalculator:
                 f"computed spectrum (distance {d[i]:.2e})")
 
     def _block_size(self) -> int:
-        """Lambdas per block: worst-case Krylov storage (one basis of
-        GK_MAX_ITER + 1 complex64 vectors of length 2n per lambda) fits in
-        half of _BLOCK_BYTES per entry of a 2n x 2n matrix."""
-        size = 2 * self.op.grid.n
-        return max(1, _BLOCK_BYTES * size // (2 * (GK_MAX_ITER + 1) * 8))
+        """Lambdas per block: _BLOCK_VECTORS complex64 rows of length 2n per
+        lambda (the two Lanczos vectors of _gk_batch, S v and the
+        temporaries of S and S*) fit in _BLOCK_BYTES."""
+        return max(1, _BLOCK_BYTES // (_BLOCK_VECTORS * 2 * self.op.grid.n * 8))
 
     def _modal_ops(self, lams: np.ndarray, composed: bool):
         """(matvec, rmatvec) of S(lam) (or I + lam S(lam)) for a block."""
@@ -402,21 +403,26 @@ class ResolventCalculator:
              ).astype(np.complex64)
         lams = lams.astype(np.complex64)[:, None]
 
+        def plus_identity(out, X, lam):      # X + lam out, in out
+            out *= lam
+            out += X
+            return out
+
         def mv(X, act):
-            lam, Ra = lams[act], R[act]
+            lam = lams[act]
             z = _triangular_product(Cinv, X[:, :n])
-            top = -Ra * ((nu + lam) * z + X[:, n:])
+            top = -R[act] * ((nu + lam) * z + X[:, n:])
             out = np.concatenate([_triangular_product(C, top), z + lam * top],
                                  axis=1)
-            return X + lam * out if composed else out
+            return plus_identity(out, X, lam) if composed else out
 
         def rmv(Y, act):
-            clam, Ra = np.conj(lams[act]), np.conj(R[act])
-            t = -Ra * (_triangular_product(C, Y[:, :n], trans=True)
-                       + clam * Y[:, n:])
+            clam = np.conj(lams[act])
+            t = -np.conj(R[act]) * (_triangular_product(C, Y[:, :n], trans=True)
+                                    + clam * Y[:, n:])
             out = np.concatenate([_triangular_product(
                 Cinv, Y[:, n:] + (nu + clam) * t, trans=True), t], axis=1)
-            return Y + clam * out if composed else out
+            return plus_identity(out, Y, clam) if composed else out
 
         return mv, rmv
 
@@ -433,6 +439,7 @@ class ResolventCalculator:
                 mv, rmv, len(block), size, GK_TOL, GK_MAX_ITER, seed,
                 dtype=np.complex64)
         return out
+
     def norm_inv(self, lam):
         """||(A - lam)^{-1}||_W = 1/sigma_min(A - lam) in the weighted
         geometry, for one lam (returns a float) or a 1-D array of them."""
@@ -513,38 +520,32 @@ def resolvent_sweep(op: DiscretizedOperator, delta: float,
     w = calc.w if w is None else w
     M1 = max(1.0, nu, 2.0 * abs(w))
     rmax = 1e3 * max(1.0, nu)
-    radii = np.geomspace(delta / 4.0, rmax, n_radial)
-    angles = np.linspace(-np.pi / 2 + 1e-3, np.pi / 2 - 1e-3, n_angular)
-    lams = []
-    for r in radii:
-        for phi in angles:
-            lam = -delta + r * np.exp(1j * phi)
-            if not in_region_G(lam, delta):
-                # landed inside the contour square: push the sample radially
-                # past it so the advertised sample count is preserved
-                lam = -delta + (r + 2.5 * delta) * np.exp(1j * phi)
-            lams.append(lam)
+    radii = np.geomspace(delta / 4.0, rmax, n_radial)[:, None]
+    phase = np.exp(1j * np.linspace(-np.pi / 2 + 1e-3, np.pi / 2 - 1e-3,
+                                    n_angular))
+    polar = -delta + radii * phase
+    # points inside the contour square move radially past it (count kept)
+    polar = np.where(in_region_G(polar, delta), polar,
+                     -delta + (radii + 2.5 * delta) * phase)
     # The log-polar grid leaves G1 (near-real beyond M1) almost empty: any
     # nonzero angle has |Im lam| > delta once r is large.  Add a dedicated
     # near-real line so the far-field envelope bound is actually exercised.
-    for r in np.geomspace(M1 + delta, rmax, n_radial):
-        for im in (-0.5 * delta, 0.0, 0.5 * delta):
-            lams.append(r + 1j * im)
-    pts = [(lam, _label(lam, delta, M1)) for lam in lams]
-    pts += [(lam, "Gamma") for lam in gamma_square(delta, n_gamma)]
+    line = (np.geomspace(M1 + delta, rmax, n_radial)[:, None]
+            + 1j * (np.array([-0.5, 0.0, 0.5]) * delta))
+    lams = np.concatenate([polar.ravel(), line.ravel()])
+    regions = [_label(lam, delta, M1) for lam in lams] + ["Gamma"] * n_gamma
+    lams = np.concatenate([lams, gamma_square(delta, n_gamma)])
 
     # Move the points that fall on the computed spectrum, and record them.
-    nudged = []
-    dist = calc.spectrum_distance([lam for lam, _ in pts])
-    for i in np.flatnonzero(dist <= SPECTRUM_MIN_DISTANCE):
-        lam, region = pts[i]
-        pts[i] = (lam + 1e-6 * (1 + 1j), region)
-        nudged.append((complex(lam), complex(pts[i][0])))
+    hit = calc.spectrum_distance(lams) <= SPECTRUM_MIN_DISTANCE
+    nudged = [(lam, lam + 1e-6 * (1 + 1j)) for lam in lams[hit].tolist()]
+    lams[hit] += 1e-6 * (1 + 1j)
     # The weighted matrix is real, so norms at conjugate points coincide;
     # key on (Re lam, |Im lam|) to compute each mirror pair once.
-    keys = [(round(lam.real, 12), round(abs(lam.imag), 12)) for lam, _ in pts]
+    keys = list(zip(np.round(lams.real, 12).tolist(),
+                    np.round(np.abs(lams.imag), 12).tolist()))
     first = {}
-    for key, (lam, _) in zip(keys, pts):
+    for key, lam in zip(keys, lams):
         first.setdefault(key, lam)
     distinct = np.array(list(first.values()), dtype=complex)
     ninv = calc.norm_inv(distinct)
@@ -561,7 +562,7 @@ def resolvent_sweep(op: DiscretizedOperator, delta: float,
     sup_by_region: dict = {}
     envelope_margin = 0.0
     flagged = False
-    for key, (lam, region) in zip(keys, pts):
+    for key, lam, region in zip(keys, lams, regions):
         ninv, ncomp = norms[key]
         samples.append(ResolventSample(complex(lam), ninv, ncomp, region))
         sup_by_region[region] = max(sup_by_region.get(region, 0.0), ninv)
@@ -667,10 +668,10 @@ def sample_lambda_in_G(rng, delta: float, nu: float) -> complex:
 def res_inequality_trials(A_op: DiscretizedOperator, delta: float,
                           trials: int = 100, seed: int = 0) -> TrialStats:
     """Check the a-form resolvent inequalities of the static block operator
-    A_op on random perpendicular data.  L, Lambda0 = mu[1] and the inverse
-    of A on ran(P) all come from A_op (its matrix, modes and profile).
-    ||f||_a^2 = <L f, f> = dx (x^T L x + y^T L y) for f = x + iy, by
-    Linearization.matvec (L is real and symmetric: no cross terms).
+    A_op on random perpendicular data.  Lambda0 = mu[1] and the inverse of
+    A on ran(P) come from A_op's modes and profile, L from
+    Linearization.matvec of the profile: ||f||_a^2 = <L f, f> =
+    dx (x^T L x + y^T L y) for f = x + iy (L is real and symmetric).
 
     For (lam - A)U = F:   |conj(lam)||u||_a^2 + (lam+nu)||v||^2| <= ||U||_Z ||F||_Z.
     For (A - lam)Aperp^{-1}U = F: smallest feasible C1, C2 with
@@ -686,7 +687,6 @@ def res_inequality_trials(A_op: DiscretizedOperator, delta: float,
     dth = derivative(static.theta, 1).values
     dth_nsq = float(np.dot(dth, dth))
     cut = np.abs(g.k) <= 0.75 * np.max(np.abs(g.k))
-    Lm = -A_op.matrix[n:, :n]
     Lambda0 = float(A_op.modes[0][1])
 
     def a_sq(f):
@@ -712,8 +712,7 @@ def res_inequality_trials(A_op: DiscretizedOperator, delta: float,
 
         # construction (a): F = (lam - A)U
         f = lam * u - v
-        # two real products: a complex u would upcast all of Lm
-        gg = Lm @ u.real + 1j * (Lm @ u.imag) + (lam + nu) * v
+        gg = lin.matvec(u.real) + 1j * lin.matvec(u.imag) + (lam + nu) * v
         fa_sq = a_sq(f)
         FZ = np.sqrt(fa_sq + np.real(l2_inner(g, gg, gg)))
         defect = UZ * FZ - lhs

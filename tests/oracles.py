@@ -4,8 +4,10 @@ dense W^{1/2}-conjugated matrix of an operator, the null pair by
 shift-invert ARPACK, the static projector, one damped linear mode in closed
 form and under the exponential step weights, the damped wave right-hand
 side in physical space and its step by classical RK4, nearest points by k-d
-tree, and Lanczos on S*S with an eigvalsh at every step, and the traveling
-wall by bordered Newton on the dense Jacobian with LU."""
+tree, the resolvent sweep's sample points built one by one, Lanczos on S*S
+with an eigvalsh at every step (by the three-term recurrence, and with full
+reorthogonalization against a stored basis), and the traveling wall by
+bordered Newton on the dense Jacobian with LU."""
 from __future__ import annotations
 
 import numpy as np
@@ -24,7 +26,7 @@ from neelwall.profiles import (
     CONTINUATION_STEP, H_ENVELOPE, NEWTON_MAX_ITER, Linearization, Profile,
     SolverError, traveling_residual,
 )
-from neelwall.spectra import GK_MIN_ITER
+from neelwall.spectra import GK_MIN_ITER, gamma_square, in_region_G
 
 
 def s_matrix_direct(moving: Profile, static: Profile) -> np.ndarray:
@@ -220,11 +222,73 @@ def nearest_kdtree(points, targets, k: int = 1):
     return (d[:, None], i[:, None]) if k == 1 else (d, i)
 
 
+def sweep_points_reference(delta: float, M1: float, rmax: float,
+                           n_radial: int, n_angular: int, n_gamma: int):
+    """The sample points of spectra.resolvent_sweep and their regions, built
+    point by point: the log-polar grid (a point inside the contour square
+    pushed radially past it), the near-real G1 line, the Gamma contour."""
+    lams = []
+    for r in np.geomspace(delta / 4.0, rmax, n_radial):
+        for phi in np.linspace(-np.pi / 2 + 1e-3, np.pi / 2 - 1e-3, n_angular):
+            lam = -delta + r * np.exp(1j * phi)
+            if not in_region_G(lam, delta):
+                lam = -delta + (r + 2.5 * delta) * np.exp(1j * phi)
+            lams.append(lam)
+    for r in np.geomspace(M1 + delta, rmax, n_radial):
+        for im in (-0.5 * delta, 0.0, 0.5 * delta):
+            lams.append(r + 1j * im)
+    regions = ["G2" if abs(lam.imag) > delta else "G1" if lam.real > M1
+               else "G3" for lam in lams]
+    return (lams + list(gamma_square(delta, n_gamma)),
+            regions + ["Gamma"] * n_gamma)
+
+
 def gk_batch_reference(matvec, rmatvec, m, size, tol, max_iter, seed,
                        dtype=np.complex128):
-    """Lanczos sigma_max estimates on S*S, with the batched tridiagonal
-    eigvalsh run at every step: the loop spectra._gk_batch must reproduce
-    its estimates bit for bit, and its step counts."""
+    """Lanczos sigma_max estimates on S*S by the three-term recurrence,
+    with the batched tridiagonal eigvalsh run at every step: the loop
+    spectra._gk_batch must reproduce its estimates bit for bit, and its
+    step counts.  Row norms are summed over the real view, as there."""
+    rng = np.random.default_rng(seed)
+    v0 = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    v0 = (v0 / np.linalg.norm(v0)).astype(dtype)
+    act = np.arange(m)
+    v, v_prev = np.tile(v0, (m, 1)), None
+    alphas = np.zeros((m, max_iter))
+    betas = np.zeros((m, max_iter))
+    est = np.zeros(m)
+    steps = np.zeros(m, dtype=int)
+    for j in range(max_iter):
+        u = matvec(v, act)
+        a = np.linalg.norm(u.view(u.real.dtype), axis=1) ** 2
+        w = rmatvec(u, act) - a[:, None] * v
+        if j:
+            w = w - b[:, None] * v_prev
+        b = np.linalg.norm(w.view(w.real.dtype), axis=1)
+        alphas[act, j], betas[act, j] = a, b
+        steps[act] = j + 1
+        top = _all_top_eigenvalues(alphas[act, :j + 1], betas[act, :j])
+        new = np.sqrt(np.maximum(top, 0.0))
+        done = b < 1e-12 * np.maximum(top, 1.0)
+        if j + 1 >= GK_MIN_ITER:
+            done |= np.abs(new - est[act]) <= tol * new
+        est[act] = new
+        if done.any():
+            keep = ~done
+            act = act[keep]
+            if not act.size:
+                break
+            v, w, b = v[keep], w[keep], b[keep]
+        v_prev, v = v, w / b[:, None]
+    return est, steps
+
+
+def gk_batch_reorth_reference(matvec, rmatvec, m, size, tol, max_iter, seed,
+                              dtype=np.complex128):
+    """The same Lanczos estimates with full reorthogonalization: each new
+    vector is orthogonalized (modified Gram-Schmidt) against the whole
+    stored Krylov basis, which the three-term recurrence of
+    spectra._gk_batch does without."""
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     v0 = (v0 / np.linalg.norm(v0)).astype(dtype)
@@ -245,11 +309,7 @@ def gk_batch_reference(matvec, rmatvec, m, size, tol, max_iter, seed,
         b = np.linalg.norm(w, axis=1)
         alphas[act, j], betas[act, j] = a, b
         steps[act] = j + 1
-        k = np.arange(j + 1)
-        T = np.zeros((len(act), j + 1, j + 1))
-        T[:, k, k] = alphas[act, :j + 1]
-        T[:, k[1:], k[:-1]] = betas[act, :j]
-        top = np.linalg.eigvalsh(T)[:, -1]
+        top = _all_top_eigenvalues(alphas[act, :j + 1], betas[act, :j])
         new = np.sqrt(np.maximum(top, 0.0))
         done = b < 1e-12 * np.maximum(top, 1.0)
         if j + 1 >= GK_MIN_ITER:
@@ -264,6 +324,16 @@ def gk_batch_reference(matvec, rmatvec, m, size, tol, max_iter, seed,
             w, b = w[keep], b[keep]
         Vs.append(w / b[:, None])
     return est, steps
+
+
+def _all_top_eigenvalues(alphas, betas):
+    """Largest eigenvalue of each tridiagonal (alphas, betas) by eigvalsh of
+    the full symmetric matrices."""
+    k = np.arange(alphas.shape[1])
+    T = np.zeros((alphas.shape[0], len(k), len(k)))
+    T[:, k, k] = alphas
+    T[:, k[1:], k[:-1]] = betas
+    return np.linalg.eigvalsh(T)[:, -1]
 
 
 def solve_traveling_dense(grid: Grid, H: float, nu: float, init: Profile,

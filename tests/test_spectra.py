@@ -13,10 +13,17 @@ Oracles:
     the dense weighted A~.
   * scipy's k-d tree: the brute-force nearest-point queries on spectra.
   * Lanczos on S*S with an eigvalsh at every step: the estimates of
-    _gk_batch.
+    _gk_batch bit for bit; the same with full reorthogonalization, which
+    the three-term recurrence of _gk_batch replaces, to GK_TOL.
+  * Dense SVD on every distinct lam of a sweep: no estimate exceeds the
+    exact norm by more than float32 rounding (Paige's bound).
+  * Dense L: the trials' products with L through Linearization.matvec.
+  * The sweep's sample points built one by one: its array-built grid.
   * scipy's solve_triangular in double: the float32 products with C^{-1}.
 """
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +35,7 @@ from neelwall.linops import (DiscretizedOperator, ModalStructureError,
                              weighted_state_norm)
 from neelwall.profiles import solve_static
 from neelwall.spectra import (
-    GK_MIN_ITER, ResolventCalculator,
+    GK_MAX_ITER, GK_MIN_ITER, GK_TOL, ResolventCalculator,
     SpectrumDistanceError, _gk_batch, _triangular_product, eig_report,
     gamma_square, in_region_G,
     match_eigenvalues, numerical_abscissa, pencil_crosscheck,
@@ -37,7 +44,8 @@ from neelwall.spectra import (
 )
 from neelwall.linops import build_Bc, build_block
 from neelwall.profiles import solve_traveling
-from oracles import gk_batch_reference, nearest_kdtree, weighted_matrix
+from oracles import (gk_batch_reference, gk_batch_reorth_reference,
+                     nearest_kdtree, sweep_points_reference, weighted_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -232,16 +240,18 @@ def test_numerical_abscissa_bounds_spectrum(A_op256):
     assert w >= np.max(rep.eigenvalues.real) - 1e-10
 
 
+@pytest.fixture(scope="module")
+def A_op1024():
+    g = Grid(40.0, 1024)
+    return build_block(solve_static(g, tol=max(1e-8, 1e-6 * g.dx**2)),
+                       with_c=False)
+
+
 @pytest.mark.parametrize("n", [256, 1024])
-def test_numerical_abscissa_matches_dense(n, A_op256):
+def test_numerical_abscissa_matches_dense(n, request):
     # closed form from the modal factor against eigvalsh of the symmetric
     # part of the dense weighted matrix
-    if n == 256:
-        op = A_op256
-    else:
-        g = Grid(40.0, n)
-        op = build_block(solve_static(g, tol=max(1e-8, 1e-6 * g.dx**2)),
-                         with_c=False)
+    op = request.getfixturevalue(f"A_op{n}")
     M = weighted_matrix(op)
     ref = sla.eigvalsh(0.5 * (M + M.T), subset_by_index=[2 * n - 1, 2 * n - 1])
     assert numerical_abscissa(op) == pytest.approx(ref[0], rel=1e-12)
@@ -397,18 +407,37 @@ def _gk_both(mv, rmv, m, size, seed, dtype=np.complex128):
     return got, ref
 
 
+def _region_and_near_points(calc):
+    """REGION_POINTS and a point 1e-5 off an eigenvalue (norm ~1.6e5)."""
+    near = calc.spectrum[np.argmin(np.abs(calc.spectrum + 0.5))] + 1e-5
+    return np.array([*REGION_POINTS, near])
+
+
 def test_gk_batch_matches_reference_loop(A_op256):
     # the svd skipped at steps whose estimate is never read changes no bit;
-    # the point 1e-5 off an eigenvalue (norm ~1.6e5) outlasts the region
-    # points in the norm_inv run, so that block also shrinks mid-run
+    # the near point outlasts the region points in the norm_inv run, so
+    # that block also shrinks mid-run
     modal = ResolventCalculator(A_op256)
-    near = modal.spectrum[np.argmin(np.abs(modal.spectrum + 0.5))] + 1e-5
-    lams = np.array([*REGION_POINTS, near])
+    lams = _region_and_near_points(modal)
     size = modal.spectrum.shape[0]
     for composed, seed in ((False, 12345), (True, 54321)):
         mv, rmv = modal._modal_ops(lams, composed)
         got, ref = _gk_both(mv, rmv, len(lams), size, seed, np.complex64)
         assert got.tobytes() == ref.tobytes()
+
+
+def test_gk_batch_matches_reorthogonalized_loop(A_op256):
+    # the three-term recurrence against the full reorthogonalization it
+    # replaces: the top Ritz value needs none (Paige; Parlett, ch. 13)
+    modal = ResolventCalculator(A_op256)
+    lams = _region_and_near_points(modal)
+    args = (len(lams), modal.spectrum.shape[0], GK_TOL, GK_MAX_ITER)
+    for composed, seed in ((False, 12345), (True, 54321)):
+        mv, rmv = modal._modal_ops(lams, composed)
+        got, _ = _gk_batch(mv, rmv, *args, seed, dtype=np.complex64)
+        ref, _ = gk_batch_reorth_reference(mv, rmv, *args, seed,
+                                           dtype=np.complex64)
+        np.testing.assert_allclose(got, ref, rtol=GK_TOL)
 
 
 def test_gk_batch_breakdown_matches_reference():
@@ -455,6 +484,72 @@ def test_gk_batch_invariant_krylov_space_stops_exactly(monkeypatch):
     assert steps.tolist() == ref_steps.tolist() == [1, 2]
     assert solved == [(1, 1), (1, 2)]
     np.testing.assert_allclose(est, [2.0, 3.0], rtol=1e-14)
+
+
+def _distinct_samples(sweep):
+    """One sample per (Re lam, |Im lam|) key, rounded as the sweep rounds
+    its keys (numpy's round to 12 decimals)."""
+    lams = np.array([s.lam for s in sweep.samples])
+    keys = zip(np.round(lams.real, 12).tolist(),
+               np.round(np.abs(lams.imag), 12).tolist())
+    first = {}
+    for key, s in zip(keys, sweep.samples):
+        first.setdefault(key, s)
+    return list(first.values())
+
+
+def test_sweep_norms_within_paige_bound(A_op256):
+    # without reorthogonalization the Ritz values of Lanczos still lie in
+    # the spectrum up to rounding (Paige), so on every distinct lam of a
+    # 20 x 20 sweep the estimates exceed dense SVD by float32 rounding at
+    # most.  The
+    # dense norms come from the complex Schur form T of the weighted matrix
+    # (a unitary similarity): (T - lam)^{-1} and I + lam (T - lam)^{-1}.
+    sweep = resolvent_sweep(A_op256, DELTA, n_radial=20, n_angular=20)
+    T = sla.schur(weighted_matrix(A_op256), output="complex")[0]
+    eye = np.eye(T.shape[0])
+    ratios = {"inv": [], "composed": []}
+    for s in _distinct_samples(sweep):
+        R, info = sla.lapack.ztrtri(T - s.lam * eye)
+        assert info == 0
+        ratios["inv"].append(s.norm_inv / sla.svdvals(R)[0])
+        if abs(s.lam) * s.norm_inv < 50.0:      # computed, not the shortcut
+            R *= s.lam
+            R += eye
+            ratios["composed"].append(s.norm_composed / sla.svdvals(R)[0])
+    assert len(ratios["inv"]) >= 250 and len(ratios["composed"]) >= 250
+    for kind, r in ratios.items():
+        assert np.max(r) <= 1.0 + 5e-5, kind
+        assert np.min(r) >= 1.0 - 1e-2, kind
+
+
+def test_sweep_stores_no_krylov_basis(A_op256, A_op1024, monkeypatch):
+    # one _gk_batch call per norm kind covers the n = 256 sweep
+    calls = []
+    gk = spectra._gk_batch
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return gk(*args, **kwargs)
+    monkeypatch.setattr(spectra, "_gk_batch", counted)
+    resolvent_sweep(A_op256, DELTA, n_radial=20, n_angular=20)
+    assert len(calls) == 2 and calls[0] >= calls[1] >= 250
+    # the working set of 200 lams at n = 1024, one block, stays within the
+    # budget _block_size states; a loop that stores its Krylov basis does not
+    calc = ResolventCalculator(A_op1024)
+    lams = -0.1 + np.linspace(0.0, 3.0, 200) + 1j * np.linspace(-3.0, 3.0, 200)
+    assert calc._block_size() >= len(lams)
+    budget = len(lams) * spectra._BLOCK_VECTORS * calc.spectrum.shape[0] * 8
+    peaks = []
+    for loop in (gk, gk_batch_reorth_reference):
+        monkeypatch.setattr(spectra, "_gk_batch", loop)
+        tracemalloc.start()
+        try:
+            calc.norm_inv(lams)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= budget < peaks[1]
 
 
 def test_modal_conjugate_points_agree(A_op256):
@@ -548,6 +643,17 @@ def test_in_region_G():
     assert not in_region_G(-0.5 + 0j, delta)         # left of the strip
 
 
+def test_sweep_points_match_pointwise_reference(A_op256):
+    # the array-built grid, line and contour give the point-by-point
+    # reference's points bit for bit, in its order, with its regions
+    sweep = resolvent_sweep(A_op256, DELTA, n_radial=9, n_angular=7,
+                            n_gamma=8)
+    lams, regions = sweep_points_reference(DELTA, sweep.M1, 1e3, 9, 7, 8)
+    assert sweep.nudged == []
+    assert [s.lam for s in sweep.samples] == lams
+    assert [s.region for s in sweep.samples] == regions
+
+
 def test_resolvent_sweep_small(A_op256):
     sweep = resolvent_sweep(A_op256, 0.2, n_radial=6, n_angular=6, n_gamma=8)
     assert not sweep.flagged
@@ -628,6 +734,23 @@ def test_res_inequality_trials(A_op256):
     assert stats.n_pass_a == stats.n_trials
     assert np.isfinite(stats.C1) and stats.C1 > 0
     assert np.isfinite(stats.C2) and stats.C2 > 0
+
+
+def test_res_inequality_trials_match_dense_L(A_op256, monkeypatch):
+    # L applied by Linearization.matvec against the assembled dense L
+    n = A_op256.grid.n
+    Lm = -A_op256.matrix[n:, :n]
+    got = res_inequality_trials(A_op256, delta=0.2, trials=100, seed=0)
+
+    class DenseL(spectra.Linearization):
+        def matvec(self, u):
+            return Lm @ u
+    monkeypatch.setattr(spectra, "Linearization", DenseL)
+    ref = res_inequality_trials(A_op256, delta=0.2, trials=100, seed=0)
+    assert got.n_pass_a == ref.n_pass_a == 100
+    for name in ("C1", "C2", "min_defect_a"):
+        assert getattr(got, name) == pytest.approx(getattr(ref, name),
+                                                   rel=1e-10), name
 
 
 def test_one_eigh_per_static_operator(static256, monkeypatch):

@@ -234,7 +234,9 @@ def _cmd_solve_static(grid, config, out, seed):
     path = os.path.join(out, "static_profile.neelw")
     store_profile(prof, path)
     return prof, [path], {"residual": prof.residual,
-                          "energy_mode": config["mode"]}
+                          "energy_mode": config["mode"],
+                          "newton_steps": prof.meta["newton_steps"],
+                          "krylov_iterations": prof.meta["krylov_iterations"]}
 
 
 def _cmd_solve_moving(grid, config, out, seed):

@@ -1,10 +1,12 @@
 """Static and traveling walls, their linearization, wall mass, and mobility.
 
-The static wall minimizes the reduced energy; the traveling wall (psi, c)
-solves   c^2 psi'' - nu c psi' + grad E(psi) + H cos(psi) = 0
+The traveling wall (psi, c) solves
+    c^2 psi'' - nu c psi' + grad E(psi) + H cos(psi) = 0,
 with speed c determined together with the profile by an inexact bordered
 Newton iteration (phase condition pins the translation family), continued
-in H from a secant prediction.  Its linear steps are matrix-free: GMRES on
+in H from a secant prediction.  The static wall, the energy minimizer, is
+its H = c = 0 case, solved by the same bordered Newton step with the speed
+left at 0.  The linear steps are matrix-free: GMRES on
 Linearization.matvec, preconditioned by the operator's constant-coefficient
 far field, which one rfft/irfft pair inverts.  For small H the speed obeys
 the mobility law c ~ H / (M nu) with wall mass M = 1/2 ||theta_bar'||_{L2}^2.
@@ -24,7 +26,6 @@ from .grid import (
     Grid,
     apply_multiplier,
     derivative,
-    l2_inner,
     l2_norm,
     multiplier_matrix,
     shift,
@@ -33,9 +34,8 @@ from .grid import (
 )
 
 H_ENVELOPE = 0.1  # working envelope for the applied field strength
-STATIC_MAX_ITER = 2000    # descent iterations of the static solve at most
 CONTINUATION_STEP = 1e-3  # largest field step of the traveling continuation
-NEWTON_MAX_ITER = 60      # residual evaluations per continuation step at most
+NEWTON_MAX_ITER = 60      # residual evaluations per static solve or continuation step
 
 
 class SolverError(RuntimeError):
@@ -120,9 +120,9 @@ class Linearization:
     cos psi = 0 (less the field term H s), and it preconditions the
     traveling Newton steps.
 
-    matvec is the operator the solvers apply (the static Newton-CG polish,
-    the traveling Newton-GMRES, the quadratic-remainder check, L u and the
-    a-form <L u, u> of the resolvent trials); dense() is the matrix that linops
+    matvec is the operator the solvers apply (the static and traveling
+    Newton-GMRES, the quadratic-remainder check, L u and the a-form
+    <L u, u> of the resolvent trials); dense() is the matrix that linops
     assembles into L, L_c, A, A_c and B_c."""
 
     def __init__(self, grid: Grid, psi_full: np.ndarray, c: float = 0.0,
@@ -153,102 +153,6 @@ class Linearization:
         M += s[:, None] * multiplier_matrix(self.grid, self.T) * s[None, :]
         M -= np.diag(self.potential)
         return M
-
-
-def _newton_polish(theta: Field, mode: str, tol: float, history: list):
-    """Newton steps with preconditioned CG on the (singular) Hessian; the
-    translation direction is projected out of right-hand side and iterates."""
-    grid = theta.grid
-    precond = 1.0 / (grid.h1_weight + np.abs(grid.k))
-    for _ in range(12):
-        gradE = grad_energy(theta, mode).values
-        res = l2_norm(grid, gradE)
-        history.append(res)
-        if res <= tol:
-            return theta, res
-        hess = Linearization(grid, theta.reconstruct(), mode=mode).matvec
-        null = derivative(theta, 1).values
-        null = null / np.linalg.norm(null)
-
-        def proj(u):
-            return u - np.dot(null, u) * null
-
-        rhs = proj(gradE)
-        # hand-rolled preconditioned CG restricted to the complement of the
-        # translation mode (the Hessian is positive there)
-        d = np.zeros(grid.n)
-        r = rhs.copy()
-        z = proj(apply_multiplier(grid, r, precond))
-        p = z.copy()
-        rz = np.dot(r, z)
-        for _ in range(200):
-            Ap = proj(hess(p))
-            alpha = rz / np.dot(p, Ap)
-            d += alpha * p
-            r -= alpha * Ap
-            if np.linalg.norm(r) <= 1e-4 * tol + 1e-12 * np.linalg.norm(rhs):
-                break
-            z = proj(apply_multiplier(grid, r, precond))
-            rz_new = np.dot(r, z)
-            p = z + (rz_new / rz) * p
-            rz = rz_new
-        theta = _recenter(theta.with_values(theta.values - d))
-    return theta, l2_norm(grid, grad_energy(theta, mode).values)
-
-
-def solve_static(grid: Grid, tol: float = 1e-8,
-                 mode: str = "nonlocal") -> Profile:
-    """Energy minimization from the background arcsin(tanh x) by
-    Fourier-preconditioned descent with backtracking line search (at most
-    STATIC_MAX_ITER steps), followed by a Newton polish once the residual
-    is small (near the minimum the line search drowns in energy round-off);
-    the phase is re-centered every iteration."""
-    if tol < 1e-12:
-        raise ValueError(f"tol must be >= 1e-12, got {tol}")
-    theta = Field(grid, np.zeros(grid.n), BACKGROUND_WALL)
-    precond = 1.0 / grid.h1_weight
-    switch = max(tol, 1e-4)
-    E = energy(theta, mode).total
-    alpha = 1.0
-    history = []
-    res = np.inf
-    for it in range(STATIC_MAX_ITER):
-        gradE = grad_energy(theta, mode).values
-        res = l2_norm(grid, gradE)
-        history.append(res)
-        if res <= switch:
-            break
-        d = -apply_multiplier(grid, gradE, precond)
-        slope = float(np.real(l2_inner(grid, gradE, d)))
-        step = min(alpha * 1.5, 2.0)
-        while step > 1e-14:
-            trial = theta.with_values(theta.values + step * d)
-            E_trial = energy(trial, mode).total
-            if E_trial <= E + 1e-4 * step * slope:
-                break
-            step *= 0.5
-        else:
-            raise SolverError("line search failed in static solve", history)
-        alpha = step
-        theta = _recenter(trial)
-        E = energy(theta, mode).total
-    if res > switch:
-        raise SolverError(
-            f"static descent did not reach {switch:.1e} in {STATIC_MAX_ITER} "
-            f"iterations (last residual {history[-1]:.3e})", history)
-    if res > tol:
-        theta, res = _newton_polish(theta, mode, tol, history)
-    if res > tol:
-        raise SolverError(
-            f"static solve stalled at residual {res:.3e} (tol {tol:.1e})",
-            history)
-    theta = _recenter(theta)
-    prof = Profile(theta, 0.0, 0.0, 1.0, res,
-                   meta={"iterations": len(history), "mode": mode,
-                         "energy": energy(theta, mode).total,
-                         "L": grid.L, "n": grid.n})
-    _check_static_invariants(prof)
-    return prof
 
 
 def _check_static_invariants(prof: Profile):
@@ -391,6 +295,51 @@ def _bordered_step(lin: Linearization, border_col: np.ndarray,
     return du, float(dc), steps, relres
 
 
+def solve_static(grid: Grid, tol: float = 1e-8,
+                 mode: str = "nonlocal") -> Profile:
+    """Newton on grad E = 0 from the background arcsin(tanh x), at most
+    NEWTON_MAX_ITER residual evaluations, re-centered after every step.
+    Each step solves [[L, theta'], [dx theta'^T, 0]] (du, m) = (grad E, 0)
+    by _bordered_step to solve_traveling's relative tolerance: the border
+    makes the Hessian L, singular along theta', invertible on the
+    phase-pinned space, and m is discarded, so the wall stays at rest.  A
+    GMRES stall raises SolverError; meta records iterations (residual
+    evaluations), newton_steps and krylov_iterations."""
+    if tol < 1e-12:
+        raise ValueError(f"tol must be >= 1e-12, got {tol}")
+    theta = Field(grid, np.zeros(grid.n), BACKGROUND_WALL)
+    history = []
+    newton_steps = krylov = 0
+    for _ in range(NEWTON_MAX_ITER):
+        gradE = grad_energy(theta, mode).values
+        res = l2_norm(grid, gradE)
+        history.append(res)
+        if res <= tol:
+            break
+        rtol = max(min(1e-3, 0.1 * tol / res), 1e-13)
+        slope = derivative(theta, 1).values
+        lin = Linearization(grid, theta.reconstruct(), mode=mode)
+        du, _, steps, relres = _bordered_step(lin, slope, grid.dx * slope,
+                                              gradE, 0.0, rtol)
+        newton_steps += 1
+        krylov += steps
+        if not relres <= rtol:
+            raise SolverError(f"GMRES stalled in static Newton step "
+                              f"{newton_steps}: relative residual "
+                              f"{relres:.2e} > {rtol:.1e}", history)
+        theta = _recenter(theta.with_values(theta.values - du))
+    else:
+        raise SolverError(
+            f"static solve stalled at residual {res:.3e} (tol {tol:.1e})",
+            history)
+    prof = Profile(theta, 0.0, 0.0, 1.0, res, meta={
+        "iterations": len(history), "newton_steps": newton_steps,
+        "krylov_iterations": krylov, "mode": mode,
+        "energy": energy(theta, mode).total, "L": grid.L, "n": grid.n})
+    _check_static_invariants(prof)
+    return prof
+
+
 def check_field(H: float) -> float:
     """H as a float; raises ValueError outside the envelope |H| <= H_ENVELOPE."""
     H = float(H)
@@ -522,10 +471,13 @@ class MobilityFit:
 
 def mobility_fields(H_list) -> list[float]:
     """The fields of a mobility scan as floats; raises ValueError unless
-    there are at least 4, each |H| <= 5e-3, symmetric about 0."""
+    there are at least 4, distinct and nonzero (H = 0 is the static wall,
+    not a speed to fit), each |H| <= 5e-3, symmetric about 0."""
     H_list = [float(H) for H in H_list]
     if len(H_list) < 4:
         raise ValueError("need at least 4 field values")
+    if 0.0 in H_list or len(set(H_list)) < len(H_list):
+        raise ValueError("field values must be nonzero and distinct")
     if any(abs(H) > 5e-3 for H in H_list):
         raise ValueError("mobility scan restricted to |H| <= 5e-3")
     if abs(sum(H_list)) > 1e-15 * max(abs(H) for H in H_list) * len(H_list):

@@ -236,7 +236,7 @@ class SpectrumDistanceError(ValueError):
 SPECTRUM_MIN_DISTANCE = 1e-8   # resolvents closer to sigma(A) are refused
 GK_MIN_ITER = 12          # steps before the stagnation test may stop a lambda
 GK_MAX_ITER = 80          # Lanczos steps per lambda at most
-GK_TOL = 1e-3             # relative change of the estimate that stops a lambda
+GK_TOL = 5e-4             # mean relative change per step that stops a lambda
 _BLOCK_BYTES = 1 << 26    # working set of one block of lam's (64 MiB)
 _BLOCK_VECTORS = 8        # complex64 rows of length 2n per lam in that set
 
@@ -267,15 +267,18 @@ def _gk_batch(matvec, rmatvec, m, size, tol, max_iter, seed,
     values stay in the spectrum up to rounding and lost orthogonality only
     repeats converged ones (Paige 1976; Parlett, The Symmetric Eigenvalue
     Problem, ch. 13), and lambda_max(T_j) never decreases (T_j leads
-    T_{j+1}).  An operator leaves the block once its estimate changes by at
-    most tol (relative) after GK_MIN_ITER steps, or its run terminates
-    (b < 1e-12 max(lambda_max, 1), the zero operator at once).  Vectors
-    stay in `dtype`, so single-precision products are not upcast.
+    T_{j+1}).  An operator leaves the block once its estimate has changed
+    by at most 2 tol (relative) over the last two steps, after GK_MIN_ITER
+    steps, or its run terminates (b < 1e-12 max(lambda_max, 1), the zero
+    operator at once).  The two-step window: below a clustered top the
+    estimate can creep on a plateau whose change per step dips under tol
+    once, while it is still percents low.  Vectors stay in `dtype`, so
+    single-precision products are not upcast.
 
     One batched eigvalsh per step solves the small T_j, only where the
-    estimate is read: from step GK_MIN_ITER - 1 on (the stagnation test
-    compares with the step before), at the last step, and on rows that may
-    meet the breakdown test.  lambda_max(T) <= ||T||_F, so a row with
+    estimate is read: from step GK_MIN_ITER - 2 on (the stagnation test
+    compares with two steps before), at the last step, and on rows that
+    may meet the breakdown test.  lambda_max(T) <= ||T||_F, so a row with
     b >= 2e-12 max(||T||_F, 1) cannot (the factor 2 covers rounding)."""
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(size) + 1j * rng.standard_normal(size)
@@ -283,7 +286,7 @@ def _gk_batch(matvec, rmatvec, m, size, tol, max_iter, seed,
     act = np.arange(m)
     v, v_prev = np.tile(v0, (m, 1)), None
     alphas, betas = np.zeros((2, m, max_iter))
-    est = np.zeros(m)
+    est, est_before = np.zeros((2, m))     # at this step and the one before
     steps = np.zeros(m, dtype=int)
     for j in range(max_iter):
         u = matvec(v, act)
@@ -297,7 +300,7 @@ def _gk_batch(matvec, rmatvec, m, size, tol, max_iter, seed,
         b = np.linalg.norm(w.view(w.real.dtype), axis=1)
         alphas[act, j], betas[act, j] = a, b
         steps[act] = j + 1
-        if j + 2 >= GK_MIN_ITER or j + 1 == max_iter:
+        if j + 3 >= GK_MIN_ITER or j + 1 == max_iter:
             rows = np.ones(len(act), dtype=bool)
         else:
             fro = np.sqrt(np.sum(alphas[act, :j + 1]**2, axis=1)
@@ -310,8 +313,9 @@ def _gk_batch(matvec, rmatvec, m, size, tol, max_iter, seed,
             new = np.sqrt(np.maximum(top, 0.0))
             stop = b[rows] < 1e-12 * np.maximum(top, 1.0)
             if j + 1 >= GK_MIN_ITER:
-                stop |= np.abs(new - est[live]) <= tol * new
+                stop |= np.abs(new - est_before[live]) <= 2.0 * tol * new
             done[rows] = stop
+            est_before[live] = est[live]
             est[live] = new
         if done.any():
             keep = ~done
@@ -482,14 +486,13 @@ def gamma_square(delta: float, m: int) -> np.ndarray:
     ValueError."""
     if m <= 0 or m % 4:
         raise ValueError(f"m must be a positive multiple of 4, got {m}")
-    per_side = m // 4
-    fwd = np.linspace(-delta, delta, per_side, endpoint=False)
-    bwd = np.linspace(delta, -delta, per_side, endpoint=False)
-    pts = np.concatenate([fwd + 1j * delta,        # top: (-d,d) -> (d,d)
-                          delta + 1j * bwd,        # right: (d,d) -> (d,-d)
-                          bwd - 1j * delta,        # bottom: (d,-d) -> (-d,-d)
-                          -delta + 1j * fwd])      # left: (-d,-d) -> (-d,d)
-    return pts
+    fwd = np.linspace(-delta, delta, m // 4, endpoint=False)
+    # odd about the side's midpoint, so the contour is its own conjugate
+    fwd[1:] = 0.5 * (fwd[1:] - fwd[:0:-1])
+    return np.concatenate([fwd + 1j * delta,       # top: (-d,d) -> (d,d)
+                           delta - 1j * fwd,       # right: (d,d) -> (d,-d)
+                           -fwd - 1j * delta,      # bottom: (d,-d) -> (-d,-d)
+                           -delta + 1j * fwd])     # left: (-d,-d) -> (-d,d)
 
 
 def in_region_G(lam, delta: float):
@@ -521,8 +524,11 @@ def resolvent_sweep(op: DiscretizedOperator, delta: float,
     M1 = max(1.0, nu, 2.0 * abs(w))
     rmax = 1e3 * max(1.0, nu)
     radii = np.geomspace(delta / 4.0, rmax, n_radial)[:, None]
-    phase = np.exp(1j * np.linspace(-np.pi / 2 + 1e-3, np.pi / 2 - 1e-3,
-                                    n_angular))
+    angles = np.linspace(-np.pi / 2 + 1e-3, np.pi / 2 - 1e-3, n_angular)
+    angles = 0.5 * (angles - angles[::-1])       # exactly odd in the index
+    # mirror points are exact conjugates, and share one key below
+    phase = np.exp(1j * np.abs(angles))
+    np.conjugate(phase, out=phase, where=angles < 0)
     polar = -delta + radii * phase
     # points inside the contour square move radially past it (count kept)
     polar = np.where(in_region_G(polar, delta), polar,
@@ -536,14 +542,16 @@ def resolvent_sweep(op: DiscretizedOperator, delta: float,
     regions = [_label(lam, delta, M1) for lam in lams] + ["Gamma"] * n_gamma
     lams = np.concatenate([lams, gamma_square(delta, n_gamma)])
 
-    # Move the points that fall on the computed spectrum, and record them.
+    # Move the points that fall on the computed spectrum, mirror pairs to
+    # mirror points, and record them.
     hit = calc.spectrum_distance(lams) <= SPECTRUM_MIN_DISTANCE
-    nudged = [(lam, lam + 1e-6 * (1 + 1j)) for lam in lams[hit].tolist()]
-    lams[hit] += 1e-6 * (1 + 1j)
+    moved = lams[hit] + 1e-6 * np.where(lams[hit].imag < 0, 1 - 1j, 1 + 1j)
+    nudged = list(zip(lams[hit].tolist(), moved.tolist()))
+    lams[hit] = moved
     # The weighted matrix is real, so norms at conjugate points coincide;
-    # key on (Re lam, |Im lam|) to compute each mirror pair once.
-    keys = list(zip(np.round(lams.real, 12).tolist(),
-                    np.round(np.abs(lams.imag), 12).tolist()))
+    # the points are built in exact mirror pairs, so keying on
+    # (Re lam, |Im lam|) computes each pair once.
+    keys = list(zip(lams.real.tolist(), np.abs(lams.imag).tolist()))
     first = {}
     for key, lam in zip(keys, lams):
         first.setdefault(key, lam)

@@ -6,8 +6,9 @@ form and under the exponential step weights, the damped wave right-hand
 side in physical space and its step by classical RK4, nearest points by k-d
 tree, the resolvent sweep's sample points built one by one, Lanczos on S*S
 with an eigvalsh at every step (by the three-term recurrence, and with full
-reorthogonalization against a stored basis), and the traveling wall by
-bordered Newton on the dense Jacobian with LU."""
+reorthogonalization against a stored basis), the traveling wall by
+bordered Newton on the dense Jacobian with LU, and the static wall by
+preconditioned energy descent with a Newton-CG polish."""
 from __future__ import annotations
 
 import numpy as np
@@ -16,15 +17,17 @@ import scipy.sparse.linalg as spla
 from scipy.spatial import cKDTree
 
 from neelwall.dynamics import _companion_function
+from neelwall.energy import energy, grad_energy
 from neelwall.grid import (
-    Grid, apply_multiplier, derivative, l2_norm, multiplier_matrix,
+    BACKGROUND_WALL, Field, Grid, apply_multiplier, derivative, l2_inner,
+    l2_norm, multiplier_matrix,
 )
 from neelwall.linops import (
     DiscretizedOperator, NullPair, _weight, build_block, weighted_state_norm,
 )
 from neelwall.profiles import (
     CONTINUATION_STEP, H_ENVELOPE, NEWTON_MAX_ITER, Linearization, Profile,
-    SolverError, traveling_residual,
+    SolverError, _check_static_invariants, _recenter, traveling_residual,
 )
 from neelwall.spectra import GK_MIN_ITER, gamma_square, in_region_G
 
@@ -226,13 +229,20 @@ def sweep_points_reference(delta: float, M1: float, rmax: float,
                            n_radial: int, n_angular: int, n_gamma: int):
     """The sample points of spectra.resolvent_sweep and their regions, built
     point by point: the log-polar grid (a point inside the contour square
-    pushed radially past it), the near-real G1 line, the Gamma contour."""
+    pushed radially past it), the near-real G1 line, the Gamma contour.
+    Each angle phi and its mirror -phi come from the average of the two
+    linspace angles, and the phase at -phi is the conjugate of the one at
+    phi, so mirror points are exact conjugates."""
+    angles = np.linspace(-np.pi / 2 + 1e-3, np.pi / 2 - 1e-3, n_angular)
     lams = []
     for r in np.geomspace(delta / 4.0, rmax, n_radial):
-        for phi in np.linspace(-np.pi / 2 + 1e-3, np.pi / 2 - 1e-3, n_angular):
-            lam = -delta + r * np.exp(1j * phi)
+        for i, a in enumerate(angles):
+            phi = 0.5 * (a - angles[n_angular - 1 - i])
+            z = np.exp(1j * abs(phi))
+            z = np.conj(z) if phi < 0 else z
+            lam = -delta + r * z
             if not in_region_G(lam, delta):
-                lam = -delta + (r + 2.5 * delta) * np.exp(1j * phi)
+                lam = -delta + (r + 2.5 * delta) * z
             lams.append(lam)
     for r in np.geomspace(M1 + delta, rmax, n_radial):
         for im in (-0.5 * delta, 0.0, 0.5 * delta):
@@ -256,7 +266,7 @@ def gk_batch_reference(matvec, rmatvec, m, size, tol, max_iter, seed,
     v, v_prev = np.tile(v0, (m, 1)), None
     alphas = np.zeros((m, max_iter))
     betas = np.zeros((m, max_iter))
-    est = np.zeros(m)
+    est, est_before = np.zeros((2, m))
     steps = np.zeros(m, dtype=int)
     for j in range(max_iter):
         u = matvec(v, act)
@@ -271,7 +281,8 @@ def gk_batch_reference(matvec, rmatvec, m, size, tol, max_iter, seed,
         new = np.sqrt(np.maximum(top, 0.0))
         done = b < 1e-12 * np.maximum(top, 1.0)
         if j + 1 >= GK_MIN_ITER:
-            done |= np.abs(new - est[act]) <= tol * new
+            done |= np.abs(new - est_before[act]) <= 2.0 * tol * new
+        est_before[act] = est[act]
         est[act] = new
         if done.any():
             keep = ~done
@@ -296,7 +307,7 @@ def gk_batch_reorth_reference(matvec, rmatvec, m, size, tol, max_iter, seed,
     Vs = [np.tile(v0, (m, 1))]
     alphas = np.zeros((m, max_iter))
     betas = np.zeros((m, max_iter))
-    est = np.zeros(m)
+    est, est_before = np.zeros((2, m))
     steps = np.zeros(m, dtype=int)
     for j in range(max_iter):
         u = matvec(Vs[-1], act)
@@ -313,7 +324,8 @@ def gk_batch_reorth_reference(matvec, rmatvec, m, size, tol, max_iter, seed,
         new = np.sqrt(np.maximum(top, 0.0))
         done = b < 1e-12 * np.maximum(top, 1.0)
         if j + 1 >= GK_MIN_ITER:
-            done |= np.abs(new - est[act]) <= tol * new
+            done |= np.abs(new - est_before[act]) <= 2.0 * tol * new
+        est_before[act] = est[act]
         est[act] = new
         if done.any():
             keep = ~done
@@ -402,3 +414,104 @@ def solve_traveling_dense(grid: Grid, H: float, nu: float, init: Profile,
     return Profile(theta, float(H), float(c), float(nu), history[-1] if history else 0.0,
                    meta={"iterations": len(history), "L": grid.L, "n": grid.n,
                          "mode": "nonlocal"})
+
+
+STATIC_MAX_ITER = 2000    # descent iterations of the static solve at most
+
+
+def _newton_polish(theta: Field, mode: str, tol: float, history: list):
+    """Newton steps with preconditioned CG on the (singular) Hessian; the
+    translation direction is projected out of right-hand side and iterates."""
+    grid = theta.grid
+    precond = 1.0 / (grid.h1_weight + np.abs(grid.k))
+    for _ in range(12):
+        gradE = grad_energy(theta, mode).values
+        res = l2_norm(grid, gradE)
+        history.append(res)
+        if res <= tol:
+            return theta, res
+        hess = Linearization(grid, theta.reconstruct(), mode=mode).matvec
+        null = derivative(theta, 1).values
+        null = null / np.linalg.norm(null)
+
+        def proj(u):
+            return u - np.dot(null, u) * null
+
+        rhs = proj(gradE)
+        # hand-rolled preconditioned CG restricted to the complement of the
+        # translation mode (the Hessian is positive there)
+        d = np.zeros(grid.n)
+        r = rhs.copy()
+        z = proj(apply_multiplier(grid, r, precond))
+        p = z.copy()
+        rz = np.dot(r, z)
+        for _ in range(200):
+            Ap = proj(hess(p))
+            alpha = rz / np.dot(p, Ap)
+            d += alpha * p
+            r -= alpha * Ap
+            if np.linalg.norm(r) <= 1e-4 * tol + 1e-12 * np.linalg.norm(rhs):
+                break
+            z = proj(apply_multiplier(grid, r, precond))
+            rz_new = np.dot(r, z)
+            p = z + (rz_new / rz) * p
+            rz = rz_new
+        theta = _recenter(theta.with_values(theta.values - d))
+    return theta, l2_norm(grid, grad_energy(theta, mode).values)
+
+
+def solve_static_descent(grid: Grid, tol: float = 1e-8,
+                         mode: str = "nonlocal") -> Profile:
+    """Energy minimization from the background arcsin(tanh x) by
+    Fourier-preconditioned descent with backtracking line search (at most
+    STATIC_MAX_ITER steps), followed by a Newton polish once the residual
+    is small (near the minimum the line search drowns in energy round-off);
+    the phase is re-centered every iteration.  The reference
+    profiles.solve_static's bordered Newton is checked against: it shares
+    only the gradient, the Hessian matvec and the re-centering with it."""
+    if tol < 1e-12:
+        raise ValueError(f"tol must be >= 1e-12, got {tol}")
+    theta = Field(grid, np.zeros(grid.n), BACKGROUND_WALL)
+    precond = 1.0 / grid.h1_weight
+    switch = max(tol, 1e-4)
+    E = energy(theta, mode).total
+    alpha = 1.0
+    history = []
+    res = np.inf
+    for it in range(STATIC_MAX_ITER):
+        gradE = grad_energy(theta, mode).values
+        res = l2_norm(grid, gradE)
+        history.append(res)
+        if res <= switch:
+            break
+        d = -apply_multiplier(grid, gradE, precond)
+        slope = float(np.real(l2_inner(grid, gradE, d)))
+        step = min(alpha * 1.5, 2.0)
+        while step > 1e-14:
+            trial = theta.with_values(theta.values + step * d)
+            E_trial = energy(trial, mode).total
+            if E_trial <= E + 1e-4 * step * slope:
+                break
+            step *= 0.5
+        else:
+            raise SolverError("line search failed in static solve", history)
+        alpha = step
+        theta = _recenter(trial)
+        E = energy(theta, mode).total
+    if res > switch:
+        raise SolverError(
+            f"static descent did not reach {switch:.1e} in {STATIC_MAX_ITER} "
+            f"iterations (last residual {history[-1]:.3e})", history)
+    if res > tol:
+        theta, res = _newton_polish(theta, mode, tol, history)
+    if res > tol:
+        raise SolverError(
+            f"static solve stalled at residual {res:.3e} (tol {tol:.1e})",
+            history)
+    theta = _recenter(theta)
+    prof = Profile(theta, 0.0, 0.0, 1.0, res,
+                   meta={"iterations": len(history), "mode": mode,
+                         "energy": energy(theta, mode).total,
+                         "L": grid.L, "n": grid.n})
+    _check_static_invariants(prof)
+    return prof

@@ -44,6 +44,11 @@ def test_solve_static_writes_profile_and_manifest(tmp_path):
     assert prof.residual <= 1e-6
     assert m["scalars"]["residual"] == pytest.approx(prof.residual,
                                                      rel=1e-6, abs=1e-12)
+    # the static Newton reports its counters as the traveling one does
+    newton, krylov = (m["scalars"]["newton_steps"],
+                      m["scalars"]["krylov_iterations"])
+    assert 1 <= newton <= 6
+    assert newton <= krylov <= profiles.KRYLOV_MAX * newton
 
 
 def test_solve_moving_reports_speed(tmp_path):
@@ -179,12 +184,14 @@ def test_bad_flag_values_exit_3(tmp_path, static_solves):
         assert run([command, *SMALL, "--mode", "local",
                     "--out", str(tmp_path)]) == EXIT_CONFIG
     # a field outside the solver envelope, and field lists that the
-    # mobility scan rejects (too few, too large, not symmetric), fail
-    # before any static solve
+    # mobility scan rejects (too few, too large, not symmetric, with a
+    # zero, with repeats), fail before any static solve
     for command, fields in (("solve-moving", "0.5"), ("spectrum", "-0.5"),
                             ("mobility", "-0.001,0.001"),
                             ("mobility", "-0.01,-0.001,0.001,0.01"),
-                            ("mobility", "0.001,0.002,0.003,0.004")):
+                            ("mobility", "0.001,0.002,0.003,0.004"),
+                            ("mobility", "-0.001,0,0,0.001"),
+                            ("mobility", "-0.001,-0.001,0.001,0.001")):
         assert run([command, *SMALL, f"--H={fields}",
                     "--out", str(tmp_path)]) == EXIT_CONFIG, (command, fields)
     # zero or negative damping is refused with the configuration

@@ -9,6 +9,9 @@ Oracles:
   * Reference: the dense bordered Newton with LU (tests/oracles.py),
     without the secant predictor, gives the same traveling wave as the
     matrix-free, secant-predicted Newton-GMRES.
+  * Reference: preconditioned energy descent with a Newton-CG polish
+    (tests/oracles.py) gives the same static wall as the bordered
+    Newton-GMRES, and fails at the same seam floor.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ from neelwall.profiles import (
     SolverError, mobility, mobility_fields, reflect_values, solve_static, solve_traveling,
     traveling_residual, wall_mass,
 )
-from oracles import solve_traveling_dense
+from oracles import solve_static_descent, solve_traveling_dense
 
 
 def test_static_local_matches_closed_form(grid256):
@@ -52,6 +55,41 @@ def test_static_energy_stable_under_refinement(static256, static512):
     e1 = static256.meta["energy"]
     e2 = static512.meta["energy"]
     assert abs(e1 - e2) / e2 <= 5e-3
+
+
+@pytest.mark.parametrize("n, tol", [(256, 5e-8), (512, 5e-9)])
+@pytest.mark.parametrize("mode", ["nonlocal", "local"])
+def test_static_newton_matches_descent(n, tol, mode):
+    grid = Grid(40.0, n)
+    newton = solve_static(grid, tol=tol, mode=mode)
+    descent = solve_static_descent(grid, tol=tol, mode=mode)
+    assert np.max(np.abs(newton.reconstruct() - descent.reconstruct())) <= 1e-8
+    assert newton.meta["energy"] == pytest.approx(descent.meta["energy"],
+                                                  rel=1e-12)
+
+
+def test_static_seam_floor_raises_on_both_paths():
+    # at n = 128 the seam layer holds the residual near 5e-6, far above tol
+    grid = Grid(40.0, 128)
+    for solve in (solve_static, solve_static_descent):
+        with pytest.raises(SolverError) as err:
+            solve(grid, tol=1e-8)
+        assert min(err.value.history) > 1e-6, solve.__name__
+
+
+def test_static_takes_bordered_newton_steps(grid256, monkeypatch):
+    steps = []
+    bordered = profiles._bordered_step
+
+    def counted(lin, border_col, border_row, R, phase, rtol):
+        steps.append(phase)
+        return bordered(lin, border_col, border_row, R, phase, rtol)
+    monkeypatch.setattr(profiles, "_bordered_step", counted)
+    prof = solve_static(grid256, tol=5e-8)
+    newton = prof.meta["newton_steps"]
+    assert 1 <= newton <= 6 and steps == [0.0] * newton
+    assert prof.meta["iterations"] == newton + 1
+    assert newton <= prof.meta["krylov_iterations"] <= profiles.KRYLOV_MAX * newton
 
 
 def test_static_validation(grid256):
@@ -276,7 +314,9 @@ def test_mobility_fit(grid256, static256):
 def test_mobility_validation(grid256, static256):
     for fields in ([1e-3, -1e-3],                       # too few
                    [1e-2, -1e-2, 2e-2, -2e-2],          # too large
-                   [1e-3, 2e-3, 3e-3, 4e-3]):           # not symmetric
+                   [1e-3, 2e-3, 3e-3, 4e-3],            # not symmetric
+                   [-1e-3, 0.0, 0.0, 1e-3],             # zero: no speed to fit
+                   [-1e-3, -1e-3, 1e-3, 1e-3]):         # repeated
         with pytest.raises(ValueError):
             mobility_fields(fields)
         with pytest.raises(ValueError):

@@ -487,14 +487,10 @@ def test_gk_batch_invariant_krylov_space_stops_exactly(monkeypatch):
 
 
 def _distinct_samples(sweep):
-    """One sample per (Re lam, |Im lam|) key, rounded as the sweep rounds
-    its keys (numpy's round to 12 decimals)."""
-    lams = np.array([s.lam for s in sweep.samples])
-    keys = zip(np.round(lams.real, 12).tolist(),
-               np.round(np.abs(lams.imag), 12).tolist())
+    """One sample per (Re lam, |Im lam|) key, exact as the sweep keys it."""
     first = {}
-    for key, s in zip(keys, sweep.samples):
-        first.setdefault(key, s)
+    for s in sweep.samples:
+        first.setdefault((s.lam.real, abs(s.lam.imag)), s)
     return list(first.values())
 
 
@@ -521,6 +517,23 @@ def test_sweep_norms_within_paige_bound(A_op256):
     for kind, r in ratios.items():
         assert np.max(r) <= 1.0 + 5e-5, kind
         assert np.min(r) >= 1.0 - 1e-2, kind
+
+
+@pytest.mark.parametrize("delta", [0.198, 0.2, 0.202])
+def test_sweep_computes_each_mirror_pair_once(A_op256, delta, monkeypatch):
+    # 20 x 20 polar points, 20 x 3 on the G1 line and 64 on Gamma fall in
+    # 200 + 40 + 33 conjugate classes: mirror points are built as exact
+    # conjugates, so no rounding of the keys decides the count
+    sizes = []
+
+    def counted(matvec, rmatvec, m, *args, **kwargs):
+        sizes.append(m)
+        return np.ones(m), np.ones(m, dtype=int)
+    monkeypatch.setattr(spectra, "_gk_batch", counted)
+    sweep = resolvent_sweep(A_op256, delta, n_radial=20, n_angular=20)
+    lams = np.array([s.lam for s in sweep.samples])
+    assert sizes[0] == 273
+    assert set(lams.tolist()) == set(np.conj(lams).tolist())
 
 
 def test_sweep_stores_no_krylov_basis(A_op256, A_op1024, monkeypatch):
@@ -626,6 +639,10 @@ def test_gamma_square_geometry():
     assert np.max(np.abs(pts.imag)) == pytest.approx(delta)
     assert np.all(np.maximum(np.abs(pts.real), np.abs(pts.imag))
                   >= delta - 1e-12)
+    # the contour is its own conjugate, point for point
+    for m in (4, 8, 12, 24, 64, 100):
+        pts = gamma_square(0.3, m)
+        assert set(pts.tolist()) == set(np.conj(pts).tolist()), m
 
 
 @pytest.mark.parametrize("m", [66, 2, 0, -4])

@@ -268,12 +268,11 @@ def _gk_batch(matvec, rmatvec, m, size, tol, max_iter, seed,
     repeats converged ones (Paige 1976; Parlett, The Symmetric Eigenvalue
     Problem, ch. 13), and lambda_max(T_j) never decreases (T_j leads
     T_{j+1}).  An operator leaves the block once its estimate has changed
-    by at most 2 tol (relative) over the last two steps, after GK_MIN_ITER
-    steps, or its run terminates (b < 1e-12 max(lambda_max, 1), the zero
-    operator at once).  The two-step window: below a clustered top the
-    estimate can creep on a plateau whose change per step dips under tol
-    once, while it is still percents low.  Vectors stay in `dtype`, so
-    single-precision products are not upcast.
+    by at most 2 tol (relative) over two steps, after GK_MIN_ITER steps
+    (below a clustered top one step's change can dip under tol while the
+    estimate is percents low), or its run terminates (b < 1e-12
+    max(lambda_max, 1), the zero operator at once).  Vectors stay in
+    `dtype`, so single-precision products are not upcast.
 
     One batched eigvalsh per step solves the small T_j, only where the
     estimate is read: from step GK_MIN_ITER - 2 on (the stagnation test
@@ -542,15 +541,13 @@ def resolvent_sweep(op: DiscretizedOperator, delta: float,
     regions = [_label(lam, delta, M1) for lam in lams] + ["Gamma"] * n_gamma
     lams = np.concatenate([lams, gamma_square(delta, n_gamma)])
 
-    # Move the points that fall on the computed spectrum, mirror pairs to
-    # mirror points, and record them.
+    # Move the points that fall on the computed spectrum, pairs as pairs.
     hit = calc.spectrum_distance(lams) <= SPECTRUM_MIN_DISTANCE
     moved = lams[hit] + 1e-6 * np.where(lams[hit].imag < 0, 1 - 1j, 1 + 1j)
     nudged = list(zip(lams[hit].tolist(), moved.tolist()))
     lams[hit] = moved
     # The weighted matrix is real, so norms at conjugate points coincide;
-    # the points are built in exact mirror pairs, so keying on
-    # (Re lam, |Im lam|) computes each pair once.
+    # keying on (Re lam, |Im lam|) computes each exact mirror pair once.
     keys = list(zip(lams.real.tolist(), np.abs(lams.imag).tolist()))
     first = {}
     for key, lam in zip(keys, lams):

@@ -14,8 +14,8 @@ from .grid import (Field, Grid, apply_T, derivative, half_laplacian,
 from .energy import EnergyBreakdown, energy, grad_energy, gradient_selftest
 from .profiles import (Linearization, MobilityFit, Profile, SolverError,
                        check_field, mobility, mobility_fields,
-                       reflect_values, solve_static, solve_traveling,
-                       traveling_residual, wall_mass)
+                       solve_static, solve_traveling, traveling_residual,
+                       wall_mass)
 from .linops import (DiscretizedOperator, NullPair, build_Bc, build_L,
                      build_Lc, build_block, null_pair, projector_matrix,
                      translation_mode)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -18,15 +19,15 @@ import time
 import numpy as np
 
 from . import __version__
-from .dynamics import (BlowUpError, ModulationError, Perturbation,
-                       SimConfig, decay_fit, integrate, orbital_experiment)
+from .dynamics import (ModulationError, Perturbation, SimConfig, decay_fit,
+                       integrate, orbital_experiment)
 from .energy import gradient_selftest
 from .grid import Field, Grid, apply_multiplier
 from .linops import build_Bc, build_block, build_L
-from .profiles import (Profile, SolverError, check_field, mobility,
-                       mobility_fields, solve_static, solve_traveling)
+from .profiles import (Profile, check_field, mobility, mobility_fields,
+                       solve_static, solve_traveling)
 from .regions import RegionParams, run_all_checks
-from .reports import store_profile, write_report
+from .reports import _json_value, store_profile, write_report
 from .spectra import (eig_report, pencil_gap, relative_bound_fit,
                       resolvent_sweep)
 
@@ -51,7 +52,17 @@ DEFAULTS = {
     "mode": "nonlocal",
 }
 
-_FLOAT_KEYS = ("L", "nu", "delta", "dt", "t_end")
+
+def _positive(text: str) -> float:
+    """argparse type of --L, --nu, --delta, --dt, --t-end: finite, > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be finite and positive, got {text!r}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,31 +83,28 @@ def _build_parser() -> _Parser:
                                  "reduced thin-film model: solvers, spectra, "
                                  "resolvent sweeps, and simulations.")
     parser.add_argument("command", choices=SUBCOMMANDS)
-    parser.add_argument("--L", type=float, default=None,
-                        help="domain half-length")
-    parser.add_argument("--n", type=int, default=None,
-                        help="grid size (power of two)")
-    parser.add_argument("--nu", type=float, default=None, help="damping")
-    parser.add_argument("--H", type=str, default=None,
+    parser.add_argument("--L", type=_positive, help="domain half-length")
+    parser.add_argument("--n", type=int, help="grid size (power of two)")
+    parser.add_argument("--nu", type=_positive, help="damping")
+    parser.add_argument("--H", type=str,
                         help="applied field; comma list for mobility scans")
-    parser.add_argument("--delta", type=float, default=None,
+    parser.add_argument("--delta", type=_positive,
                         help="contour half-width (default from the gap)")
-    parser.add_argument("--dt", type=float, default=None, help="time step")
-    parser.add_argument("--t-end", type=float, default=None,
-                        help="simulation end time")
-    parser.add_argument("--seed", type=int, default=None, help="master seed")
-    parser.add_argument("--out", type=str, default=None,
-                        help="output directory")
-    parser.add_argument("--config", type=str, default=None,
+    parser.add_argument("--dt", type=_positive, help="time step")
+    parser.add_argument("--t-end", type=_positive, help="simulation end time")
+    parser.add_argument("--seed", type=int, help="master seed")
+    parser.add_argument("--out", type=str, help="output directory")
+    parser.add_argument("--config", type=str,
                         help="flat key = value config file; flags override")
-    parser.add_argument("--mode", type=str, default=None,
-                        choices=("nonlocal", "local"),
+    parser.add_argument("--mode", choices=("nonlocal", "local"),
                         help="stray-field model (local replaces T by 1)")
+    parser.set_defaults(**DEFAULTS)
     return parser
 
 
-def _read_config_file(path) -> dict:
-    values = {}
+def _config_tokens(path) -> list[str]:
+    """Each `key = value` line of a config file as a `--key=value` token."""
+    tokens = []
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
@@ -107,45 +115,23 @@ def _read_config_file(path) -> dict:
                 if not sep:
                     raise ConfigError(
                         f"{path}:{lineno}: expected 'key = value', got {line!r}")
-                key = key.strip().replace("-", "_")
-                val = val.strip()
-                if key not in DEFAULTS:
+                key = key.strip()
+                if key.replace("-", "_") not in DEFAULTS:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-                values[key] = val
+                tokens.append(f"--{key.replace('_', '-')}={val.strip()}")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return values
+    return tokens
 
 
-def _coerce(key: str, value):
-    if value is None or not isinstance(value, str):
-        return value
-    try:
-        if key == "n" or key == "seed":
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {value!r}") from exc
-    return value
-
-
-def resolve_config(args: argparse.Namespace) -> dict:
-    """defaults < config file < command-line flags."""
-    config = dict(DEFAULTS)
+def resolve_config(argv: list[str]) -> tuple[str, dict]:
+    """(command, config): defaults < config file < command-line flags, all
+    read and checked by the one parser."""
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if args.config:
-        config.update(_read_config_file(args.config))
-    for key in DEFAULTS:
-        flag = getattr(args, key)
-        if flag is not None:
-            config[key] = flag
-    for key in config:
-        config[key] = _coerce(key, config[key])
-    if config["mode"] not in ("nonlocal", "local"):
-        raise ConfigError(f"mode must be nonlocal or local, got {config['mode']!r}")
-    if config["nu"] <= 0:
-        raise ConfigError(f"damping nu must be positive, got {config['nu']}")
-    return config
+        args = parser.parse_args(_config_tokens(args.config) + argv)
+    return args.command, {key: getattr(args, key) for key in DEFAULTS}
 
 
 def _field_list(config) -> list[float]:
@@ -182,10 +168,12 @@ def _write_manifest(out_dir, command, config, grid, seed, outputs,
         "periodization_cos_theta_edge": periodization,
     }
     if scalars:
-        manifest["scalars"] = scalars
+        # non-finite scalars as write_report writes them ("nan"): JSON
+        # has no NaN
+        manifest["scalars"] = {k: _json_value(v) for k, v in scalars.items()}
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -306,7 +294,6 @@ def _cmd_resolvent_sweep(grid, config, out, seed):
     summary = {"delta": delta, "w": sweep.w, "M1": sweep.M1,
                "flagged": sweep.flagged,
                "envelope_margin": sweep.envelope_margin,
-               "nudged": len(sweep.nudged),
                **{f"sup_{k}": v for k, v in sweep.sup_by_region.items()}}
     json_path = os.path.join(out, "resolvent_summary.jsonl")
     write_report(summary, "json-lines", json_path)
@@ -420,29 +407,26 @@ def _startup_selftest():
 
 
 def run(argv=None) -> int:
+    """Exit 0 on success, 2 on a solver failure (SolverError and
+    BlowUpError are RuntimeErrors, and LinAlgError a ValueError) and 3 on
+    a rejected input."""
     t0 = time.monotonic()
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        config = resolve_config(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
+        command, config = resolve_config(
+            sys.argv[1:] if argv is None else list(argv))
         grid = Grid(config["L"], config["n"])
         out = config["out"]
         os.makedirs(out, exist_ok=True)
         seed = config["seed"]
         _startup_selftest()
-        body = _COMMANDS[args.command]
-        profile, outputs, scalars = body(grid, config, out, seed)
-    except (SolverError, BlowUpError, ModulationError, RuntimeError) as exc:
+        profile, outputs, scalars = _COMMANDS[command](grid, config, out, seed)
+    except (RuntimeError, ModulationError, np.linalg.LinAlgError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    _write_manifest(out, args.command, config, grid, seed, outputs,
+    _write_manifest(out, command, config, grid, seed, outputs,
                     _periodization(profile), t0, scalars)
     return EXIT_OK
 

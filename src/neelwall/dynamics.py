@@ -57,7 +57,8 @@ PERTURBATION_SHAPES = ("sech", "odd_sech", "noise")
 
 
 class BlowUpError(RuntimeError):
-    """Raised when a norm exceeds the blow-up threshold; carries the trace."""
+    """Raised when a norm exceeds the blow-up threshold or a frame's wall
+    is no longer finite and saturated; carries the trace so far."""
 
     def __init__(self, message, trace=None):
         super().__init__(message)
@@ -482,7 +483,11 @@ def integrate(grid: Grid, config: SimConfig, reference: Profile,
     def record(step_index):
         nonlocal e0, pos_prev, s_prev
         t = step_index * dt
-        Field(grid, w, BACKGROUND_WALL)     # rejects non-finite or unsaturated w
+        try:                                # rejects non-finite or unsaturated w
+            Field(grid, w, BACKGROUND_WALL)
+        except ValueError as exc:
+            raise BlowUpError(f"wall lost at t = {t:.3f}: {exc}", _as_trace(
+                times, res, wpos, svals, evals, vnorms, defects, config)) from exc
         theta, cos_t, cos_h = parts
         # theta minus its background is w: the fit starts from w_hat, with
         # the Nyquist bin real as rfft(w) has it

@@ -37,6 +37,7 @@ from scipy.linalg import blas
 
 from .grid import (
     Grid,
+    apply_multiplier,
     derivative,
     multiplier_matrix,
     state_norm,
@@ -75,13 +76,6 @@ class HamiltonianSpectrum:
 def weighted_state_norm(grid: Grid, U: np.ndarray) -> float:
     """H1 x L2 norm of a stacked vector U = (u, v) of length 2n."""
     return state_norm(grid, U[:grid.n], U[grid.n:])
-
-
-def _weight(grid: Grid, U: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """W U (or W^{-1} U) for a stacked U = (u, v), W = blockdiag(1 + k^2, 1)."""
-    uh = np.fft.fft(U[:grid.n])
-    uh = uh / grid.h1_weight if inverse else grid.h1_weight * uh
-    return np.concatenate([np.real(np.fft.ifft(uh)), U[grid.n:]])
 
 
 @dataclass
@@ -438,22 +432,26 @@ def null_pair(op: DiscretizedOperator) -> NullPair:
     (left in the weighted-adjoint sense), from one LU (_zero_mode)."""
     if not op.is_block:
         raise ValueError("null_pair needs a block operator")
-    g = op.grid
+    g, n = op.grid, op.grid.n
     (lam0, x), (_, y) = _zero_mode(op)
     right = x / weighted_state_norm(g, x)
-    # weighted adjoint eigenvector: left = W^{-1} y with A^T y ~ 0
-    left = _weight(g, y, inverse=True)
+    # weighted adjoint eigenvector: left = W^{-1} y with A^T y ~ 0,
+    # W = blockdiag(1 + k^2, 1)
+    left = np.concatenate([apply_multiplier(g, y[:n], 1.0 / g.h1_weight),
+                           y[n:]])
     left = left / weighted_state_norm(g, left)
     # <right, left>_W = dx * right^T W left
-    overlap = float(g.dx * np.dot(right, _weight(g, left)))
-    return NullPair(right, left, overlap, lam0, g)
+    Wleft = np.concatenate([apply_multiplier(g, left[:n], g.h1_weight),
+                            left[n:]])
+    return NullPair(right, left, float(g.dx * np.dot(right, Wleft)), lam0, g)
 
 
 def projector_matrix(pair: NullPair) -> np.ndarray:
     """Spectral projector P_c U = U - <U, left>_W / R_c * right."""
-    g = pair.grid
-    return (np.eye(2 * g.n)
-            - np.outer(pair.right, g.dx * _weight(g, pair.left)) / pair.overlap)
+    g, n = pair.grid, pair.grid.n
+    Wleft = np.concatenate([apply_multiplier(g, pair.left[:n], g.h1_weight),
+                            pair.left[n:]])
+    return np.eye(2 * n) - np.outer(pair.right, g.dx * Wleft) / pair.overlap
 
 
 # ---------------------------------------------------------------------------

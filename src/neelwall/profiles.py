@@ -187,11 +187,6 @@ def _check_static_invariants(prof: Profile):
             f"min slope {mono:.2e})")
 
 
-def reflect_values(values: np.ndarray) -> np.ndarray:
-    """Samples of x -> f(-x) on the periodic grid."""
-    return np.roll(values[::-1], 1)
-
-
 def traveling_residual(grid: Grid, theta: Field, c: float, nu: float, H: float) -> np.ndarray:
     """R(psi, c) = c^2 psi'' - nu c psi' + grad E(psi) + H cos(psi).
 

@@ -61,12 +61,8 @@ def _parse_header(raw: bytes, path) -> tuple[dict, int]:
     return meta, end + 2
 
 
-def load_profile(path, grid: Grid | None = None) -> Profile:
-    """Read a profile file; optionally resample onto a consumer grid.
-
-    A grid mismatch is never silent: the profile is linearly resampled and
-    the round-trip interpolation error is recorded in ``meta``.
-    """
+def load_profile(path) -> Profile:
+    """Read a profile file on the grid it was stored on."""
     with open(path, "rb") as fh:
         raw = fh.read()
     header, offset = _parse_header(raw, path)
@@ -89,23 +85,14 @@ def load_profile(path, grid: Grid | None = None) -> Profile:
             f"{path}: truncated payload: {len(payload)} bytes, "
             f"expected {8 * n}")
     values = np.frombuffer(payload, dtype="<f8").astype(float)
-    source = Grid(L, n)
-    meta = {"source_path": os.fspath(path), "mode": mode}
-    if grid is not None and grid != source:
-        xs = np.concatenate([source.x, [source.L]])
-        vs = np.concatenate([values, [values[0]]])
-        resampled = np.interp(grid.x, xs, vs)
-        back = np.interp(source.x, np.concatenate([grid.x, [grid.L]]),
-                         np.concatenate([resampled, [resampled[0]]]))
-        meta["resampled_from"] = (L, n)
-        meta["resample_error"] = float(np.max(np.abs(back - values)))
-        source, values = grid, resampled
-    theta = Field(source, values, background)
+    grid = Grid(L, n)
+    theta = Field(grid, values, background)
     # at c = H = 0 the traveling residual is the energy gradient
-    R = (traveling_residual(source, theta, c, nu, H) if mode == "nonlocal"
+    R = (traveling_residual(grid, theta, c, nu, H) if mode == "nonlocal"
          else grad_energy(theta, mode).values)
-    res = float(l2_norm(source, R))
-    return Profile(theta, H, c, nu, res, meta)
+    res = float(l2_norm(grid, R))
+    return Profile(theta, H, c, nu, res,
+                   {"source_path": os.fspath(path), "mode": mode})
 
 
 # ---------------------------------------------------------------------------

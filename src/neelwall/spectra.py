@@ -471,7 +471,6 @@ class SweepResult:
     envelope_margin: float   # max over G1 of ||A(A-lam)^{-1}|| / envelope
     krylov_steps_mean: float  # Lanczos steps per computed norm: mean
     krylov_steps_max: int     # and maximum
-    nudged: list = dc_field(default_factory=list)  # (original, used) lambdas
 
     @property
     def sup_G(self) -> float:
@@ -516,9 +515,24 @@ def resolvent_sweep(op: DiscretizedOperator, delta: float,
     triangle inequality pins the norm to it within 2% there.  op is the
     static A (any other operator raises ModalStructureError); w defaults to
     calc.w, the numerical abscissa from the calculator's own modal factor.
+    delta must be finite and positive, with exactly one point of
+    calc.spectrum inside the contour square and none in the closed G;
+    else ValueError, before any Lanczos step.  A sample within
+    SPECTRUM_MIN_DISTANCE of calc.spectrum (an eigenvalue that close to
+    Gamma) raises SpectrumDistanceError.
     """
+    if not 0.0 < delta < np.inf:
+        raise ValueError(f"delta must be finite and positive, got {delta}")
     nu = op.nu
     calc = calc or ResolventCalculator(op)
+    re, im = calc.spectrum.real, calc.spectrum.imag
+    inside = (np.abs(re) < delta) & (np.abs(im) < delta)
+    in_G = (re >= -delta) & ~inside
+    if inside.sum() != 1 or in_G.any():
+        raise ValueError(
+            f"delta = {delta} does not separate lambda0 from the rest of "
+            f"sigma(A): {inside.sum()} eigenvalues inside the contour "
+            f"square (one expected), {in_G.sum()} in the closed region G")
     w = calc.w if w is None else w
     M1 = max(1.0, nu, 2.0 * abs(w))
     rmax = 1e3 * max(1.0, nu)
@@ -541,11 +555,6 @@ def resolvent_sweep(op: DiscretizedOperator, delta: float,
     regions = [_label(lam, delta, M1) for lam in lams] + ["Gamma"] * n_gamma
     lams = np.concatenate([lams, gamma_square(delta, n_gamma)])
 
-    # Move the points that fall on the computed spectrum, pairs as pairs.
-    hit = calc.spectrum_distance(lams) <= SPECTRUM_MIN_DISTANCE
-    moved = lams[hit] + 1e-6 * np.where(lams[hit].imag < 0, 1 - 1j, 1 + 1j)
-    nudged = list(zip(lams[hit].tolist(), moved.tolist()))
-    lams[hit] = moved
     # The weighted matrix is real, so norms at conjugate points coincide;
     # keying on (Re lam, |Im lam|) computes each exact mirror pair once.
     keys = list(zip(lams.real.tolist(), np.abs(lams.imag).tolist()))
@@ -577,7 +586,7 @@ def resolvent_sweep(op: DiscretizedOperator, delta: float,
             envelope_margin = max(envelope_margin, ncomp / env)
     return SweepResult(samples, sup_by_region, float(w), float(M1),
                        float(delta), flagged, envelope_margin,
-                       float(np.mean(steps)), int(np.max(steps)), nudged)
+                       float(np.mean(steps)), int(np.max(steps)))
 
 
 def _label(lam: complex, delta: float, M1: float) -> str:

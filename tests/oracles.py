@@ -23,7 +23,7 @@ from neelwall.grid import (
     l2_norm, multiplier_matrix,
 )
 from neelwall.linops import (
-    DiscretizedOperator, NullPair, _weight, build_block, weighted_state_norm,
+    DiscretizedOperator, NullPair, build_block, weighted_state_norm,
 )
 from neelwall.profiles import (
     CONTINUATION_STEP, H_ENVELOPE, NEWTON_MAX_ITER, Linearization, Profile,
@@ -110,6 +110,14 @@ def null_pair_arpack(op: DiscretizedOperator) -> NullPair:
     left = left / weighted_state_norm(g, left)
     overlap = float(g.dx * np.dot(right, _weight(g, left)))
     return NullPair(right, left, overlap, complex(vals[0]), g)
+
+
+def _weight(g: Grid, U: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """W U (or W^{-1} U, dividing by the weight) for a stacked U = (u, v),
+    W = blockdiag(1 + k^2, 1)."""
+    uh = np.fft.fft(U[:g.n])
+    uh = uh / g.h1_weight if inverse else g.h1_weight * uh
+    return np.concatenate([np.real(np.fft.ifft(uh)), U[g.n:]])
 
 
 def static_projector_matrix(static: Profile, nu: float | None = None) -> np.ndarray:

@@ -20,9 +20,14 @@ from neelwall.reports import load_profile
 SMALL = ["--L", "40", "--n", "256"]
 
 
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
 def _manifest(out):
+    """The manifest, read by a parser that refuses NaN and Infinity."""
     with open(out / "manifest.json") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_not_json)
 
 
 def test_every_subcommand_has_a_body():
@@ -132,6 +137,37 @@ def test_orbital_modulation_failure_is_an_unstable_verdict(
     assert [p.rsplit("/", 1)[-1] for p in m["outputs"]] == [
         "orbital_verdict.jsonl"]
     assert m["scalars"]["stable"] is False
+    assert m["scalars"]["wall_speed"] == "nan"
+
+
+def test_too_large_time_step_is_a_solver_failure(tmp_path, capsys):
+    # at dt = 1 the integrated wall stops saturating at the ends
+    code = run(["simulate", *SMALL, "--H", "0", "--dt", "1", "--t-end", "20",
+                "--out", str(tmp_path)])
+    assert code == EXIT_SOLVER
+    assert "solver failure: wall lost at t = " in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_too_large_time_step_is_an_unstable_verdict(tmp_path):
+    code = run(["orbital", *SMALL, "--H", "0.001", "--dt", "1",
+                "--t-end", "20", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    with open(tmp_path / "orbital_verdict.jsonl") as fh:
+        verdict = json.loads(fh.readline(), parse_constant=_not_json)
+    assert verdict["stable"] is False
+    assert verdict["failure"].startswith("wall lost at t = ")
+    m = _manifest(tmp_path)
+    assert m["scalars"] == {"stable": False, "wall_speed": "nan"}
+
+
+def test_lapack_failure_is_a_solver_failure(tmp_path, monkeypatch):
+    def failing(op):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(cli, "eig_report", failing)
+    code = run(["spectrum", *SMALL, "--H", "0", "--out", str(tmp_path)])
+    assert code == EXIT_SOLVER
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_config_file_precedence(tmp_path):
@@ -149,6 +185,14 @@ def test_config_file_precedence(tmp_path):
     assert load_profile(out / "static_profile.neelw").nu == 2.0
     # untouched keys keep their defaults
     assert m["config"]["dt"] == DEFAULTS["dt"]
+
+
+def test_config_file_keys_with_hyphens_and_negative_values(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("H = -0.001,0.001\nt-end = 12\n")
+    # each line is read as --key=value, so a leading minus is no flag
+    assert cli.resolve_config(["orbital", "--config", str(cfg)]) == (
+        "orbital", {**DEFAULTS, "H": "-0.001,0.001", "t_end": 12.0})
 
 
 def test_bad_config_file_exits_3(tmp_path):
@@ -242,7 +286,7 @@ def test_resolvent_sweep_summary_counts_nudges(tmp_path):
     assert code == EXIT_OK
     with open(tmp_path / "resolvent_summary.jsonl") as fh:
         summary = json.loads(fh.readline())
-    assert summary["nudged"] == 0
+    assert "nudged" not in summary
     assert summary["flagged"] is False
     assert summary["sup_Gamma"] > 0
     # the Lanczos steps per computed norm, as an aggregate of the sweep
@@ -268,3 +312,28 @@ def test_resolvent_sweep_default_delta_inside_gap_of_A(tmp_path, monkeypatch):
     assert ops[0].nu == 3.0
     assert delta < report.gap
     assert report.count_inside_square(delta) == 1
+
+
+@pytest.mark.parametrize("key", ["L", "nu", "delta", "dt", "t_end"])
+def test_numbers_outside_range_exit_3_before_any_solve(
+        tmp_path, key, static_solves, capsys):
+    flag = "--" + key.replace("_", "-")
+    cfg = tmp_path / "run.cfg"
+    for value in ("nan", "inf", "-1", "0"):
+        cfg.write_text(f"{key} = {value}\n")
+        for source in ([f"{flag}={value}"], ["--config", str(cfg)]):
+            assert run(["simulate", *SMALL, "--H", "0", *source,
+                        "--out", str(tmp_path)]) == EXIT_CONFIG, source
+            message = (f"argument {flag}: must be finite and positive, "
+                       f"got {value!r}")
+            assert message in capsys.readouterr().err
+    assert static_solves == []
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_resolvent_sweep_refuses_delta_past_the_gap(tmp_path):
+    # at delta = 0.6 the region G holds every complex eigenvalue of A
+    code = run(["resolvent-sweep", *SMALL, "--delta", "0.6",
+                "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert not (tmp_path / "manifest.json").exists()

@@ -387,6 +387,20 @@ def test_blow_up_raises_with_trace(grid256, static256):
     assert err.value.trace is not None
 
 
+def test_lost_wall_raises_blow_up_with_trace(grid256, static256):
+    # dt = 1 is too large for the integrator: the wall stops saturating at
+    # the ends, and the frame that sees it ends the run as a blow-up
+    config = SimConfig(dt=1.0, t_end=20.0, nu=1.0)
+    with pytest.raises(BlowUpError, match=r"wall lost at t = \d+\.\d{3}: "
+                                          "wall-background field") as err:
+        integrate(grid256, config, static256)
+    trace = err.value.trace
+    t_lost = float(str(err.value).split("t = ")[1].split(":")[0])
+    assert 0 < len(trace.times) and trace.times[-1] < t_lost < config.t_end
+    assert np.array_equal(trace.times, np.arange(len(trace.times)) * 1.0)
+    assert len(trace.residual_H1) == len(trace.times)
+
+
 # ---------------------------------------------------------------------------
 # structural checks used by the orbital experiment
 

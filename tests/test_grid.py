@@ -214,8 +214,6 @@ def test_state_norm_matches_components():
 OWN_REAL_MULTIPLIERS = {
     ("grid.py", "apply_multiplier"),   # the definition itself
     ("profiles.py", "matvec"),         # two transforms in one batched call
-    ("linops.py", "_weight"),          # divides by the weight: a multiply
-                                       # by 1/w would round differently
 }
 
 

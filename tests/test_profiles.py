@@ -23,7 +23,7 @@ from neelwall import grid as grid_module
 from neelwall import profiles
 from neelwall.grid import Grid, derivative, l2_norm
 from neelwall.profiles import (
-    SolverError, mobility, mobility_fields, reflect_values, solve_static, solve_traveling,
+    SolverError, mobility, mobility_fields, solve_static, solve_traveling,
     traveling_residual, wall_mass,
 )
 from oracles import solve_static_descent, solve_traveling_dense
@@ -323,15 +323,6 @@ def test_mobility_validation(grid256, static256):
             mobility(grid256, 1.0, fields, static=static256)
     assert mobility_fields(np.array([-1e-3, 1e-3, -2e-3, 2e-3])) == [
         -1e-3, 1e-3, -2e-3, 2e-3]
-
-
-def test_reflect_values_involution(grid256):
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(grid256.n)
-    assert np.array_equal(reflect_values(reflect_values(v)), v)
-    # reflects about x = 0: x_j -> -x_j up to the periodic seam sample
-    f = np.sin(np.pi * grid256.x / grid256.L)
-    assert np.allclose(reflect_values(f)[1:], -f[1:], atol=1e-12)
 
 
 def test_solver_error_carries_history():

@@ -64,17 +64,6 @@ def test_load_rejects_bad_mode(tmp_path, static256, traveling256):
             load_profile(path)
 
 
-def test_profile_resample_records_error(tmp_path, static256, grid512):
-    path = tmp_path / "wall.prof"
-    store_profile(static256, path)
-    back = load_profile(path, grid=grid512)
-    assert back.grid == grid512
-    assert back.meta["resampled_from"] == (40.0, 256)
-    # linear-interpolation round trip back to the source grid is exact
-    # at the shared nodes
-    assert back.meta["resample_error"] <= 1e-12
-
-
 def test_load_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.prof"
     path.write_bytes(b"NOPE\nL=40 n=4 H=0 c=0 nu=1 background=wall\n\n" + b"\0" * 32)

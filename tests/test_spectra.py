@@ -574,9 +574,19 @@ def test_modal_conjugate_points_agree(A_op256):
                                calc.norm_composed(np.conj(lams)), rtol=1e-2)
 
 
-def test_sweep_records_nudged_lambda():
+@pytest.fixture
+def no_lanczos(monkeypatch):
+    """Every Lanczos run of the resolvent calculator fails the test."""
+    def refused(*args, **kwargs):
+        raise AssertionError("Lanczos step taken")
+    monkeypatch.setattr(spectra, "_gk_batch", refused)
+
+
+def test_sweep_refuses_eigenvalue_in_G(no_lanczos):
     # A diagonal L with one negative eigenvalue puts an eigenvalue of A
-    # exactly on the first point of the sweep's near-real G1 line.
+    # exactly on the first point of the sweep's near-real G1 line, and none
+    # inside the contour square: delta separates nothing, and the sweep
+    # refuses before it samples
     grid, nu, M1 = Grid(40.0, 64), 1.0, 2.0
     n = grid.n
     r0 = M1 + DELTA
@@ -590,14 +600,28 @@ def test_sweep_records_nudged_lambda():
     calc = ResolventCalculator(op)
     with pytest.raises(SpectrumDistanceError):
         calc.norm_inv(r0)
-    # w = 1 makes the sweep's G1 line start at M1 = max(1, nu, 2w)
-    sweep = resolvent_sweep(op, DELTA, n_radial=4, n_angular=4, n_gamma=8,
-                            w=1.0, calc=calc)
-    assert sweep.M1 == M1
-    used = r0 + 1e-6 * (1 + 1j)
-    assert sweep.nudged == [(complex(r0), used)]
-    hit = [s for s in sweep.samples if s.lam == used]
-    assert len(hit) == 1 and np.isfinite(hit[0].norm_inv)
+    with pytest.raises(ValueError, match="0 eigenvalues inside .* 1 in the "
+                                         "closed region G"):
+        resolvent_sweep(op, DELTA, n_radial=4, n_angular=4, n_gamma=8,
+                        w=1.0, calc=calc)
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.1, np.nan, np.inf])
+def test_sweep_refuses_nonpositive_or_nonfinite_delta(A_op256, delta,
+                                                      no_lanczos):
+    with pytest.raises(ValueError, match="finite and positive"):
+        resolvent_sweep(A_op256, delta, n_radial=2, n_angular=2, n_gamma=4)
+
+
+def test_sweep_refuses_delta_past_the_gap(A_op256, no_lanczos):
+    # at nu = 1 the complex eigenvalues of A lie on Re lam = -1/2, inside
+    # the closed G once delta >= 1/2
+    calc = ResolventCalculator(A_op256)
+    with pytest.raises(ValueError, match="does not separate lambda0"):
+        resolvent_sweep(A_op256, 0.6, n_radial=2, n_angular=2, n_gamma=4,
+                        calc=calc)
+    on_line = np.sum(np.abs(calc.spectrum.real + 0.5) < 1e-9)
+    assert on_line > 0
 
 
 def test_modal_path_rejects_bad_structure(A_op256, Ac_op256, monkeypatch):
@@ -666,7 +690,6 @@ def test_sweep_points_match_pointwise_reference(A_op256):
     sweep = resolvent_sweep(A_op256, DELTA, n_radial=9, n_angular=7,
                             n_gamma=8)
     lams, regions = sweep_points_reference(DELTA, sweep.M1, 1e3, 9, 7, 8)
-    assert sweep.nudged == []
     assert [s.lam for s in sweep.samples] == lams
     assert [s.region for s in sweep.samples] == regions
 

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Run every CLI experiment at the desk scale (L = 40, n = 2048) into out/.
-# The resolvent sweep and the spectrum command each take several minutes;
-# everything else finishes in seconds to a minute.
+# With one BLAS thread on a 2-core machine the whole set takes about 40 s:
+# resolvent-sweep about 15 s, spectrum --H 0.001 about 8 s, relative-bound
+# about 7 s, and every other command 3 s or less.
 set -e
 
 OUT=${1:-out}

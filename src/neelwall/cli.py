@@ -19,8 +19,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .dynamics import (ModulationError, Perturbation, SimConfig, decay_fit,
-                       integrate, orbital_experiment)
+from .dynamics import (_ORBITAL_H_MAX, ModulationError, Perturbation,
+                       SimConfig, decay_fit, integrate, orbital_experiment)
 from .energy import gradient_selftest
 from .grid import Field, Grid, apply_multiplier
 from .linops import build_Bc, build_block, build_L
@@ -336,10 +336,12 @@ def _cmd_simulate(grid, config, out, seed):
 
 
 def _cmd_orbital(grid, config, out, seed):
-    H = _single_field(config)
-    _, ref = _wall(grid, config, H)
-    verdict = orbital_experiment(grid, H, Perturbation(seed=seed), ref.nu,
-                                 ref, dt=config["dt"], t_end=config["t_end"])
+    sim = _sim_config(config, seed)     # refuses t_end < 10/nu before a solve
+    if abs(sim.H) > _ORBITAL_H_MAX:
+        raise ConfigError(f"orbital requires |H| <= {_ORBITAL_H_MAX}")
+    _, ref = _wall(grid, config, sim.H)
+    verdict = orbital_experiment(grid, sim.H, sim.perturbation, ref.nu, ref,
+                                 dt=sim.dt, t_end=sim.t_end)
     outputs = []
     if verdict.trace is not None:
         outputs.append(os.path.join(out, "orbital_trace.csv"))

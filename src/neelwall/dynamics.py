@@ -54,6 +54,7 @@ from .profiles import Linearization, Profile, traveling_residual
 
 FRAMES = ("lab", "comoving")
 PERTURBATION_SHAPES = ("sech", "odd_sech", "noise")
+_ORBITAL_H_MAX = 5e-3      # orbital_experiment's field limit, checked first
 
 
 class BlowUpError(RuntimeError):
@@ -666,8 +667,8 @@ def orbital_experiment(grid: Grid, H: float, perturbation: Perturbation,
     (otherwise the wall simply ends up at a shifted position, which is the
     same orbit; projecting makes the decay-rate fit clean).
     """
-    if abs(H) > 5e-3:
-        raise ValueError("orbital experiment restricted to |H| <= 5e-3")
+    if abs(H) > _ORBITAL_H_MAX:
+        raise ValueError(f"orbital experiment needs |H| <= {_ORBITAL_H_MAX}")
     if nu <= 0:
         raise ValueError("nu must be positive")
     dt = dt if dt is not None else 1e-3 * min(1.0, 1.0 / nu)

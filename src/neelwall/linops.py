@@ -4,13 +4,14 @@ Scalar operators (n x n, geometry L2):
     L   u = -u'' + s T(s u) - c_th u                 (static wall)
     L_c u = -(1-c^2)u'' + s T(s u) - c nu u' - (c_psi + H s_psi) u
 
-Block operators (2n x 2n, geometry H1 x L2):
+Block operators (2n x 2n, geometry H1 x L2; the kind fixes the top row, so
+only the n x 2n bottom rows are stored, and .matrix assembles the whole):
     A   = [[0, I], [-L,   -nu I]]
     A_c = [[0, I], [-L_c, 2c d_z - nu I]]
-    B_c = A_c - A   (bottom row [-S, 2c d_z]; only those n rows are written)
+    B_c = A_c - A   (top row zero, bottom row [L - L_c, 2c d_z])
 
 L and L_c are the dense matrices of profiles.Linearization, the one
-definition of the linearization; the blocks are assembled around them.
+definition of the linearization; the block rows are assembled around them.
 Zero modes come from inverse iteration through one LU of the matrix,
 started from the profile derivative, so none depends on a random start.
 
@@ -23,7 +24,7 @@ it serves both spectra.ResolventCalculator and a_perp_inverse.
 DiscretizedOperator.hamiltonian_spectrum gives sigma(A_c) from the
 Hamiltonian form of its quadratic pencil: one eigh of size n, a few LU
 steps of size n, and one eigvalsh of size 2n - 2 in place of dgeev on the
-2n block.
+2n block.  Both read the stored bottom rows only.
 """
 
 from __future__ import annotations
@@ -56,10 +57,10 @@ ZERO_MODE_MAX_STEPS = 14  # iterate moves by at most TOL, or fails after 14
 
 
 class ModalStructureError(ValueError):
-    """A matrix that is not [[0, I], [-L, -nu I]] with a symmetric L, so
+    """A block whose bottom rows are not [-L, -nu I] with a symmetric L, so
     DiscretizedOperator.modes (the modal factorization) does not apply, or
-    not [[0, I], [-L_c, E - nu I]] with E skew and L_c - L_c^T = -nu E, so
-    DiscretizedOperator.hamiltonian_spectrum does not."""
+    not [-L_c, E - nu I] with E skew and L_c - L_c^T = -nu E, so
+    DiscretizedOperator.hamiltonian_spectrum does not; or a scalar kind."""
 
 
 @dataclass(frozen=True)
@@ -82,12 +83,14 @@ def weighted_state_norm(grid: Grid, U: np.ndarray) -> float:
 class DiscretizedOperator:
     """Dense realization of one of the model operators.
 
-    The matrix is real; a static block operator caches the
-    eigendecomposition of its L (modes).
+    rows holds the entries the kind leaves free: all of a scalar kind, the
+    n x 2n bottom rows [-L_c, D] of a block (top row [0, I], or zero for
+    B_c).  matrix is the whole matrix, read-only.  A static block operator
+    caches the eigendecomposition of its L (modes).
     """
 
     kind: str
-    matrix: np.ndarray
+    rows: np.ndarray
     grid: Grid
     nu: float
     c: float
@@ -97,40 +100,45 @@ class DiscretizedOperator:
     def __post_init__(self):
         if self.kind not in SCALAR_KINDS + BLOCK_KINDS:
             raise ValueError(f"unknown operator kind {self.kind!r}")
-        expected = self.grid.n if self.kind in SCALAR_KINDS else 2 * self.grid.n
-        if self.matrix.shape != (expected, expected):
-            raise ValueError(f"kind {self.kind}: expected shape "
-                             f"({expected},{expected}), got {self.matrix.shape}")
-        self.matrix.setflags(write=False)
+        n = self.grid.n
+        expected = (n, 2 * n) if self.is_block else (n, n)
+        if self.rows.shape != expected:
+            raise ValueError(f"kind {self.kind}: expected rows of shape "
+                             f"{expected}, got {self.rows.shape}")
+        self.rows.setflags(write=False)
 
     @property
     def is_block(self) -> bool:
         return self.kind in BLOCK_KINDS
 
-    def _bottom_blocks(self):
-        """(-L, D): the bottom blocks of a block matrix [[0, I], [-L, D]],
-        whose top row is checked exactly, else ModalStructureError."""
+    @property
+    def matrix(self) -> np.ndarray:
+        """rows for a scalar kind; for a block, a fresh 2n x 2n array of its
+        top row over rows, assembled on each read and not cached."""
+        if not self.is_block:
+            return self.rows
         n = self.grid.n
-        M = self.matrix
-        top = M[:n, n:]
-        if (np.any(M[:n, :n]) or np.count_nonzero(top) != n
-                or np.any(np.diagonal(top) != 1.0)):
-            raise ModalStructureError(
-                f"kind {self.kind} matrix is not [[0, I], [-L, D]]")
-        return M[n:, :n], M[n:, n:]
+        M = np.zeros((2 * n, 2 * n))
+        if self.kind != "Bc":
+            np.fill_diagonal(M[:n, n:], 1.0)
+        M[n:] = self.rows
+        M.setflags(write=False)
+        return M
 
     @cached_property
     def modes(self):
-        """(mu, Q) = eigh(L) of a static block matrix [[0, I], [-L, -nu I]]:
-        the eigenvalues of L in ascending order and its orthonormal
-        eigenvectors.  The block structure is checked exactly and the
-        symmetry of L to SYMMETRY_TOL (relative), else ModalStructureError."""
-        lower, damp = self._bottom_blocks()
-        if (np.count_nonzero(damp) != self.grid.n
+        """(mu, Q) = eigh(L) of a static block [[0, I], [-L, -nu I]]: the
+        eigenvalues of L in ascending order and its orthonormal
+        eigenvectors.  The damping block -nu I is checked exactly and the
+        symmetry of L to SYMMETRY_TOL (relative), else ModalStructureError
+        (also for a scalar kind)."""
+        n = self.grid.n
+        damp = self.rows[:, n:]
+        if (not self.is_block or np.count_nonzero(damp) != n
                 or np.any(np.diagonal(damp) != -self.nu)):
             raise ModalStructureError(
                 f"kind {self.kind} matrix is not [[0, I], [-L, -nu I]]")
-        L = -lower
+        L = -self.rows[:, :n]
         asym = _relative(L - L.T, L)
         if asym > SYMMETRY_TOL:
             raise ModalStructureError(
@@ -144,9 +152,9 @@ class DiscretizedOperator:
         has exactly one negative eigenvalue (it has more when
         Lambda0 < nu^2/4, and then more than one pair leaves the line).
 
-        Checked first, to SYMMETRY_TOL relative, else ModalStructureError:
-        the top row [0, I] exactly, E skew (relative to the damping block)
-        and L_c - L_c^T = -nu E (relative to L_c).
+        Checked first on the stored bottom rows, to SYMMETRY_TOL relative,
+        else ModalStructureError (also for a scalar kind): E skew (relative
+        to the damping block) and L_c - L_c^T = -nu E (relative to L_c).
 
         With sigma = lam + nu/2 the pencil is Q(sigma) = sigma^2 - sigma E
         + K~, gyroscopic.  Take K~ = V diag(kappa) V^T, C = sqrt|kappa| V^T,
@@ -160,8 +168,10 @@ class DiscretizedOperator:
         I - 2 b b^T, positive definite, and its inverse square root makes the
         rest a real skew S.  eigvalsh(S^T S) gives omega^2 twice over, and
         sigma(A_c) = {-nu/2 +- s} + {-nu/2 +- i omega}."""
+        if not self.is_block:
+            raise ModalStructureError(f"kind {self.kind} is not a block")
         n, nu = self.grid.n, self.nu
-        lower, damp = self._bottom_blocks()
+        lower, damp = self.rows[:, :n], self.rows[:, n:]
         E = damp + nu * np.eye(n)
         residual = max(_relative(E + E.T, damp),     # lower = -L_c
                        _relative(nu * E - (lower - lower.T), lower))
@@ -310,55 +320,40 @@ def build_Lc(profile: Profile) -> DiscretizedOperator:
                                profile)
 
 
+def _block_rows(profile: Profile, c: float, H: float,
+                nu: float) -> np.ndarray:
+    """The bottom rows [-L_c, 2c d_z - nu I] of a block at speed c, field H
+    and damping nu, with L_c linearized at the profile."""
+    if nu <= 0:
+        raise ValueError("nu must be positive")
+    g, n = profile.grid, profile.grid.n
+    rows = np.empty((n, 2 * n))
+    rows[:, :n] = -Linearization(g, profile.reconstruct(), c, nu, H).dense()
+    rows[:, n:] = -nu * np.eye(n)
+    if c != 0.0:
+        rows[:, n:] += 2.0 * c * multiplier_matrix(g, g.k_deriv)
+    return rows
+
+
 def build_block(profile: Profile, with_c: bool = True,
                 nu: float | None = None) -> DiscretizedOperator:
     """First-order block operator A (with_c False, c forced to 0) or A_c."""
     nu = profile.nu if nu is None else nu
-    if nu <= 0:
-        raise ValueError("nu must be positive")
-    g = profile.grid
-    n = g.n
-    c = profile.c if with_c else 0.0
-    H = profile.H if with_c else 0.0
-    scal = Linearization(g, profile.reconstruct(), c, nu, H).dense()
-    M = np.zeros((2 * n, 2 * n))
-    M[:n, n:] = np.eye(n)
-    M[n:, :n] = -scal
-    M[n:, n:] = -nu * np.eye(n)
-    if with_c and c != 0.0:
-        M[n:, n:] += 2.0 * c * multiplier_matrix(g, g.k_deriv)
-    kind = "Ac" if with_c else "A"
-    return DiscretizedOperator(kind, M, g, nu, c, H, profile)
+    c, H = (profile.c, profile.H) if with_c else (0.0, 0.0)
+    return DiscretizedOperator("Ac" if with_c else "A",
+                               _block_rows(profile, c, H, nu), profile.grid,
+                               nu, c, H, profile)
 
 
 def build_Bc(moving: Profile, static: Profile) -> DiscretizedOperator:
-    """B_c = A_c(moving) - A(static), both on the same grid and damping.
-
-    Only the bottom row [L - L_c, 2c d_z] is nonzero, so it alone is
-    written, into a zero 2n x 2n matrix whose top n rows stay unwritten and
-    so never become resident.  Each entry takes the floating-point
-    operations of the difference of the two assembled blocks, so the matrix
-    is bitwise that difference."""
+    """B_c = A_c(moving) - A(static), both on the same grid and damping: the
+    difference of the two blocks' bottom rows, [L - L_c, 2c d_z]."""
     if moving.grid != static.grid:
         raise ValueError("profiles must share a grid")
-    nu = moving.nu
-    if nu <= 0:
-        raise ValueError("nu must be positive")
-    g = moving.grid
-    n = g.n
-    c = moving.c
-    Lc = Linearization(g, moving.reconstruct(), c, nu, moving.H).dense()
-    L = Linearization(g, static.reconstruct(), 0.0, nu, 0.0).dense()
-    M = np.zeros((2 * n, 2 * n))
-    np.subtract(L, Lc, out=M[n:, :n])       # = (-L_c) - (-L) bit for bit
-    del L, Lc
-    damp = -nu * np.eye(n)
-    drift = M[n:, n:]
-    drift[...] = damp
-    if c != 0.0:
-        drift += 2.0 * c * multiplier_matrix(g, g.k_deriv)
-    drift -= damp
-    return DiscretizedOperator("Bc", M, g, nu, c, moving.H, moving)
+    rows = _block_rows(moving, moving.c, moving.H, moving.nu)
+    rows -= _block_rows(static, 0.0, 0.0, moving.nu)
+    return DiscretizedOperator("Bc", rows, moving.grid, moving.nu, moving.c,
+                               moving.H, moving)
 
 
 # ---------------------------------------------------------------------------

@@ -627,7 +627,7 @@ def relative_bound_fit(A_op: DiscretizedOperator, Bc_op: DiscretizedOperator,
     with equality in the first step on the maximizing eigenvector.  The
     constants are seed-free: n_samples and seed are accepted but unused.
     Exactly (0, 0) when B_c vanishes (c = 0)."""
-    if not np.any(Bc_op.matrix):
+    if not np.any(Bc_op.rows):
         return RelativeBoundPoint(Bc_op.c, Bc_op.H, 0.0, 0.0)
     g = A_op.grid
     n = g.n
@@ -637,7 +637,7 @@ def relative_bound_fit(A_op: DiscretizedOperator, Bc_op: DiscretizedOperator,
 
     def lower_rows(op):
         # bottom n rows of W^{1/2} M W^{-1/2}: W^{-1/2} on the u columns only
-        R = op.matrix[n:].copy()
+        R = op.rows.copy()
         R[:, :n] = apply_multiplier(g, R[:, :n], 1.0 / np.sqrt(w))
         return R
 

@@ -1,14 +1,14 @@
 """Independent oracles, written out term by term apart from the code they
-check: the drift perturbation S of B_c and B_c as a difference of blocks, the
-dense W^{1/2}-conjugated matrix of an operator, the null pair by
-shift-invert ARPACK, the static projector, one damped linear mode in closed
-form and under the exponential step weights, the damped wave right-hand
-side in physical space and its step by classical RK4, nearest points by k-d
-tree, the resolvent sweep's sample points built one by one, Lanczos on S*S
-with an eigvalsh at every step (by the three-term recurrence, and with full
-reorthogonalization against a stored basis), the traveling wall by
-bordered Newton on the dense Jacobian with LU, and the static wall by
-preconditioned energy descent with a Newton-CG polish."""
+check: the drift perturbation S of B_c, the full 2n x 2n blocks and B_c as
+their difference, the dense W^{1/2}-conjugated matrix of an operator, the
+null pair by shift-invert ARPACK, the static projector, one damped linear
+mode in closed form and under the exponential step weights, the damped
+wave right-hand side in physical space and its step by classical RK4,
+nearest points by k-d tree, the resolvent sweep's sample points built one
+by one, Lanczos on S*S with an eigvalsh at every step (by the three-term
+recurrence, and with full reorthogonalization against a stored basis), the
+traveling wall by bordered Newton on the dense Jacobian with LU, and the
+static wall by preconditioned energy descent with a Newton-CG polish."""
 from __future__ import annotations
 
 import numpy as np
@@ -23,7 +23,7 @@ from neelwall.grid import (
     l2_norm, multiplier_matrix,
 )
 from neelwall.linops import (
-    DiscretizedOperator, NullPair, build_block, weighted_state_norm,
+    DiscretizedOperator, NullPair, weighted_state_norm,
 )
 from neelwall.profiles import (
     CONTINUATION_STEP, H_ENVELOPE, NEWTON_MAX_ITER, Linearization, Profile,
@@ -52,10 +52,25 @@ def s_matrix_direct(moving: Profile, static: Profile) -> np.ndarray:
     return M
 
 
+def dense_block(profile: Profile, c: float, H: float,
+                nu: float) -> np.ndarray:
+    """The full 2n x 2n block [[0, I], [-L_c, 2c d_z - nu I]], assembled
+    around Linearization.dense() into a zero matrix."""
+    g = profile.grid
+    n = g.n
+    M = np.zeros((2 * n, 2 * n))
+    M[:n, n:] = np.eye(n)
+    M[n:, :n] = -Linearization(g, profile.reconstruct(), c, nu, H).dense()
+    M[n:, n:] = -nu * np.eye(n)
+    if c != 0.0:
+        M[n:, n:] += 2.0 * c * multiplier_matrix(g, g.k_deriv)
+    return M
+
+
 def bc_difference(moving: Profile, static: Profile) -> np.ndarray:
-    """B_c as the difference of the two assembled 2n x 2n blocks."""
-    return (build_block(moving, with_c=True).matrix
-            - build_block(static, with_c=False, nu=moving.nu).matrix)
+    """B_c as the difference of the two fully assembled 2n x 2n blocks."""
+    return (dense_block(moving, moving.c, moving.H, moving.nu)
+            - dense_block(static, 0.0, 0.0, moving.nu))
 
 
 def weighted_matrix(op: DiscretizedOperator) -> np.ndarray:

@@ -238,6 +238,10 @@ def test_bad_flag_values_exit_3(tmp_path, static_solves):
                             ("mobility", "-0.001,-0.001,0.001,0.001")):
         assert run([command, *SMALL, f"--H={fields}",
                     "--out", str(tmp_path)]) == EXIT_CONFIG, (command, fields)
+    # orbital's own limits, t_end >= 10/nu and |H| <= 5e-3, fail first too
+    for flags in (["--t-end", "5"], ["--H", "0.01"]):
+        assert run(["orbital", *SMALL, *flags,
+                    "--out", str(tmp_path)]) == EXIT_CONFIG, flags
     # zero or negative damping is refused with the configuration
     for command in SUBCOMMANDS:
         for nu in ("0", "-1"):

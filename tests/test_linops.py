@@ -28,8 +28,8 @@ from neelwall.linops import (
 from neelwall.profiles import Linearization, solve_traveling
 from conftest import smooth_random
 from oracles import (
-    bc_difference, null_pair_arpack, s_matrix_direct, static_projector_matrix,
-    weighted_matrix,
+    bc_difference, dense_block, null_pair_arpack, s_matrix_direct,
+    static_projector_matrix, weighted_matrix,
 )
 
 
@@ -93,18 +93,46 @@ def test_operator_shapes_and_validation(static256, A_op256):
     assert A_op256.matrix.shape == (2 * g.n, 2 * g.n)
     with pytest.raises(ValueError):
         DiscretizedOperator("bogus", np.eye(4), g, 1.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        DiscretizedOperator("A", np.eye(g.n), g, 1.0, 0.0, 0.0)
+    # a block takes its n x 2n bottom rows, never the full matrix
+    for M in (np.eye(g.n), np.eye(2 * g.n)):
+        with pytest.raises(ValueError, match="expected rows"):
+            DiscretizedOperator("A", M, g, 1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         build_block(static256, nu=-1.0)
 
 
-def test_block_structure(static256, A_op256):
+@pytest.mark.parametrize("kind, nu", [("A", 1.0), ("Ac", 0.5), ("Ac", 1.0),
+                                      ("Ac", 2.0), ("Bc", 1.0)])
+def test_block_structure(static256, traveling256, A_op256, moving_blocks256,
+                         kind, nu):
+    # the stored bottom rows and the assembled matrix, which equals the full
+    # assembly of the oracle byte for byte; no 2n x 2n array is kept, also
+    # after the modal and Hamiltonian paths have run
     n = static256.grid.n
-    M = A_op256.matrix
-    assert np.allclose(M[:n, :n], 0.0)
-    assert np.allclose(M[:n, n:], np.eye(n))
-    assert np.allclose(M[n:, n:], -A_op256.nu * np.eye(n))
+    if kind == "A":
+        op, ref = A_op256, dense_block(static256, 0.0, 0.0, nu)
+        op.modes
+    elif kind == "Ac":
+        op = moving_blocks256[nu, 1e-3]
+        ref = dense_block(op.profile, op.c, op.H, nu)
+        assert op.hamiltonian_spectrum() is not None
+    else:
+        op = build_Bc(traveling256, static256)
+        ref = bc_difference(traveling256, static256)
+    M = op.matrix
+    assert M.tobytes() == ref.tobytes()
+    assert op.rows.shape == (n, 2 * n)
+    assert not op.rows.flags.writeable and not M.flags.writeable
+    top, damp = (np.eye(n), -nu) if kind != "Bc" else (np.zeros((n, n)), 0.0)
+    assert not np.any(M[:n, :n])
+    assert np.array_equal(M[:n, n:], top)
+    assert np.array_equal(np.diagonal(M[n:, n:]), np.full(n, damp))
+    if kind == "A":
+        assert np.array_equal(M[n:, n:], -nu * np.eye(n))
+    stored = [x for v in vars(op).values()
+              for x in (v if isinstance(v, tuple) else (v,))]
+    assert not any(isinstance(x, np.ndarray) and x.shape == (2 * n, 2 * n)
+                   for x in stored)
 
 
 def test_Bc_matches_direct_assembly(traveling256, static256):
@@ -204,8 +232,8 @@ def _shifted(op: DiscretizedOperator, s: float) -> DiscretizedOperator:
         M[n:, :n] += s * np.eye(n)
     else:
         M -= s * np.eye(n)
-    return DiscretizedOperator(op.kind, M, op.grid, op.nu, op.c, op.H,
-                               op.profile)
+    return DiscretizedOperator(op.kind, M[n:] if op.is_block else M, op.grid,
+                               op.nu, op.c, op.H, op.profile)
 
 
 def test_zero_mode_separation_certificate(L_op256, A_op256):
@@ -263,8 +291,10 @@ def test_a_perp_inverse_right_inverse(static256, A_op256):
 def test_modes_and_a_perp_inverse_reject_bad_operators(L_op256, A_op256):
     with pytest.raises(ModalStructureError, match="is not"):
         L_op256.modes
-    bare = DiscretizedOperator("A", A_op256.matrix, A_op256.grid, A_op256.nu,
-                               0.0, 0.0)
+    with pytest.raises(ModalStructureError, match="is not"):
+        L_op256.hamiltonian_spectrum()
+    bare = DiscretizedOperator("A", A_op256.matrix[A_op256.grid.n:],
+                               A_op256.grid, A_op256.nu, 0.0, 0.0)
     with pytest.raises(ValueError, match="profile"):
         a_perp_inverse(bare)
 

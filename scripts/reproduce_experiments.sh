@@ -1,8 +1,8 @@
 #!/bin/sh
 # Run every CLI experiment at the desk scale (L = 40, n = 2048) into out/.
-# With one BLAS thread on a 2-core machine the whole set takes about 40 s:
+# With one BLAS thread on a 2-core machine the whole set takes about 38 s:
 # resolvent-sweep about 15 s, spectrum --H 0.001 about 8 s, relative-bound
-# about 7 s, and every other command 3 s or less.
+# about 7 s, orbital about 3 s, and every other command 1.5 s or less.
 set -e
 
 OUT=${1:-out}

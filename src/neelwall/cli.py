@@ -28,8 +28,8 @@ from .profiles import (Profile, check_field, mobility, mobility_fields,
                        solve_static, solve_traveling)
 from .regions import RegionParams, run_all_checks
 from .reports import _json_value, store_profile, write_report
-from .spectra import (eig_report, pencil_gap, relative_bound_fit,
-                      resolvent_sweep)
+from .spectra import (ResolventCalculator, eig_report, pencil_gap,
+                      relative_bound_fit, resolvent_sweep)
 
 EXIT_OK = 0
 EXIT_SOLVER = 2
@@ -177,9 +177,11 @@ def _write_manifest(out_dir, command, config, grid, seed, outputs,
         fh.write("\n")
 
 
-def _default_delta(nu: float, Lambda0: float) -> float:
-    """0.4 times the gap of A, the pencil's (below Lambda0 for large nu)."""
-    return 0.4 * pencil_gap(nu, Lambda0)
+def _delta(config, Lambda0: float) -> float:
+    """--delta, by default 0.4 times the gap of A, the pencil's (below
+    Lambda0 for large nu)."""
+    delta = config["delta"]
+    return 0.4 * pencil_gap(config["nu"], Lambda0) if delta is None else delta
 
 
 def _static_tol(grid: Grid) -> float:
@@ -275,20 +277,12 @@ def _cmd_spectrum(grid, config, out, seed):
     return prof, [path], scalars
 
 
-def _op_and_delta(grid, config):
-    """Static profile, block operator A, and a delta inside the gap."""
-    prof = _static(grid, config)
-    L_report = eig_report(build_L(prof))
-    delta = config["delta"]
-    if delta is None:
-        delta = _default_delta(config["nu"], L_report.Lambda0_num)
-    return prof, L_report, delta
-
-
 def _cmd_resolvent_sweep(grid, config, out, seed):
-    prof, L_report, delta = _op_and_delta(grid, config)
+    prof = _static(grid, config)
     A = build_block(prof, with_c=False)
-    sweep = resolvent_sweep(A, delta)
+    calc = ResolventCalculator(A)
+    delta = _delta(config, A.modes[0][1])   # Lambda0 from calc's eigh(L)
+    sweep = resolvent_sweep(A, delta, calc=calc)
     csv_path = os.path.join(out, "resolvent_sweep.csv")
     write_report(sweep, "csv", csv_path)
     summary = {"delta": delta, "w": sweep.w, "M1": sweep.M1,
@@ -364,11 +358,11 @@ def _cmd_orbital(grid, config, out, seed):
 
 
 def _cmd_appendix_check(grid, config, out, seed):
-    prof, L_report, delta = _op_and_delta(grid, config)
+    prof = _static(grid, config)
     nu = config["nu"]
-    Lambda0 = L_report.Lambda0_num
+    Lambda0 = eig_report(build_L(prof)).Lambda0_num
     beta = 0.9
-    delta = min(delta, 0.49 * beta * nu)
+    delta = min(_delta(config, Lambda0), 0.49 * beta * nu)
     params = RegionParams(nu=nu, delta=delta, Lambda0=Lambda0, beta=beta)
     checks = run_all_checks(params, seed=seed)
     rows = [{"name": c.name, "n_samples": c.n_samples, "seed": c.seed,

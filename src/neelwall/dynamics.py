@@ -191,12 +191,12 @@ def step_weights(grid: Grid, nu: float, c: float, dt: float) -> StepWeights:
     # derivative terms use ik with the Nyquist mode zeroed, exactly like the
     # discrete gradient (d^2 = D o D); otherwise the energy balance picks up
     # a dt-independent defect from the Nyquist mode
-    k = np.imag(grid.k_deriv)
-    disc = np.sqrt(np.asarray(nu**2 - 4.0 * k**2, dtype=complex))
+    k, k2 = np.imag(grid.k_deriv), grid.k2
+    disc = np.sqrt(np.asarray(nu**2 - 4.0 * k2, dtype=complex))
     disc = np.where(np.abs(disc) < 1e-8, disc + 1e-8, disc)
     lp = 1j * c * k + (-nu + disc) / 2.0
     lm = 1j * c * k + (-nu - disc) / 2.0
-    q = (1.0 - c**2) * k**2 - 1j * c * nu * k
+    q = (1.0 - c**2) * k2 - 1j * c * nu * k
     E11, E12, E21, E22 = _companion_function(lp, lm, q, lambda z: np.exp(z * dt))
     _, P1_12, _, P1_22 = _companion_function(lp, lm, q, lambda z: dt * _phi1(z * dt))
     _, P2_12, _, P2_22 = _companion_function(lp, lm, q, lambda z: dt * _phi2(z * dt))
@@ -238,7 +238,7 @@ def _half_grid(grid: Grid) -> _HalfGrid:
     l2 = np.full(h, 2.0 * grid.dx / grid.n)
     l2[0] = l2[-1] = grid.dx / grid.n
     d1 = wall_background_d1(grid.x)
-    arrays = (k, kd, np.real(kd**2), 1.0 + np.abs(k), l2,
+    arrays = (k, kd, -grid.k2[:h], grid.T[:h], l2,
               l2 * grid.h1_weight[:h], l2 * np.abs(k), d1, np.fft.rfft(d1),
               np.fft.rfft(wall_background_d2(grid.x)))
     for a in arrays:

@@ -63,7 +63,7 @@ def grad_energy(theta: Field, mode: str = "nonlocal") -> Field:
     full = theta.reconstruct()
     c = np.cos(full)
     s = np.sin(full)
-    Tc = c if mode == "local" else apply_multiplier(g, c, 1.0 + np.abs(g.k))
+    Tc = c if mode == "local" else apply_multiplier(g, c, g.T)
     # second derivative as the exact discrete adjoint of the exchange term:
     # spectrally differentiate the full first derivative (background part
     # included) rather than adding the analytic background second derivative

@@ -81,6 +81,21 @@ class Grid:
         return kd
 
     @cached_property
+    def k2(self) -> np.ndarray:
+        """k^2 as -(ik)^2 with the k_deriv convention, so the Nyquist mode
+        is zeroed and the second derivative -k2 is d o d exactly."""
+        k2 = -np.real(self.k_deriv**2)
+        k2.setflags(write=False)
+        return k2
+
+    @cached_property
+    def T(self) -> np.ndarray:
+        """The stray-field multiplier 1 + |k| of T = 1 + (-Delta)^{1/2}."""
+        T = 1.0 + np.abs(self.k)
+        T.setflags(write=False)
+        return T
+
+    @cached_property
     def h1_weight(self) -> np.ndarray:
         """The H1 Fourier weight 1 + k^2."""
         w = 1.0 + self.k**2
@@ -160,8 +175,7 @@ def half_laplacian(f: Field) -> Field:
 def apply_T(f: Field) -> Field:
     """T f = f + (-Delta)^{1/2} f  (multiplier 1 + |k|)."""
     _require_decaying(f, "apply_T")
-    out = apply_multiplier(f.grid, f.values, 1.0 + np.abs(f.grid.k))
-    return Field(f.grid, out)
+    return Field(f.grid, apply_multiplier(f.grid, f.values, f.grid.T))
 
 
 def derivative(f: Field, order: int = 1) -> Field:
@@ -169,10 +183,7 @@ def derivative(f: Field, order: int = 1) -> Field:
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     g = f.grid
-    # order 2 composes the first-derivative multiplier with itself, so the
-    # Nyquist mode stays zeroed and d^2 = d o d exactly
-    mult = g.k_deriv if order == 1 else np.real(g.k_deriv**2)
-    out = apply_multiplier(g, f.values, mult)
+    out = apply_multiplier(g, f.values, g.k_deriv if order == 1 else -g.k2)
     if f.background == BACKGROUND_WALL:
         out = out + (wall_background_d1(g.x) if order == 1 else wall_background_d2(g.x))
     return Field(g, out)

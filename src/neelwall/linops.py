@@ -117,12 +117,21 @@ class DiscretizedOperator:
         top row over rows, assembled on each read and not cached."""
         if not self.is_block:
             return self.rows
+        M = self._full("C")
+        M.setflags(write=False)
+        return M
+
+    def _full(self, order: str = "F") -> np.ndarray:
+        """A fresh writable copy of the whole matrix in memory order order.
+        LAPACK overwrites a Fortran-ordered one in place (overwrite_a=True);
+        any other input it copies first, whatever the flag."""
+        if not self.is_block:
+            return np.array(self.rows, order=order)
         n = self.grid.n
-        M = np.zeros((2 * n, 2 * n))
+        M = np.zeros((2 * n, 2 * n), order=order)
         if self.kind != "Bc":
             np.fill_diagonal(M[:n, n:], 1.0)
         M[n:] = self.rows
-        M.setflags(write=False)
         return M
 
     @cached_property
@@ -386,7 +395,7 @@ def _zero_mode(op: DiscretizedOperator) -> list:
     if op.profile is None:
         raise ValueError("operator carries no profile")
     dth = derivative(op.profile.theta, 1).values
-    lu = sla.lu_factor(op.matrix, check_finite=False)
+    lu = sla.lu_factor(op._full(), overwrite_a=True, check_finite=False)
     starts = ([np.concatenate([dth, np.zeros_like(dth)]),
                np.concatenate([op.nu * dth, dth])] if op.is_block else [dth])
     out = []

@@ -6,7 +6,9 @@ with speed c determined together with the profile by an inexact bordered
 Newton iteration (phase condition pins the translation family), continued
 in H from a secant prediction.  The static wall, the energy minimizer, is
 its H = c = 0 case, solved by the same bordered Newton step with the speed
-left at 0.  The linear steps are matrix-free: GMRES on
+left at 0; its border row pins theta(0) = 0 at the grid point x = 0, the
+traveling wall's pins <theta - theta_bar, theta_bar'> = 0.  Neither solve
+shifts the wall.  The linear steps are matrix-free: GMRES on
 Linearization.matvec, preconditioned by the operator's constant-coefficient
 far field, which one rfft/irfft pair inverts.  For small H the speed obeys
 the mobility law c ~ H / (M nu) with wall mass M = 1/2 ||theta_bar'||_{L2}^2.
@@ -28,9 +30,6 @@ from .grid import (
     derivative,
     l2_norm,
     multiplier_matrix,
-    shift,
-    wall_background,
-    wall_background_d1,
 )
 
 H_ENVELOPE = 0.1  # working envelope for the applied field strength
@@ -65,48 +64,6 @@ class Profile:
         return self.theta.reconstruct()
 
 
-def _recenter(w: Field) -> Field:
-    """Shift so the reconstructed phase crosses zero at x = 0.
-
-    The crossing is located by linear interpolation between the two samples
-    bracketing the sign change nearest the origin.
-    """
-    g = w.grid
-    theta = w.reconstruct()
-    mid = g.n // 2
-    # search outward from the center for a sign change
-    sgn = np.signbit(theta)
-    idx = None
-    for off in range(g.n - 1):
-        for i in (mid - 1 - off, mid - 1 + off):
-            if 0 <= i < g.n - 1 and sgn[i] != sgn[i + 1]:
-                idx = i
-                break
-        if idx is not None:
-            break
-    if idx is None:
-        raise SolverError("phase has no zero crossing; cannot recenter")
-    x0 = g.x[idx] - theta[idx] * g.dx / (theta[idx + 1] - theta[idx])
-    # polish the crossing to spectral accuracy: Newton on theta(x0) = 0 with
-    # the remainder evaluated off-grid through its Fourier series
-    what = np.fft.fft(w.values) / g.n
-    dwhat = g.k_deriv * what
-
-    def theta_at(x):
-        ph = np.exp(1j * g.k * (x + g.L))
-        return (float(np.real(np.sum(what * ph))) + wall_background(x),
-                float(np.real(np.sum(dwhat * ph))) + wall_background_d1(x))
-
-    for _ in range(4):
-        val, slope = theta_at(x0)
-        if slope <= 0 or abs(val) < 1e-14:
-            break
-        x0 -= val / slope
-    if abs(x0) < 1e-15:
-        return w
-    return shift(w, x0)
-
-
 class Linearization:
     """The linearization of the traveling-wave equation at the phase psi,
 
@@ -118,7 +75,7 @@ class Linearization:
     Fourier symbol (1-c^2)k^2 - c nu ik, with the Nyquist mode zeroed;
     symbol + T is the far field, what L_c becomes where sin psi = +-1 and
     cos psi = 0 (less the field term H s), and it preconditions the
-    traveling Newton steps.
+    bordered Newton steps of both walls.
 
     matvec is the operator the solvers apply (the static and traveling
     Newton-GMRES, the quadratic-remainder check, L u and the a-form
@@ -130,10 +87,9 @@ class Linearization:
         self.grid = grid
         self.s = np.sin(psi_full)
         cos = np.cos(psi_full)
-        self.T = np.ones(grid.n) if mode == "local" else 1.0 + np.abs(grid.k)
+        self.T = np.ones(grid.n) if mode == "local" else grid.T
         self.potential = cos * apply_multiplier(grid, cos, self.T) + H * self.s
-        ksq = -np.real(grid.k_deriv**2)  # k^2 with the Nyquist mode zeroed
-        self.symbol = (1.0 - c**2) * ksq - c * nu * grid.k_deriv
+        self.symbol = (1.0 - c**2) * grid.k2 - c * nu * grid.k_deriv
         self.multipliers = np.stack([self.symbol, self.T])
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
@@ -293,16 +249,20 @@ def _bordered_step(lin: Linearization, border_col: np.ndarray,
 def solve_static(grid: Grid, tol: float = 1e-8,
                  mode: str = "nonlocal") -> Profile:
     """Newton on grad E = 0 from the background arcsin(tanh x), at most
-    NEWTON_MAX_ITER residual evaluations, re-centered after every step.
-    Each step solves [[L, theta'], [dx theta'^T, 0]] (du, m) = (grad E, 0)
-    by _bordered_step to solve_traveling's relative tolerance: the border
-    makes the Hessian L, singular along theta', invertible on the
-    phase-pinned space, and m is discarded, so the wall stays at rest.  A
-    GMRES stall raises SolverError; meta records iterations (residual
-    evaluations), newton_steps and krylov_iterations."""
+    NEWTON_MAX_ITER residual evaluations.  Each step solves
+    [[L, theta'], [e_0^T, 0]] (du, m) = (grad E, 0) by _bordered_step to
+    solve_traveling's relative tolerance, with e_0 the point evaluation at
+    the grid point x = 0 (index n/2): du(0) = 0 pins the phase, so theta(0)
+    keeps its start value 0 and no step shifts the wall.  The border makes
+    the Hessian L, singular along theta', invertible on the pinned space,
+    and m is discarded, so the wall stays at rest.  A GMRES stall raises
+    SolverError; meta records iterations (residual evaluations),
+    newton_steps and krylov_iterations."""
     if tol < 1e-12:
         raise ValueError(f"tol must be >= 1e-12, got {tol}")
     theta = Field(grid, np.zeros(grid.n), BACKGROUND_WALL)
+    pin = np.zeros(grid.n)
+    pin[grid.n // 2] = 1.0      # grid.x[n/2] == 0
     history = []
     newton_steps = krylov = 0
     for _ in range(NEWTON_MAX_ITER):
@@ -314,15 +274,15 @@ def solve_static(grid: Grid, tol: float = 1e-8,
         rtol = max(min(1e-3, 0.1 * tol / res), 1e-13)
         slope = derivative(theta, 1).values
         lin = Linearization(grid, theta.reconstruct(), mode=mode)
-        du, _, steps, relres = _bordered_step(lin, slope, grid.dx * slope,
-                                              gradE, 0.0, rtol)
+        du, _, steps, relres = _bordered_step(lin, slope, pin, gradE, 0.0,
+                                              rtol)
         newton_steps += 1
         krylov += steps
         if not relres <= rtol:
             raise SolverError(f"GMRES stalled in static Newton step "
                               f"{newton_steps}: relative residual "
                               f"{relres:.2e} > {rtol:.1e}", history)
-        theta = _recenter(theta.with_values(theta.values - du))
+        theta = theta.with_values(theta.values - du)
     else:
         raise SolverError(
             f"static solve stalled at residual {res:.3e} (tol {tol:.1e})",

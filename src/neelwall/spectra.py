@@ -91,7 +91,7 @@ def eig_report(op: DiscretizedOperator) -> SpectrumReport:
                     structure_residual=ham.structure_residual)
     else:
         try:
-            vals = sla.eigvals(op.matrix)
+            vals = sla.eigvals(op._full(), overwrite_a=True)
         except sla.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
             cond = np.linalg.cond(op.matrix)
             raise RuntimeError(
@@ -189,35 +189,9 @@ def match_eigenvalues(base: np.ndarray, perturbed: np.ndarray):
     return pairs, np.array(drifts), unmatched
 
 
-def _modal_factor(op: DiscretizedOperator):
-    """(mu, C, C^{-1}, X): mu, Q = op.modes of a static block A, the upper
-    Cholesky factor of K = Q^T (1 + k^2) Q = C^T C with its inverse, and
-    X = (C - C^{-T} diag(mu))/2 of numerical_abscissa."""
-    mu, Q = op.modes
-    K = apply_multiplier(op.grid, Q.T, op.grid.h1_weight) @ Q
-    C = sla.cholesky(0.5 * (K + K.T), check_finite=False)
-    Cinv, _ = sla.lapack.dtrtri(C)
-    return mu, C, Cinv, 0.5 * (C - Cinv.T * mu)
-
-
 def numerical_abscissa(op: DiscretizedOperator) -> float:
-    """Largest eigenvalue w of the symmetric part of the static A in the
-    H1 x L2 geometry: the sharp w with ||(A - lam)^{-1}||_W <= 1/(Re lam - w)
-    (Kato, IV 3).  In the W-orthonormal coordinates (C Q^T u, Q^T v) of
-    _modal_factor, A is [[0, C], [-diag(mu) C^{-1}, -nu]]; its symmetric
-    part [[0, X], [X^T, -nu]], X = (C - C^{-T} diag(mu))/2, has the
-    eigenvalues (-nu +- sqrt(nu^2 + 4 sigma^2))/2 per singular value sigma
-    of X, so w comes from sigma_max(X)^2, the top eigenvalue of X X^T."""
-    return _abscissa(_modal_factor(op)[3], op.nu)
-
-
-def _abscissa(X: np.ndarray, nu: float) -> float:
-    """numerical_abscissa from the X of _modal_factor at damping nu."""
-    n = X.shape[0]
-    sig2 = sla.eigh(blas.dsyrk(1.0, X.T, trans=1), lower=False,   # X X^T
-                    eigvals_only=True, overwrite_a=True, check_finite=False,
-                    subset_by_index=[n - 1, n - 1])[0]
-    return float(2.0 * sig2 / (nu + np.sqrt(nu**2 + 4.0 * sig2)))
+    """ResolventCalculator(op).w, the numerical abscissa of the static A."""
+    return ResolventCalculator(op).w
 
 
 @dataclass(slots=True)
@@ -367,7 +341,12 @@ class ResolventCalculator:
 
     def __init__(self, op: DiscretizedOperator):
         self.op = op
-        self._mu, C, Cinv, self._X = _modal_factor(op)   # X until w is read
+        self._mu, Q = op.modes
+        K = apply_multiplier(op.grid, Q.T, op.grid.h1_weight) @ Q
+        C = sla.cholesky(0.5 * (K + K.T), check_finite=False)
+        del K
+        Cinv, _ = sla.lapack.dtrtri(C)
+        self._X = 0.5 * (C - Cinv.T * self._mu)     # kept until w is read
         self._C = np.asfortranarray(C, np.float32)
         self._Cinv = np.asfortranarray(Cinv, np.float32)
         self.spectrum = pencil_eigenvalues(self._mu, op.nu)
@@ -375,11 +354,20 @@ class ResolventCalculator:
 
     @cached_property
     def w(self) -> float:
-        """numerical_abscissa(op) from the calculator's double-precision modal
-        factor; its eigensolve runs on first use."""
-        w = _abscissa(self._X, self.op.nu)
+        """Largest eigenvalue w of the symmetric part of A in the H1 x L2
+        geometry: the sharp w with ||(A - lam)^{-1}||_W <= 1/(Re lam - w)
+        (Kato, IV 3).  In the W-orthonormal coordinates (C Q^T u, Q^T v),
+        A is [[0, C], [-diag(mu) C^{-1}, -nu]]; its symmetric part
+        [[0, X], [X^T, -nu]], X = (C - C^{-T} diag(mu))/2, has the
+        eigenvalues (-nu +- sqrt(nu^2 + 4 sigma^2))/2 per singular value
+        sigma of X, so w comes from sigma_max(X)^2, the top eigenvalue of
+        X X^T, in double precision on first use."""
+        n, nu = self._X.shape[0], self.op.nu
+        sig2 = sla.eigh(blas.dsyrk(1.0, self._X.T, trans=1),   # X X^T
+                        lower=False, eigvals_only=True, overwrite_a=True,
+                        check_finite=False, subset_by_index=[n - 1, n - 1])[0]
         del self._X
-        return w
+        return float(2.0 * sig2 / (nu + np.sqrt(nu**2 + 4.0 * sig2)))
 
     def spectrum_distance(self, lams) -> np.ndarray:
         """Distance from each lam to the nearest computed eigenvalue."""

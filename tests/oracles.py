@@ -8,7 +8,8 @@ nearest points by k-d tree, the resolvent sweep's sample points built one
 by one, Lanczos on S*S with an eigvalsh at every step (by the three-term
 recurrence, and with full reorthogonalization against a stored basis), the
 traveling wall by bordered Newton on the dense Jacobian with LU, and the
-static wall by preconditioned energy descent with a Newton-CG polish."""
+static wall by preconditioned energy descent with a Newton-CG polish, its
+phase fixed by shifting the zero crossing to x = 0 after every step."""
 from __future__ import annotations
 
 import numpy as np
@@ -20,14 +21,14 @@ from neelwall.dynamics import _companion_function
 from neelwall.energy import energy, grad_energy
 from neelwall.grid import (
     BACKGROUND_WALL, Field, Grid, apply_multiplier, derivative, l2_inner,
-    l2_norm, multiplier_matrix,
+    l2_norm, multiplier_matrix, shift, wall_background, wall_background_d1,
 )
 from neelwall.linops import (
     DiscretizedOperator, NullPair, weighted_state_norm,
 )
 from neelwall.profiles import (
     CONTINUATION_STEP, H_ENVELOPE, NEWTON_MAX_ITER, Linearization, Profile,
-    SolverError, _check_static_invariants, _recenter, traveling_residual,
+    SolverError, _check_static_invariants, traveling_residual,
 )
 from neelwall.spectra import GK_MIN_ITER, gamma_square, in_region_G
 
@@ -442,6 +443,51 @@ def solve_traveling_dense(grid: Grid, H: float, nu: float, init: Profile,
 STATIC_MAX_ITER = 2000    # descent iterations of the static solve at most
 
 
+def _recenter(w: Field) -> Field:
+    """Shift so the reconstructed phase crosses zero at x = 0: the descent
+    reference's phase condition, where profiles.solve_static pins theta(0)
+    in its Newton border instead.
+
+    The crossing is located by linear interpolation between the two samples
+    bracketing the sign change nearest the origin, then polished by Newton
+    on the Fourier series.
+    """
+    g = w.grid
+    theta = w.reconstruct()
+    mid = g.n // 2
+    # search outward from the center for a sign change
+    sgn = np.signbit(theta)
+    idx = None
+    for off in range(g.n - 1):
+        for i in (mid - 1 - off, mid - 1 + off):
+            if 0 <= i < g.n - 1 and sgn[i] != sgn[i + 1]:
+                idx = i
+                break
+        if idx is not None:
+            break
+    if idx is None:
+        raise SolverError("phase has no zero crossing; cannot recenter")
+    x0 = g.x[idx] - theta[idx] * g.dx / (theta[idx + 1] - theta[idx])
+    # polish the crossing to spectral accuracy: Newton on theta(x0) = 0 with
+    # the remainder evaluated off-grid through its Fourier series
+    what = np.fft.fft(w.values) / g.n
+    dwhat = g.k_deriv * what
+
+    def theta_at(x):
+        ph = np.exp(1j * g.k * (x + g.L))
+        return (float(np.real(np.sum(what * ph))) + wall_background(x),
+                float(np.real(np.sum(dwhat * ph))) + wall_background_d1(x))
+
+    for _ in range(4):
+        val, slope = theta_at(x0)
+        if slope <= 0 or abs(val) < 1e-14:
+            break
+        x0 -= val / slope
+    if abs(x0) < 1e-15:
+        return w
+    return shift(w, x0)
+
+
 def _newton_polish(theta: Field, mode: str, tol: float, history: list):
     """Newton steps with preconditioned CG on the (singular) Hessian; the
     translation direction is projected out of right-hand side and iterates."""
@@ -489,9 +535,9 @@ def solve_static_descent(grid: Grid, tol: float = 1e-8,
     Fourier-preconditioned descent with backtracking line search (at most
     STATIC_MAX_ITER steps), followed by a Newton polish once the residual
     is small (near the minimum the line search drowns in energy round-off);
-    the phase is re-centered every iteration.  The reference
+    the phase is re-centered (_recenter) every iteration.  The reference
     profiles.solve_static's bordered Newton is checked against: it shares
-    only the gradient, the Hessian matvec and the re-centering with it."""
+    only the gradient and the Hessian matvec with it."""
     if tol < 1e-12:
         raise ValueError(f"tol must be >= 1e-12, got {tol}")
     theta = Field(grid, np.zeros(grid.n), BACKGROUND_WALL)

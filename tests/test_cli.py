@@ -301,13 +301,20 @@ def test_resolvent_sweep_summary_counts_nudges(tmp_path):
 
 def test_resolvent_sweep_default_delta_inside_gap_of_A(tmp_path, monkeypatch):
     # nu = 3 > 2 sqrt(Lambda0): the gap of A is the pencil's, below Lambda0,
-    # and the default contour must still enclose lambda0 alone
+    # and the default contour must still enclose lambda0 alone.  Lambda0
+    # comes from the eigh(L) the sweep's calculator factors, with no
+    # eigen-report of its own
     ops = []
 
     def recorded(op, delta, **kwargs):
+        assert kwargs["calc"].op is op
         ops.append(op)
         return spectra.resolvent_sweep(op, delta, **kwargs)
+
+    def refused(op):
+        raise AssertionError("eig_report called")
     monkeypatch.setattr(cli, "resolvent_sweep", recorded)
+    monkeypatch.setattr(cli, "eig_report", refused)
     code = run(["resolvent-sweep", *SMALL, "--nu", "3",
                 "--out", str(tmp_path)])
     assert code == EXIT_OK

@@ -77,6 +77,16 @@ def test_grid_background_cached_and_read_only():
     assert not bg.flags.writeable
 
 
+def test_grid_k2_and_T_cached_and_read_only():
+    # the multipliers every module reads, equal to the expressions they
+    # replaced there: k^2 with the Nyquist mode zeroed, and 1 + |k|
+    for arr, ref in ((G.k2, -np.real(G.k_deriv**2)), (G.T, 1.0 + np.abs(G.k))):
+        assert np.array_equal(arr, ref)
+        assert not arr.flags.writeable
+    assert G.k2 is G.k2 and G.T is G.T
+    assert G.k2[G.n // 2] == 0.0 and G.k2[G.n // 2 - 1] == G.k[G.n // 2 - 1] ** 2
+
+
 # ---------------------------------------------------------------------------
 # half-Laplacian oracles
 

@@ -14,6 +14,8 @@ Oracles:
 """
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -26,6 +28,7 @@ from neelwall.linops import (
     translation_mode, weighted_state_norm,
 )
 from neelwall.profiles import Linearization, solve_traveling
+from neelwall.spectra import eig_report
 from conftest import smooth_random
 from oracles import (
     bc_difference, dense_block, null_pair_arpack, s_matrix_direct,
@@ -203,6 +206,37 @@ def test_null_pair_deterministic(Ac_op256):
     assert np.array_equal(a.right, b.right)
     assert np.array_equal(a.left, b.left)
     assert a.lambda0 == b.lambda0
+
+
+def test_lapack_callers_factor_a_private_block(A_op256, Ac_op256,
+                                               monkeypatch):
+    # null_pair's LU and eig_report's dgeev overwrite a private
+    # Fortran-ordered block: their peak is one 2n x 2n block, not the
+    # C-ordered matrix plus the copy LAPACK makes of it, and the results
+    # are bit for bit those of the copying path
+    block = A_op256.matrix.nbytes
+
+    def traced():
+        out, peaks = [], []
+        for run in (lambda: null_pair(Ac_op256), lambda: eig_report(A_op256)):
+            tracemalloc.start()
+            try:
+                out.append(run())
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        return out, peaks
+
+    (pair, rep), peaks = traced()
+    full = DiscretizedOperator._full
+    monkeypatch.setattr(DiscretizedOperator, "_full",
+                        lambda op, order="F": full(op, "C"))
+    (ref_pair, ref_rep), ref_peaks = traced()
+    assert max(peaks) <= 1.25 * block < min(ref_peaks)
+    for a, b in ((pair.right, ref_pair.right), (pair.left, ref_pair.left),
+                 (rep.eigenvalues, ref_rep.eigenvalues)):
+        assert a.tobytes() == b.tobytes()
+    assert pair.lambda0 == ref_pair.lambda0
 
 
 def _sine(a: np.ndarray, b: np.ndarray) -> float:

@@ -77,17 +77,26 @@ def test_static_seam_floor_raises_on_both_paths():
         assert min(err.value.history) > 1e-6, solve.__name__
 
 
-def test_static_takes_bordered_newton_steps(grid256, monkeypatch):
+@pytest.mark.parametrize("n", [256, 512])
+def test_static_takes_bordered_newton_steps(n, monkeypatch):
+    # every border row is the point evaluation at x = 0 with phase 0, so
+    # theta(0) keeps its start value arcsin(tanh 0) = 0 and no step shifts
+    # the wall
+    grid = Grid(40.0, n)
+    assert grid.x[n // 2] == 0.0
+    pin = np.zeros(n)
+    pin[n // 2] = 1.0
     steps = []
     bordered = profiles._bordered_step
 
     def counted(lin, border_col, border_row, R, phase, rtol):
-        steps.append(phase)
+        steps.append((phase, np.array_equal(border_row, pin)))
         return bordered(lin, border_col, border_row, R, phase, rtol)
     monkeypatch.setattr(profiles, "_bordered_step", counted)
-    prof = solve_static(grid256, tol=5e-8)
+    prof = solve_static(grid, tol={256: 5e-8, 512: 5e-9}[n])
     newton = prof.meta["newton_steps"]
-    assert 1 <= newton <= 6 and steps == [0.0] * newton
+    assert 1 <= newton <= 6 and steps == [(0.0, True)] * newton
+    assert abs(prof.reconstruct()[n // 2]) <= 1e-14
     assert prof.meta["iterations"] == newton + 1
     assert newton <= prof.meta["krylov_iterations"] <= profiles.KRYLOV_MAX * newton
 

@@ -256,14 +256,15 @@ def test_numerical_abscissa_matches_dense(n, request):
 
 
 def test_sweep_forms_one_modal_factor(A_op256, monkeypatch):
-    # the sweep takes its numerical abscissa from the calculator's factor
+    # the sweep takes its numerical abscissa from the calculator's factor:
+    # one Cholesky factor of K = Q^T (1 + k^2) Q
     calls = []
-    factor = spectra._modal_factor
+    cholesky = sla.cholesky
 
-    def counted(op):
-        calls.append(op)
-        return factor(op)
-    monkeypatch.setattr(spectra, "_modal_factor", counted)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return cholesky(*args, **kwargs)
+    monkeypatch.setattr(sla, "cholesky", counted)
     sweep = resolvent_sweep(A_op256, 0.2, n_radial=2, n_angular=2, n_gamma=4)
     assert len(calls) == 1
     w = numerical_abscissa(A_op256)

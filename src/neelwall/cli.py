@@ -65,6 +65,18 @@ def _positive(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: an int >= 0, as numpy's generators take."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage errors with exit code 3."""
 
@@ -92,7 +104,7 @@ def _build_parser() -> _Parser:
                         help="contour half-width (default from the gap)")
     parser.add_argument("--dt", type=_positive, help="time step")
     parser.add_argument("--t-end", type=_positive, help="simulation end time")
-    parser.add_argument("--seed", type=int, help="master seed")
+    parser.add_argument("--seed", type=_seed, help="master seed")
     parser.add_argument("--out", type=str, help="output directory")
     parser.add_argument("--config", type=str,
                         help="flat key = value config file; flags override")
@@ -331,7 +343,7 @@ def _cmd_simulate(grid, config, out, seed):
 
 def _cmd_orbital(grid, config, out, seed):
     sim = _sim_config(config, seed)     # refuses t_end < 10/nu before a solve
-    if abs(sim.H) > _ORBITAL_H_MAX:
+    if not abs(sim.H) <= _ORBITAL_H_MAX:
         raise ConfigError(f"orbital requires |H| <= {_ORBITAL_H_MAX}")
     _, ref = _wall(grid, config, sim.H)
     verdict = orbital_experiment(grid, sim.H, sim.perturbation, ref.nu, ref,
@@ -412,7 +424,10 @@ def run(argv=None) -> int:
             sys.argv[1:] if argv is None else list(argv))
         grid = Grid(config["L"], config["n"])
         out = config["out"]
-        os.makedirs(out, exist_ok=True)
+        try:
+            os.makedirs(out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make output directory: {exc}") from exc
         seed = config["seed"]
         _startup_selftest()
         profile, outputs, scalars = _COMMANDS[command](grid, config, out, seed)

@@ -30,7 +30,8 @@ therefore costs one or two transforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+import math
+from dataclasses import dataclass, field as dc_field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -111,12 +112,13 @@ class SimConfig:
     max_frames: int = 4096
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.nu <= 0:
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be finite and positive")
+        if not self.nu > 0:
             raise ValueError("nu must be positive")
-        if self.t_end < 10.0 / self.nu:
-            raise ValueError("t_end must be at least 10/nu to fit a decay")
+        if not 10.0 / self.nu <= self.t_end < math.inf:
+            raise ValueError("t_end must be finite and at least 10/nu to "
+                             "fit a decay")
         if self.frame not in FRAMES:
             raise ValueError(f"frame must be one of {FRAMES}")
 
@@ -137,25 +139,20 @@ class SimTrace:
 # exponential step weights
 
 
-def _phi1(z):
+def _phi(z, k: int):
+    """phi_k(z) = (e^z - sum_{j<k} z^j/j!) / z^k, the exponential
+    integrator weight (phi_1 and phi_2 here).  Below |z| = 0.1 the closed
+    form loses about eps/|z|^k, so there its Taylor series
+    sum_j z^j/(j+k)! is summed to 12 terms (truncation below 1e-21)."""
     z = np.asarray(z, dtype=complex)
     out = np.empty_like(z)
-    small = np.abs(z) < 1e-5
-    zs = z[small]
-    out[small] = 1.0 + zs / 2.0 + zs**2 / 6.0 + zs**3 / 24.0
-    zb = z[~small]
-    out[~small] = (np.exp(zb) - 1.0) / zb
-    return out
-
-
-def _phi2(z):
-    z = np.asarray(z, dtype=complex)
-    out = np.empty_like(z)
-    small = np.abs(z) < 1e-5
-    zs = z[small]
-    out[small] = 0.5 + zs / 6.0 + zs**2 / 24.0 + zs**3 / 120.0
-    zb = z[~small]
-    out[~small] = (np.exp(zb) - 1.0 - zb) / zb**2
+    small = np.abs(z) < 0.1
+    zs, zb = z[small], z[~small]
+    out[small] = sum(zs**j / math.factorial(j + k) for j in range(12))
+    tail = np.exp(zb)
+    for j in range(k):
+        tail = tail - zb**j / math.factorial(j)
+    out[~small] = tail / zb**k
     return out
 
 
@@ -198,8 +195,8 @@ def step_weights(grid: Grid, nu: float, c: float, dt: float) -> StepWeights:
     lm = 1j * c * k + (-nu - disc) / 2.0
     q = (1.0 - c**2) * k2 - 1j * c * nu * k
     E11, E12, E21, E22 = _companion_function(lp, lm, q, lambda z: np.exp(z * dt))
-    _, P1_12, _, P1_22 = _companion_function(lp, lm, q, lambda z: dt * _phi1(z * dt))
-    _, P2_12, _, P2_22 = _companion_function(lp, lm, q, lambda z: dt * _phi2(z * dt))
+    _, P1_12, _, P1_22 = _companion_function(lp, lm, q, lambda z: dt * _phi(z * dt, 1))
+    _, P2_12, _, P2_22 = _companion_function(lp, lm, q, lambda z: dt * _phi(z * dt, 2))
     return StepWeights(E11, E12, E21, E22, P1_12, P1_22, P2_12, P2_22)
 
 
@@ -348,11 +345,6 @@ def _fit_shift(translates: _Translates, bh: np.ndarray, drift: float,
     """(s, s_hat): the shift s minimizing ||theta - psi(. - drift - s)||_L2
     for the spectrum bh of theta minus its background, with the spectrum
     s_hat of the fitted translate's stored samples.  See modulate."""
-    l2 = _half_grid(translates.grid).l2
-
-    def misfit(s):
-        return _sq_norm(l2, bh - translates.spectrum(drift + s))
-
     def newton(s):
         for _ in range(50):
             sh, gval, gprime = translates.orthogonality(bh, drift + s)
@@ -373,25 +365,13 @@ def _fit_shift(translates: _Translates, bh: np.ndarray, drift: float,
 
     smax = translates.grid.L / 4.0
     coarse = np.linspace(-smax, smax, 65)
-    vals = [misfit(s) for s in coarse]
-    i = int(np.argmin(vals))
+    l2 = _half_grid(translates.grid).l2
+    i = int(np.argmin([_sq_norm(l2, bh - translates.spectrum(drift + s))
+                       for s in coarse]))
     if i == 0 or i == len(coarse) - 1:
         raise ModulationError("no modulation bracket within |s| <= L/4; "
                               "perturbation too large to modulate")
-    gr = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = coarse[i - 1], coarse[i + 1]
-    c1, c2 = b - gr * (b - a), a + gr * (b - a)
-    f1, f2 = misfit(c1), misfit(c2)
-    for _ in range(40):
-        if f1 < f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - gr * (b - a)
-            f1 = misfit(c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + gr * (b - a)
-            f2 = misfit(c2)
-    fit = newton(0.5 * (a + b))
+    fit = newton(coarse[i])
     if fit is None:
         raise ModulationError("modulation Newton failed to converge")
     return fit
@@ -401,13 +381,15 @@ def modulate(theta: Field, reference: Profile, t: float = 0.0,
              frame: str = "lab", s0: float | None = None) -> float:
     """Fit the modulation shift s: argmin_s ||theta - psi(. - ct - s)||_L2.
 
-    Golden-section bracketing over |s| <= L/4, then Newton on the
-    orthogonality condition <theta - psi_s, psi_s'> = 0 to 1e-10.  A warm
-    start s0 (e.g. the previous frame's shift) skips straight to Newton and
-    falls back to bracketing if Newton wanders.  Both work on rfft half
-    spectra: the reference and theta minus its background are transformed
-    once per call, and a misfit or a Newton step takes one rfft, of the
-    shifted wall background; the inner products are Parseval sums.
+    Newton on the orthogonality condition <theta - psi_s, psi_s'> = 0 to
+    1e-10, started from the least misfit of a 65-point scan over
+    |s| <= L/4 (ModulationError if it lies on the scan's edge or Newton
+    fails from it).  A warm start s0 (e.g. the previous frame's shift)
+    skips the scan and falls back to it if Newton wanders.  Both work on
+    rfft half spectra: the reference and theta minus its background are
+    transformed once per call, and a misfit or a Newton step takes one
+    rfft, of the shifted wall background; the inner products are Parseval
+    sums.
     """
     translates = _Translates(reference)
     th = theta.reconstruct()
@@ -473,7 +455,7 @@ def integrate(grid: Grid, config: SimConfig, reference: Profile,
     ph = np.fft.rfft(np.asarray(v0, dtype=float))
     parts = _cos_parts(grid, w)
     translates = _Translates(reference)
-    times, res, wpos, svals, evals, vnorms, defects = [], [], [], [], [], [], []
+    frames = []     # (t, residual, position, s, energy, |v|, defect)
     e0 = None
     diss = 0.0          # nu * integral of ||v||^2 (trapezoid)
     v_sq_prev = _sq_norm(half.l2, ph)
@@ -487,8 +469,8 @@ def integrate(grid: Grid, config: SimConfig, reference: Profile,
         try:                                # rejects non-finite or unsaturated w
             Field(grid, w, BACKGROUND_WALL)
         except ValueError as exc:
-            raise BlowUpError(f"wall lost at t = {t:.3f}: {exc}", _as_trace(
-                times, res, wpos, svals, evals, vnorms, defects, config)) from exc
+            raise BlowUpError(f"wall lost at t = {t:.3f}: {exc}",
+                              _as_trace(frames, config)) from exc
         theta, cos_t, cos_h = parts
         # theta minus its background is w: the fit starts from w_hat, with
         # the Nyquist bin real as rfft(w) has it
@@ -507,13 +489,7 @@ def integrate(grid: Grid, config: SimConfig, reference: Profile,
         etot = 0.5 * vn**2 + e
         if e0 is None:
             e0 = etot
-        times.append(t)
-        res.append(r)
-        wpos.append(pos_prev)
-        svals.append(s)
-        evals.append(e)
-        vnorms.append(vn)
-        defects.append(etot - e0 + diss)
+        frames.append((t, r, pos_prev, s, e, vn, etot - e0 + diss))
 
     record(0)
     for step in range(1, n_steps + 1):
@@ -522,17 +498,17 @@ def integrate(grid: Grid, config: SimConfig, reference: Profile,
         diss += nu * dt * 0.5 * (v_sq + v_sq_prev)
         v_sq_prev = v_sq
         if not np.isfinite(v_sq) or v_sq > 1e6 or np.max(np.abs(w)) > 1e3:
-            trace = _as_trace(times, res, wpos, svals, evals, vnorms, defects, config)
-            raise BlowUpError(f"blow-up detected at t = {step * dt:.3f}", trace)
+            raise BlowUpError(f"blow-up detected at t = {step * dt:.3f}",
+                              _as_trace(frames, config))
         if step % stride == 0 or step == n_steps:
             record(step)
-    return _as_trace(times, res, wpos, svals, evals, vnorms, defects, config)
+    return _as_trace(frames, config)
 
 
-def _as_trace(times, res, wpos, svals, evals, vnorms, defects, config) -> SimTrace:
-    return SimTrace(np.array(times), np.array(res), np.array(wpos),
-                    np.array(svals), np.array(evals), np.array(vnorms),
-                    np.array(defects),
+def _as_trace(frames, config) -> SimTrace:
+    """SimTrace of the recorded frames, one column per field."""
+    columns = np.array(frames, dtype=float).reshape(-1, 7).T.copy()
+    return SimTrace(*columns,
                     meta={"dt": config.dt, "t_end": config.t_end,
                           "nu": config.nu, "H": config.H,
                           "frame": config.frame})
@@ -657,27 +633,18 @@ class OrbitalVerdict:
 
 
 def orbital_experiment(grid: Grid, H: float, perturbation: Perturbation,
-                       nu: float, reference: Profile,
-                       dt: float | None = None,
-                       t_end: float | None = None) -> OrbitalVerdict:
+                       nu: float, reference: Profile, dt: float,
+                       t_end: float) -> OrbitalVerdict:
     """Perturb the wave, integrate, modulate, fit the decay, and measure the
     translation-family and quadratic-remainder constants.
 
     The translation component of the perturbation is projected out
     (otherwise the wall simply ends up at a shifted position, which is the
-    same orbit; projecting makes the decay-rate fit clean).
+    same orbit; projecting makes the decay-rate fit clean).  dt, t_end and
+    nu are checked by SimConfig, before any step.
     """
-    if abs(H) > _ORBITAL_H_MAX:
+    if not abs(H) <= _ORBITAL_H_MAX:
         raise ValueError(f"orbital experiment needs |H| <= {_ORBITAL_H_MAX}")
-    if nu <= 0:
-        raise ValueError("nu must be positive")
-    dt = dt if dt is not None else 1e-3 * min(1.0, 1.0 / nu)
-    t_end = t_end if t_end is not None else max(20.0, 12.0 / nu)
-    p = build_perturbation(grid, perturbation)
-    dpsi = derivative(reference.theta, 1).values
-    p = p - float(np.real(l2_inner(grid, p, dpsi))
-                  / np.real(l2_inner(grid, dpsi, dpsi))) * dpsi
-    theta0 = reference.theta.with_values(reference.theta.values + p)
     # Decay is measured in the comoving frame, where the traveling profile is
     # an exact discrete equilibrium ((psi, 0) at rest); in the lab frame the
     # modulated residual has a floor that changes with the accumulated drift,
@@ -685,6 +652,11 @@ def orbital_experiment(grid: Grid, H: float, perturbation: Perturbation,
     # x = +-L while the dynamics keeps it pinned.
     config = SimConfig(dt=dt, t_end=t_end, nu=nu, H=H, frame="comoving",
                        perturbation=perturbation)
+    p = build_perturbation(grid, perturbation)
+    dpsi = derivative(reference.theta, 1).values
+    p = p - float(np.real(l2_inner(grid, p, dpsi))
+                  / np.real(l2_inner(grid, dpsi, dpsi))) * dpsi
+    theta0 = reference.theta.with_values(reference.theta.values + p)
     try:
         trace = integrate(grid, config, reference, initial=(theta0, np.zeros(grid.n)))
     except (BlowUpError, ModulationError) as exc:
@@ -697,9 +669,7 @@ def orbital_experiment(grid: Grid, H: float, perturbation: Perturbation,
         # wall speed from an independent lab-frame run, where the drift is
         # measured directly on the zero crossing
         v0_lab = -reference.c * derivative(theta0, 1).values
-        config_lab = SimConfig(dt=dt, t_end=t_end, nu=nu, H=H, frame="lab",
-                               perturbation=perturbation)
-        trace_lab = integrate(grid, config_lab, reference,
+        trace_lab = integrate(grid, replace(config, frame="lab"), reference,
                               initial=(theta0, v0_lab))
     else:
         trace_lab = trace

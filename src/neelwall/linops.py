@@ -333,7 +333,7 @@ def _block_rows(profile: Profile, c: float, H: float,
                 nu: float) -> np.ndarray:
     """The bottom rows [-L_c, 2c d_z - nu I] of a block at speed c, field H
     and damping nu, with L_c linearized at the profile."""
-    if nu <= 0:
+    if not nu > 0:
         raise ValueError("nu must be positive")
     g, n = profile.grid, profile.grid.n
     rows = np.empty((n, 2 * n))

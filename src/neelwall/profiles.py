@@ -296,9 +296,10 @@ def solve_static(grid: Grid, tol: float = 1e-8,
 
 
 def check_field(H: float) -> float:
-    """H as a float; raises ValueError outside the envelope |H| <= H_ENVELOPE."""
+    """H as a float; raises ValueError outside the envelope |H| <= H_ENVELOPE
+    (NaN included)."""
     H = float(H)
-    if abs(H) > H_ENVELOPE:
+    if not abs(H) <= H_ENVELOPE:
         raise ValueError(f"|H| <= {H_ENVELOPE} is the supported envelope, got {H}")
     return H
 
@@ -335,7 +336,7 @@ def solve_traveling(grid: Grid, H: float, nu: float, init: Profile,
     KRYLOV_MAX steps raises SolverError.  meta records the residual
     evaluations (iterations), newton_steps and krylov_iterations."""
     H = check_field(H)
-    if nu <= 0:
+    if not nu > 0:
         raise ValueError("nu must be positive")
     theta = init.theta
     c = init.c
@@ -433,7 +434,7 @@ def mobility_fields(H_list) -> list[float]:
         raise ValueError("need at least 4 field values")
     if 0.0 in H_list or len(set(H_list)) < len(H_list):
         raise ValueError("field values must be nonzero and distinct")
-    if any(abs(H) > 5e-3 for H in H_list):
+    if not all(abs(H) <= 5e-3 for H in H_list):
         raise ValueError("mobility scan restricted to |H| <= 5e-3")
     if abs(sum(H_list)) > 1e-15 * max(abs(H) for H in H_list) * len(H_list):
         raise ValueError("field values must be symmetric about 0")

@@ -29,11 +29,11 @@ class RegionParams:
     beta: float
 
     def __post_init__(self):
-        if self.nu <= 0:
+        if not self.nu > 0:
             raise ValueError("nu must be positive")
         if not 0 < self.delta < self.nu / 2:
             raise ValueError("delta must lie in (0, nu/2)")
-        if self.Lambda0 <= 0:
+        if not self.Lambda0 > 0:
             raise ValueError("Lambda0 must be positive")
         if not 0 < self.beta < 1:
             raise ValueError("beta must lie in (0, 1)")

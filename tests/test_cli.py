@@ -342,6 +342,36 @@ def test_numbers_outside_range_exit_3_before_any_solve(
     assert not (tmp_path / "manifest.json").exists()
 
 
+def test_nan_field_and_negative_seed_exit_3_before_any_solve(
+        tmp_path, static_solves, capsys):
+    # a NaN field fails every envelope comparison, so each check is written
+    # to refuse it; numpy's generators refuse a negative seed only when a
+    # command first draws from one
+    for command in SUBCOMMANDS:
+        sources = [(["--seed=-1"], "argument --seed: must be a non-negative "
+                                   "integer, got '-1'")]
+        if command not in ("solve-static", "resolvent-sweep",
+                           "appendix-check"):       # the commands that read H
+            field = "-0.001,0.001,-0.002,nan" if command == "mobility" else "nan"
+            sources.append(([f"--H={field}"], "|H| <="))
+        for flags, message in sources:
+            assert run([command, *SMALL, *flags, "--out", str(tmp_path)]
+                       ) == EXIT_CONFIG, (command, flags)
+            assert message in capsys.readouterr().err, (command, flags)
+    assert static_solves == []
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_out_naming_a_file_exits_3(tmp_path, static_solves, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert run(["solve-static", *SMALL, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        "error: cannot make output directory: ")
+    assert static_solves == []
+    assert out.read_text() == "not a directory\n"
+
+
 def test_resolvent_sweep_refuses_delta_past_the_gap(tmp_path):
     # at delta = 0.6 the region G holds every complex eigenvalue of A
     code = run(["resolvent-sweep", *SMALL, "--delta", "0.6",

@@ -55,15 +55,26 @@ def test_linear_mode_matches_closed_form(Lam):
 
 
 def test_step_weights_match_dense_expm(grid256):
-    nu, c, dt = 1.0, 0.01, 0.05
-    w = step_weights(grid256, nu, c, dt)
+    # per mode, the top block row of expm([[M dt, I, 0], [0, 0, I], [0, 0, 0]])
+    # is [e^{M dt}, phi1(M dt), phi2(M dt)]; P1 and P2 are dt times the
+    # second columns of the last two.  Small |M dt| (the low modes, small
+    # dt) is where the closed forms of phi1 and phi2 cancel
     k = np.imag(grid256.k_deriv)
-    for j in (1, 7, grid256.n // 3):
-        q = (1.0 - c**2) * k[j] ** 2 - 1j * c * nu * k[j]
-        M = np.array([[0.0, 1.0], [-q, -nu + 2j * c * k[j]]])
-        E = sla.expm(M * dt)
-        got = np.array([[w.E11[j], w.E12[j]], [w.E21[j], w.E22[j]]])
-        assert np.max(np.abs(got - E)) <= 1e-10
+    aug = np.zeros((6, 6), dtype=complex)
+    aug[:2, 2:4] = aug[2:4, 4:] = np.eye(2)
+    for nu, c, dt in ((1.0, 0.0, 0.05), (1.0, 0.01, 0.05), (2.0, 0.003, 0.01),
+                      (0.5, 0.02, 0.2), (1.0, 0.001, 1e-3), (3.0, 0.01, 5e-3)):
+        w = step_weights(grid256, nu, c, dt)
+        for j in range(grid256.n):
+            q = (1.0 - c**2) * k[j] ** 2 - 1j * c * nu * k[j]
+            aug[:2, :2] = dt * np.array([[0.0, 1.0], [-q, -nu + 2j * c * k[j]]])
+            top = sla.expm(aug)[:2]
+            for got, ref in (
+                    ([[w.E11[j], w.E12[j]], [w.E21[j], w.E22[j]]], top[:, :2]),
+                    ([w.P1_12[j], w.P1_22[j]], dt * top[:, 3]),
+                    ([w.P2_12[j], w.P2_22[j]], dt * top[:, 5])):
+                err = np.max(np.abs(np.subtract(got, ref)))
+                assert err <= 1e-12 * np.max(np.abs(ref)), (nu, c, dt, j)
 
 
 # ---------------------------------------------------------------------------
@@ -96,19 +107,31 @@ def test_simconfig_validation():
     with pytest.raises(ValueError):
         SimConfig(dt=0.01, t_end=20.0, nu=1.0, frame="rotating")
     # damping is checked before the 10/nu decay window is formed
-    for nu in (0.0, -1.0):
+    for nu in (0.0, -1.0, np.nan):
         with pytest.raises(ValueError, match="nu must be positive"):
             SimConfig(dt=0.01, t_end=20.0, nu=nu)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            SimConfig(dt=bad, t_end=20.0, nu=1.0)
+        with pytest.raises(ValueError, match="t_end must be finite and at "
+                                             "least 10/nu"):
+            SimConfig(dt=0.01, t_end=bad, nu=1.0)
 
 
 # ---------------------------------------------------------------------------
 # modulation and wall position
 
 
-def test_modulate_recovers_translation(static256):
-    moved = shift(static256.theta, 0.37)
-    s = modulate(moved, static256)
-    recon = shift(static256.theta, -s)
+@pytest.mark.parametrize("wall", ["static256", "traveling256"])
+@pytest.mark.parametrize("planted", [-9.5, -5.0, -2.3, 0.37, 4.4, 9.7])
+def test_modulate_recovers_translation(wall, planted, request):
+    # cold starts across the scan |s| <= L/4 = 10: Newton from the scan's
+    # least misfit, with no refinement in between
+    reference = request.getfixturevalue(wall)
+    moved = shift(reference.theta, planted)
+    s = modulate(moved, reference)
+    assert s == pytest.approx(-planted, abs=1e-10)
+    recon = shift(reference.theta, -s)
     assert np.max(np.abs(recon.values - moved.values)) <= 1e-8
 
 
@@ -373,8 +396,8 @@ def test_frame_transform_budget(grid256, static256, monkeypatch):
     steps, frames = 60, len(trace.times)
     assert frames == steps + 1
     # eight per step, at most four per frame, and the set-up: the initial
-    # spectra and one cold-start bracketing of the first frame (65 + 42
-    # misfits and its Newton steps, one transform each)
+    # spectra and one cold start of the first frame (65 misfits of the scan
+    # and its Newton steps, one transform each)
     assert calls["n"] <= 8 * steps + 4 * frames + 128
 
 
@@ -479,14 +502,17 @@ def test_orbital_experiment_catches_only_modulation_failures(
 
 
 def test_orbital_experiment_rejects_large_field(grid256, static256):
-    with pytest.raises(ValueError):
-        orbital_experiment(grid256, H=0.1, perturbation=Perturbation(),
-                           nu=1.0, reference=static256)
+    for H in (0.1, np.nan):
+        with pytest.raises(ValueError, match="needs"):
+            orbital_experiment(grid256, H=H, perturbation=Perturbation(),
+                               nu=1.0, reference=static256,
+                               dt=0.01, t_end=20.0)
 
 
 def test_orbital_experiment_rejects_nonpositive_nu(grid256, static256):
-    # checked before the 1/nu defaults of dt and t_end are formed
-    for nu in (0.0, -1.0):
+    # checked by its SimConfig, before 10/nu is formed
+    for nu in (0.0, -1.0, np.nan):
         with pytest.raises(ValueError, match="nu must be positive"):
             orbital_experiment(grid256, H=0.0, perturbation=Perturbation(),
-                               nu=nu, reference=static256)
+                               nu=nu, reference=static256,
+                               dt=0.01, t_end=20.0)

@@ -100,8 +100,9 @@ def test_operator_shapes_and_validation(static256, A_op256):
     for M in (np.eye(g.n), np.eye(2 * g.n)):
         with pytest.raises(ValueError, match="expected rows"):
             DiscretizedOperator("A", M, g, 1.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        build_block(static256, nu=-1.0)
+    for nu in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="nu must be positive"):
+            build_block(static256, nu=nu)
 
 
 @pytest.mark.parametrize("kind, nu", [("A", 1.0), ("Ac", 0.5), ("Ac", 1.0),

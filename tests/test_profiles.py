@@ -143,10 +143,12 @@ def test_traveling_nu_scaling(grid256, static256, traveling256):
 
 
 def test_traveling_validation(grid256, static256):
-    with pytest.raises(ValueError):
-        solve_traveling(grid256, H=0.5, nu=1.0, init=static256)  # envelope
-    with pytest.raises(ValueError):
-        solve_traveling(grid256, H=1e-3, nu=-1.0, init=static256)
+    for H in (0.5, np.nan):                                     # envelope
+        with pytest.raises(ValueError, match="supported envelope"):
+            solve_traveling(grid256, H=H, nu=1.0, init=static256)
+    for nu in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="nu must be positive"):
+            solve_traveling(grid256, H=1e-3, nu=nu, init=static256)
 
 
 def test_traveling_continues_from_moving_wall(grid256, static256,
@@ -325,7 +327,8 @@ def test_mobility_validation(grid256, static256):
                    [1e-2, -1e-2, 2e-2, -2e-2],          # too large
                    [1e-3, 2e-3, 3e-3, 4e-3],            # not symmetric
                    [-1e-3, 0.0, 0.0, 1e-3],             # zero: no speed to fit
-                   [-1e-3, -1e-3, 1e-3, 1e-3]):         # repeated
+                   [-1e-3, -1e-3, 1e-3, 1e-3],          # repeated
+                   [-1e-3, 1e-3, -2e-3, np.nan]):       # not a number
         with pytest.raises(ValueError):
             mobility_fields(fields)
         with pytest.raises(ValueError):

@@ -19,8 +19,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .dynamics import (_ORBITAL_H_MAX, ModulationError, Perturbation,
-                       SimConfig, decay_fit, integrate, orbital_experiment)
+from .dynamics import (_ORBITAL_H_MAX, ModulationError, SimConfig,
+                       decay_fit, integrate, orbital_experiment)
 from .energy import gradient_selftest
 from .grid import Field, Grid, apply_multiplier
 from .linops import build_Bc, build_block, build_L
@@ -104,7 +104,8 @@ def _build_parser() -> _Parser:
                         help="contour half-width (default from the gap)")
     parser.add_argument("--dt", type=_positive, help="time step")
     parser.add_argument("--t-end", type=_positive, help="simulation end time")
-    parser.add_argument("--seed", type=_seed, help="master seed")
+    parser.add_argument("--seed", type=_seed,
+                        help="master seed of appendix-check's samples")
     parser.add_argument("--out", type=str, help="output directory")
     parser.add_argument("--config", type=str,
                         help="flat key = value config file; flags override")
@@ -167,13 +168,15 @@ def _periodization(profile: Profile) -> float:
     return float(0.5 * (ct[0] + ct[1]))
 
 
-def _write_manifest(out_dir, command, config, grid, seed, outputs,
+def _write_manifest(out_dir, command, config, grid, outputs,
                     periodization, t0, scalars=None):
     manifest = {
         "command": command,
         "config": {k: config[k] for k in sorted(config)},
         "grid": {"L": grid.L, "n": grid.n, "dx": grid.dx},
-        "seeds": {"master": seed},
+        # the seeds drawn from: only appendix-check samples at random
+        "seeds": ({"master": config["seed"]} if command == "appendix-check"
+                  else {}),
         "version": __version__,
         "wall_clock_seconds": time.monotonic() - t0,
         "outputs": sorted(outputs),
@@ -231,7 +234,7 @@ def _wall(grid: Grid, config, H: float) -> tuple[Profile, Profile]:
 # subcommand bodies: each returns (profile-for-diagnostic, outputs, scalars)
 
 
-def _cmd_solve_static(grid, config, out, seed):
+def _cmd_solve_static(grid, config, out):
     prof = _static(grid, config)
     path = os.path.join(out, "static_profile.neelw")
     store_profile(prof, path)
@@ -241,7 +244,7 @@ def _cmd_solve_static(grid, config, out, seed):
                           "krylov_iterations": prof.meta["krylov_iterations"]}
 
 
-def _cmd_solve_moving(grid, config, out, seed):
+def _cmd_solve_moving(grid, config, out):
     _require_nonlocal(config)
     H = check_field(_single_field(config))
     prof = solve_traveling(grid, H, config["nu"], _static(grid, config))
@@ -252,7 +255,7 @@ def _cmd_solve_moving(grid, config, out, seed):
                           "krylov_iterations": prof.meta["krylov_iterations"]}
 
 
-def _cmd_mobility(grid, config, out, seed):
+def _cmd_mobility(grid, config, out):
     _require_nonlocal(config)
     fields = mobility_fields(_field_list(config))
     static = _static(grid, config)
@@ -271,7 +274,7 @@ def _cmd_mobility(grid, config, out, seed):
                                 sum(fit.krylov_iterations.values())}
 
 
-def _cmd_spectrum(grid, config, out, seed):
+def _cmd_spectrum(grid, config, out):
     H = _single_field(config)
     _, prof = _wall(grid, config, H)
     report = eig_report(build_L(prof) if H == 0.0
@@ -289,7 +292,7 @@ def _cmd_spectrum(grid, config, out, seed):
     return prof, [path], scalars
 
 
-def _cmd_resolvent_sweep(grid, config, out, seed):
+def _cmd_resolvent_sweep(grid, config, out):
     prof = _static(grid, config)
     A = build_block(prof, with_c=False)
     calc = ResolventCalculator(A)
@@ -309,7 +312,7 @@ def _cmd_resolvent_sweep(grid, config, out, seed):
         "krylov_steps_max": sweep.krylov_steps_max}
 
 
-def _cmd_relative_bound(grid, config, out, seed):
+def _cmd_relative_bound(grid, config, out):
     static, moving = _wall(grid, config, _single_field(config))
     A = build_block(static, with_c=False)
     Bc = build_Bc(moving, static)
@@ -320,18 +323,17 @@ def _cmd_relative_bound(grid, config, out, seed):
     return static, [path], {"a": point.a, "b": point.b, "c": point.c}
 
 
-def _sim_config(config, seed) -> SimConfig:
+def _sim_config(config) -> SimConfig:
     nu = config["nu"]
     t_end = config["t_end"]
     if t_end is None:
         t_end = max(20.0, 12.0 / nu)
     return SimConfig(dt=config["dt"], t_end=t_end, nu=nu,
-                     H=_single_field(config),
-                     perturbation=Perturbation(seed=seed))
+                     H=check_field(_single_field(config)))
 
 
-def _cmd_simulate(grid, config, out, seed):
-    sim = _sim_config(config, seed)
+def _cmd_simulate(grid, config, out):
+    sim = _sim_config(config)
     _, ref = _wall(grid, config, sim.H)
     trace = integrate(grid, sim, ref)
     path = os.path.join(out, "trace.csv")
@@ -341,8 +343,8 @@ def _cmd_simulate(grid, config, out, seed):
                          "final_defect": float(trace.defect[-1])}
 
 
-def _cmd_orbital(grid, config, out, seed):
-    sim = _sim_config(config, seed)     # refuses t_end < 10/nu before a solve
+def _cmd_orbital(grid, config, out):
+    sim = _sim_config(config)     # refuses t_end < 10/nu before a solve
     if not abs(sim.H) <= _ORBITAL_H_MAX:
         raise ConfigError(f"orbital requires |H| <= {_ORBITAL_H_MAX}")
     _, ref = _wall(grid, config, sim.H)
@@ -369,14 +371,14 @@ def _cmd_orbital(grid, config, out, seed):
         "stable": bool(verdict.stable), "wall_speed": verdict.wall_speed}
 
 
-def _cmd_appendix_check(grid, config, out, seed):
+def _cmd_appendix_check(grid, config, out):
     prof = _static(grid, config)
     nu = config["nu"]
     Lambda0 = eig_report(build_L(prof)).Lambda0_num
     beta = 0.9
     delta = min(_delta(config, Lambda0), 0.49 * beta * nu)
     params = RegionParams(nu=nu, delta=delta, Lambda0=Lambda0, beta=beta)
-    checks = run_all_checks(params, seed=seed)
+    checks = run_all_checks(params, seed=config["seed"])
     rows = [{"name": c.name, "n_samples": c.n_samples, "seed": c.seed,
              "passed": c.passed, "observed": c.observed, "bound": c.bound}
             for c in checks]
@@ -428,16 +430,15 @@ def run(argv=None) -> int:
             os.makedirs(out, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot make output directory: {exc}") from exc
-        seed = config["seed"]
         _startup_selftest()
-        profile, outputs, scalars = _COMMANDS[command](grid, config, out, seed)
+        profile, outputs, scalars = _COMMANDS[command](grid, config, out)
     except (RuntimeError, ModulationError, np.linalg.LinAlgError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    _write_manifest(out, command, config, grid, seed, outputs,
+    _write_manifest(out, command, config, grid, outputs,
                     _periodization(profile), t0, scalars)
     return EXIT_OK
 

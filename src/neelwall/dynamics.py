@@ -114,13 +114,18 @@ class SimConfig:
     def __post_init__(self):
         if not 0 < self.dt < math.inf:
             raise ValueError("dt must be finite and positive")
-        if not self.nu > 0:
-            raise ValueError("nu must be positive")
+        if not 0 < self.nu < math.inf:
+            raise ValueError("nu must be positive and finite")
         if not 10.0 / self.nu <= self.t_end < math.inf:
             raise ValueError("t_end must be finite and at least 10/nu to "
                              "fit a decay")
+        if not math.isfinite(self.H):
+            raise ValueError("H must be finite")
         if self.frame not in FRAMES:
             raise ValueError(f"frame must be one of {FRAMES}")
+        if (not isinstance(self.max_frames, (int, np.integer))
+                or self.max_frames < 1):
+            raise ValueError("max_frames must be a positive integer")
 
 
 @dataclass

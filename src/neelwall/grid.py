@@ -50,10 +50,12 @@ class Grid:
     n: int
 
     def __post_init__(self):
-        if not self.L > 0:
-            raise ValueError(f"grid half-length must be positive, got {self.L}")
-        if self.n < 16 or (self.n & (self.n - 1)) != 0:
-            raise ValueError(f"grid size must be a power of two >= 16, got {self.n}")
+        if not 0 < self.L < np.inf:
+            raise ValueError(f"L must be finite and positive, got {self.L}")
+        if (not isinstance(self.n, (int, np.integer)) or self.n < 16
+                or self.n & (self.n - 1)):
+            raise ValueError(
+                f"grid size must be an integer power of two >= 16, got {self.n}")
 
     @property
     def dx(self) -> float:

@@ -29,12 +29,12 @@ class RegionParams:
     beta: float
 
     def __post_init__(self):
-        if not self.nu > 0:
-            raise ValueError("nu must be positive")
+        if not 0 < self.nu < np.inf:
+            raise ValueError("nu must be positive and finite")
         if not 0 < self.delta < self.nu / 2:
             raise ValueError("delta must lie in (0, nu/2)")
-        if not self.Lambda0 > 0:
-            raise ValueError("Lambda0 must be positive")
+        if not 0 < self.Lambda0 < np.inf:
+            raise ValueError("Lambda0 must be positive and finite")
         if not 0 < self.beta < 1:
             raise ValueError("beta must lie in (0, 1)")
         if not 2 * self.delta < self.beta * self.nu:

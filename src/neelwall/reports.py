@@ -138,9 +138,7 @@ def _rows_of(record) -> list[dict]:
         if record and all(isinstance(s, ResolventSample) for s in record):
             return [
                 {"re_lambda": s.lam.real, "im_lambda": s.lam.imag,
-                 "norm_inv": s.norm_inv,
-                 "norm_composed": (np.nan if s.norm_composed is None
-                                   else s.norm_composed),
+                 "norm_inv": s.norm_inv, "norm_composed": s.norm_composed,
                  "region": s.region}
                 for s in record
             ]

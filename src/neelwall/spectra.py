@@ -76,7 +76,8 @@ def eig_report(op: DiscretizedOperator) -> SpectrumReport:
     meta["solver"] names the eigensolver: "eigh" for L, "hamiltonian" for
     an A_c whose K~ has one negative eigenvalue (then meta also carries the
     real pair, its Newton steps and the structure residual), and "dgeev"
-    for everything else, the static A included."""
+    for everything else, the static A and the non-symmetric L_c included.
+    gap is the scalar kinds' distance above lambda0, the blocks' left."""
     meta = {"L": op.grid.L, "n": op.grid.n, "nu": op.nu, "c": op.c,
             "H": op.H}
     ham = op.hamiltonian_spectrum() if op.kind == "Ac" else None
@@ -103,7 +104,7 @@ def eig_report(op: DiscretizedOperator) -> SpectrumReport:
     i0 = int(np.argmin(np.abs(vals)))
     lam0 = complex(vals[i0])
     rest = np.delete(vals, i0)
-    if op.kind == "L":
+    if not op.is_block:
         gap = float(np.min(rest.real))          # distance above 0 on the line
         Lambda0 = float(np.sort(vals.real)[1])
     else:
@@ -196,10 +197,12 @@ def numerical_abscissa(op: DiscretizedOperator) -> float:
 
 @dataclass(slots=True)
 class ResolventSample:
+    """||(A - lam)^{-1}||_W, ||A (A - lam)^{-1}||_W and lam's sub-region."""
+
     lam: complex
     norm_inv: float
-    norm_composed: float | None = None
-    region: str = ""
+    norm_composed: float
+    region: str
 
 
 class SpectrumDistanceError(ValueError):
@@ -373,14 +376,6 @@ class ResolventCalculator:
         """Distance from each lam to the nearest computed eigenvalue."""
         return _nearest(lams, self.spectrum)[0][:, 0]
 
-    def _check_distance(self, lams: np.ndarray):
-        d = self.spectrum_distance(lams)
-        if np.any(d <= SPECTRUM_MIN_DISTANCE):
-            i = int(np.argmin(d))
-            raise SpectrumDistanceError(
-                f"lambda = {lams[i]} within {SPECTRUM_MIN_DISTANCE:.0e} of the "
-                f"computed spectrum (distance {d[i]:.2e})")
-
     def _block_size(self) -> int:
         """Lambdas per block: _BLOCK_VECTORS complex64 rows of length 2n per
         lambda (the two Lanczos vectors of _gk_batch, S v and the
@@ -417,7 +412,15 @@ class ResolventCalculator:
 
         return mv, rmv
 
-    def _norms(self, lams: np.ndarray, composed: bool) -> np.ndarray:
+    def _norms(self, lam, composed: bool):
+        """norm_inv or norm_composed: a float for one lam, else an array."""
+        lams = np.atleast_1d(np.asarray(lam, dtype=complex))
+        d = self.spectrum_distance(lams)
+        if np.any(d <= SPECTRUM_MIN_DISTANCE):
+            i = int(np.argmin(d))
+            raise SpectrumDistanceError(
+                f"lambda = {lams[i]} within {SPECTRUM_MIN_DISTANCE:.0e} of the "
+                f"computed spectrum (distance {d[i]:.2e})")
         seed = 54321 if composed else 12345
         size = self.spectrum.shape[0]
         m = self._block_size()
@@ -429,23 +432,17 @@ class ResolventCalculator:
             out[s:s + m], self.last_steps[s:s + m] = _gk_batch(
                 mv, rmv, len(block), size, GK_TOL, GK_MAX_ITER, seed,
                 dtype=np.complex64)
-        return out
+        return float(out[0]) if np.ndim(lam) == 0 else out
 
     def norm_inv(self, lam):
         """||(A - lam)^{-1}||_W = 1/sigma_min(A - lam) in the weighted
         geometry, for one lam (returns a float) or a 1-D array of them."""
-        lams = np.atleast_1d(np.asarray(lam, dtype=complex))
-        self._check_distance(lams)
-        est = self._norms(lams, False)
-        return float(est[0]) if np.ndim(lam) == 0 else est
+        return self._norms(lam, False)
 
     def norm_composed(self, lam):
         """||A (A - lam)^{-1}||_W = ||I + lam (A - lam)^{-1}||_W, for one lam
         or a 1-D array of them."""
-        lams = np.atleast_1d(np.asarray(lam, dtype=complex))
-        self._check_distance(lams)
-        est = self._norms(lams, True)
-        return float(est[0]) if np.ndim(lam) == 0 else est
+        return self._norms(lam, True)
 
 
 @dataclass
@@ -498,11 +495,11 @@ def resolvent_sweep(op: DiscretizedOperator, delta: float,
     by an n_radial x n_angular log-polar grid truncated at
     |lam| = 10^3 max(1, nu), plus n_gamma contour points.  Sub-regions:
     G1 (real part beyond M1 = max(1, nu, 2|w|), near-real), G2
-    (|Im| > delta), G3 (remainder).  ||A(A-lam)^{-1}||_W is taken as
-    |lam| ||(A-lam)^{-1}||_W wherever that product is at least 50: the
-    triangle inequality pins the norm to it within 2% there.  op is the
-    static A (any other operator raises ModalStructureError); w defaults to
-    calc.w, the numerical abscissa from the calculator's own modal factor.
+    (|Im| > delta), G3 (remainder).  Both norms are Lanczos estimates
+    (calc.norm_inv, calc.norm_composed) at every distinct sample, an exact
+    conjugate pair counting once.  op is the static A (any other operator
+    raises ModalStructureError); w defaults to calc.w, the numerical
+    abscissa from the calculator's own modal factor.
     delta must be finite and positive, with exactly one point of
     calc.spectrum inside the contour square and none in the closed G;
     else ValueError, before any Lanczos step.  A sample within
@@ -550,14 +547,9 @@ def resolvent_sweep(op: DiscretizedOperator, delta: float,
     for key, lam in zip(keys, lams):
         first.setdefault(key, lam)
     distinct = np.array(list(first.values()), dtype=complex)
-    ninv = calc.norm_inv(distinct)
-    steps = [calc.last_steps]
-    ncomp = np.abs(distinct) * ninv
-    todo = ncomp < 50.0
-    if np.any(todo):
-        ncomp[todo] = calc.norm_composed(distinct[todo])
-        steps.append(calc.last_steps)
-    steps = np.concatenate(steps)
+    ninv, inv_steps = calc.norm_inv(distinct), calc.last_steps
+    ncomp = calc.norm_composed(distinct)
+    steps = np.concatenate([inv_steps, calc.last_steps])
     norms = dict(zip(first, zip(ninv.tolist(), ncomp.tolist())))
 
     samples = []

@@ -40,7 +40,8 @@ def test_solve_static_writes_profile_and_manifest(tmp_path):
     m = _manifest(tmp_path)
     assert m["command"] == "solve-static"
     assert m["grid"] == {"L": 40.0, "n": 256, "dx": 40.0 * 2 / 256}
-    assert m["seeds"] == {"master": 0}
+    assert m["seeds"] == {}                 # a static solve draws no seed
+    assert m["config"]["seed"] == 0
     assert m["wall_clock_seconds"] > 0
     assert any(p.endswith("static_profile.neelw") for p in m["outputs"])
     # edge diagnostic: cos(theta) near saturation at the seam
@@ -283,6 +284,27 @@ def test_same_seed_same_outputs(tmp_path):
     p1 = (out1 / "static_profile.neelw").read_bytes()
     p2 = (out2 / "static_profile.neelw").read_bytes()
     assert p1 == p2
+
+
+def test_manifest_seeds_name_only_what_draws_from_them(tmp_path):
+    # appendix-check samples its checks from --seed; simulate's sech
+    # perturbation draws nothing, so two seeds give the same trace and
+    # its manifest records the flag in config alone
+    out = tmp_path / "appendix"
+    assert run(["appendix-check", *SMALL, "--seed", "5",
+                "--out", str(out)]) == EXIT_OK
+    m = _manifest(out)
+    assert m["seeds"] == {"master": 5} and m["config"]["seed"] == 5
+    traces = []
+    for seed in (0, 5):
+        out = tmp_path / f"simulate{seed}"
+        assert run(["simulate", *SMALL, "--H", "0", "--dt", "0.02",
+                    "--t-end", "10", "--seed", str(seed),
+                    "--out", str(out)]) == EXIT_OK
+        m = _manifest(out)
+        assert m["seeds"] == {} and m["config"]["seed"] == seed
+        traces.append((out / "trace.csv").read_bytes())
+    assert traces[0] == traces[1]
 
 
 def test_resolvent_sweep_summary_counts_nudges(tmp_path):

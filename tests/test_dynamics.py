@@ -107,9 +107,17 @@ def test_simconfig_validation():
     with pytest.raises(ValueError):
         SimConfig(dt=0.01, t_end=20.0, nu=1.0, frame="rotating")
     # damping is checked before the 10/nu decay window is formed
-    for nu in (0.0, -1.0, np.nan):
-        with pytest.raises(ValueError, match="nu must be positive"):
+    for nu in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="nu must be positive and finite"):
             SimConfig(dt=0.01, t_end=20.0, nu=nu)
+    for H in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="H must be finite"):
+            SimConfig(dt=0.01, t_end=20.0, nu=1.0, H=H)
+    # a frame stride needs at least one frame, counted in whole frames
+    for frames in (0, -3, 2.5):
+        with pytest.raises(ValueError, match="max_frames must be a positive "
+                                             "integer"):
+            SimConfig(dt=0.01, t_end=20.0, nu=1.0, max_frames=frames)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="dt must be finite and positive"):
             SimConfig(dt=bad, t_end=20.0, nu=1.0)

@@ -42,7 +42,8 @@ def test_grid_geometry():
 
 
 @pytest.mark.parametrize("L,n", [(-1.0, 256), (0.0, 256), (40.0, 100),
-                                 (40.0, 8)])
+                                 (40.0, 8), (np.inf, 256), (np.nan, 256),
+                                 (40.0, 256.0)])
 def test_grid_rejects_bad_parameters(L, n):
     with pytest.raises(ValueError):
         Grid(L, n)

@@ -28,11 +28,13 @@ PARAMS = RegionParams(nu=1.0, delta=0.2, Lambda0=0.44, beta=0.9)
 
 
 def test_params_validation():
-    for nu in (-1.0, np.nan):
-        with pytest.raises(ValueError, match="nu must be positive"):
+    for nu in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="nu must be positive and finite"):
             RegionParams(nu=nu, delta=0.2, Lambda0=0.4, beta=0.9)
-    with pytest.raises(ValueError, match="Lambda0 must be positive"):
-        RegionParams(nu=1.0, delta=0.2, Lambda0=np.nan, beta=0.9)
+    for Lambda0 in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="Lambda0 must be positive and "
+                                             "finite"):
+            RegionParams(nu=1.0, delta=0.2, Lambda0=Lambda0, beta=0.9)
     with pytest.raises(ValueError):
         RegionParams(nu=1.0, delta=0.6, Lambda0=0.4, beta=0.9)   # delta >= nu/2
     with pytest.raises(ValueError):

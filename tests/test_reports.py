@@ -108,14 +108,15 @@ def test_write_report_csv_spectrum(tmp_path):
 
 def test_write_report_jsonl_resolvent(tmp_path):
     samples = [ResolventSample(1.0 + 2.0j, 3.5, 7.25, "G2"),
-               ResolventSample(0.5 - 0.5j, 1.0, None, "Gamma")]
+               ResolventSample(0.5 - 0.5j, 1.0, 1.5, "Gamma")]
     path = tmp_path / "res.jsonl"
     write_report(samples, "json-lines", path)
     lines = [json.loads(l) for l in path.read_text().splitlines()]
     assert lines[0]["re_lambda"] == 1.0
     assert lines[0]["norm_composed"] == 7.25
     assert lines[1]["region"] == "Gamma"
-    assert lines[1]["norm_composed"] == "nan"
+    assert lines[1]["im_lambda"] == -0.5
+    assert lines[1]["norm_composed"] == 1.5
 
 
 def test_write_report_csv_round_trips_floats(tmp_path):

@@ -13,6 +13,7 @@ import dataclasses
 import json
 import math
 import os
+import resource
 import sys
 import time
 
@@ -179,6 +180,8 @@ def _write_manifest(out_dir, command, config, grid, outputs,
                   else {}),
         "version": __version__,
         "wall_clock_seconds": time.monotonic() - t0,
+        # the process's peak resident set so far (ru_maxrss is in KiB)
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "outputs": sorted(outputs),
         "periodization_cos_theta_edge": periodization,
     }

@@ -43,6 +43,7 @@ def test_solve_static_writes_profile_and_manifest(tmp_path):
     assert m["seeds"] == {}                 # a static solve draws no seed
     assert m["config"]["seed"] == 0
     assert m["wall_clock_seconds"] > 0
+    assert np.isfinite(m["peak_rss_mb"]) and m["peak_rss_mb"] > 0
     assert any(p.endswith("static_profile.neelw") for p in m["outputs"])
     # edge diagnostic: cos(theta) near saturation at the seam
     assert abs(m["periodization_cos_theta_edge"]) <= 1e-2

@@ -187,16 +187,17 @@ def test_M_bounded_non_finite_values(monkeypatch):
     assert got.extra["n_infinite"] == n and got.observed == np.inf
 
 
-def test_M_bounded_memory_bounded_by_draws():
-    # the draws hold 24-40 bytes per sample; evaluating M on all samples at
-    # once needs about 100 more
-    tracemalloc.start()
-    try:
-        check_M_bounded(PARAMS, n_samples=1_000_000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 50e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
+def test_M_bounded_memory_independent_of_sample_count():
+    # every chunk draws its own samples: one budget holds at 1e6 and 4e6
+    # samples, where full-array draws take 40 bytes per sample (40, 160 MB)
+    for n_samples in (1_000_000, 4_000_000):
+        tracemalloc.start()
+        try:
+            check_M_bounded(PARAMS, n_samples=n_samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6, f"{n_samples}: tracemalloc peak {peak / 1e6:.1f} MB"
 
 
 def _in_G_scalar(z, delta):

@@ -777,6 +777,29 @@ def test_relative_bound_exact_against_dense(A_op256, traveling256, static256,
     assert (p0.a, p0.b) == (p4.a, p4.b)
 
 
+def _traced_peak(run):
+    """run()'s result and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gap_transients_within_memory_budgets(A_op256, Ac_op256,
+                                              traveling256, static256):
+    # with the envelope check streamed, these transients set the peak of a
+    # gap round; budgets in one 2n x 2n float64 array (measured 2.01, 2.57),
+    # so anything more held at either peak fails here
+    Bc = build_Bc(traveling256, static256)
+    unit = A_op256.matrix.nbytes
+    rep, peak = _traced_peak(lambda: eig_report(Ac_op256))
+    assert rep.meta["solver"] == "hamiltonian"
+    assert peak <= 2.25 * unit, f"eig_report(A_c): {peak / unit:.2f} blocks"
+    _, peak = _traced_peak(lambda: relative_bound_fit(A_op256, Bc))
+    assert peak <= 2.75 * unit, f"relative_bound_fit: {peak / unit:.2f} blocks"
+
+
 def test_res_inequality_trials(A_op256):
     stats = res_inequality_trials(A_op256, delta=0.2, trials=25, seed=3)
     assert stats.n_pass_a == stats.n_trials

@@ -9,8 +9,8 @@ with modulation, and sampled checks of the analytic region bounds.
 
 __version__ = "0.1.0"
 
-from .grid import (Field, Grid, apply_T, derivative, half_laplacian,
-                   l2_inner, l2_norm, h1_norm, shift, wall_background)
+from .grid import (Field, Grid, derivative, l2_inner, l2_norm, h1_norm,
+                   shift, wall_background)
 from .energy import EnergyBreakdown, energy, grad_energy, gradient_selftest
 from .profiles import (Linearization, MobilityFit, Profile, SolverError,
                        check_field, mobility, mobility_fields,

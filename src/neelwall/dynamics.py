@@ -49,7 +49,6 @@ from .grid import (
     state_norm,
     wall_background,
     wall_background_d1,
-    wall_background_d2,
 )
 from .profiles import Linearization, Profile, traveling_residual
 
@@ -213,11 +212,12 @@ def step_weights(grid: Grid, nu: float, c: float, dt: float) -> StepWeights:
 class _HalfGrid:
     """Per-grid constants of the real-FFT path.
 
-    All arrays but ``d1`` act on rfft half spectra (length n/2 + 1, the
-    Nyquist mode included once); ``l2`` holds the Parseval weights
-    (1, 2, ..., 2, 1) dx/n, so ||f||^2 = sum(l2 |rfft(f)|^2).  ``d1`` is the
-    analytic background slope sech x; ``d1_hat`` and ``d2_hat`` are the
-    rffts of sech x and of -tanh x sech x.
+    All arrays but ``d1`` and ``d2`` act on rfft half spectra (length
+    n/2 + 1, the Nyquist mode included once); ``l2`` holds the Parseval
+    weights (1, 2, ..., 2, 1) dx/n, so ||f||^2 = sum(l2 |rfft(f)|^2).
+    ``d1`` is the analytic background slope sech x and ``d2`` its spectral
+    derivative D(sech x), the background's share of derivative(theta, 2);
+    ``d1_hat`` and ``d2_hat`` are their rffts.
     """
 
     k: np.ndarray
@@ -228,6 +228,7 @@ class _HalfGrid:
     h1: np.ndarray
     hhalf: np.ndarray
     d1: np.ndarray
+    d2: np.ndarray
     d1_hat: np.ndarray
     d2_hat: np.ndarray
 
@@ -240,9 +241,10 @@ def _half_grid(grid: Grid) -> _HalfGrid:
     l2 = np.full(h, 2.0 * grid.dx / grid.n)
     l2[0] = l2[-1] = grid.dx / grid.n
     d1 = wall_background_d1(grid.x)
+    d2 = apply_multiplier(grid, d1, grid.k_deriv)
     arrays = (k, kd, -grid.k2[:h], grid.T[:h], l2,
-              l2 * grid.h1_weight[:h], l2 * np.abs(k), d1, np.fft.rfft(d1),
-              np.fft.rfft(wall_background_d2(grid.x)))
+              l2 * grid.h1_weight[:h], l2 * np.abs(k), d1, d2,
+              np.fft.rfft(d1), np.fft.rfft(d2))
     for a in arrays:
         a.setflags(write=False)
     return _HalfGrid(*arrays)
@@ -260,11 +262,10 @@ def _inner(weights: np.ndarray, fh: np.ndarray, gh: np.ndarray) -> float:
 
 def _background_forcing(grid: Grid, nu: float, c: float) -> np.ndarray:
     """Constant part of phi_t from the wall background:
-    (1-c^2) phi_bg'' + c nu phi_bg', with phi_bg'' spectral as in the energy
-    gradient (the analytic one leaves a dt-independent energy defect)."""
-    d1 = _half_grid(grid).d1
-    return ((1.0 - c**2) * apply_multiplier(grid, d1, grid.k_deriv)
-            + c * nu * d1)
+    (1-c^2) phi_bg'' + c nu phi_bg', with phi_bg'' = D(sech x) as in
+    derivative(theta, 2), so (psi, 0) is a discrete equilibrium."""
+    half = _half_grid(grid)
+    return (1.0 - c**2) * half.d2 + c * nu * half.d1
 
 
 def _cos_parts(grid: Grid, w: np.ndarray):
@@ -317,7 +318,10 @@ class _Translates:
     def spectrum(self, sigma: float) -> np.ndarray:
         g = self.grid
         if abs(sigma) >= g.L / 2:
-            raise ValueError(f"|shift| must be < L/2 = {g.L / 2}, got {-sigma}")
+            raise ModulationError(
+                f"translate psi(. - {sigma:.6g}) leaves the window "
+                f"|shift| < L/2 = {g.L / 2:g}: the wall drifted too far "
+                "to modulate")
         if sigma == self._last[0]:
             return self._last[1]
         sh = np.exp(-1j * sigma * _half_grid(g).k) * self.reference_hat
@@ -651,7 +655,9 @@ def orbital_experiment(grid: Grid, H: float, perturbation: Perturbation,
     if not abs(H) <= _ORBITAL_H_MAX:
         raise ValueError(f"orbital experiment needs |H| <= {_ORBITAL_H_MAX}")
     # Decay is measured in the comoving frame, where the traveling profile is
-    # an exact discrete equilibrium ((psi, 0) at rest); in the lab frame the
+    # an exact discrete equilibrium ((psi, 0) at rest: at L = 40, n = 256
+    # the right-hand side there is -R(psi) to 3e-15 in L2, since it takes
+    # psi'' from derivative(psi, 2) as R does); in the lab frame the
     # modulated residual has a floor that changes with the accumulated drift,
     # because the spectrally shifted reference moves the seam layer at
     # x = +-L while the dynamics keeps it pinned.

@@ -64,10 +64,9 @@ def grad_energy(theta: Field, mode: str = "nonlocal") -> Field:
     c = np.cos(full)
     s = np.sin(full)
     Tc = c if mode == "local" else apply_multiplier(g, c, g.T)
-    # second derivative as the exact discrete adjoint of the exchange term:
-    # spectrally differentiate the full first derivative (background part
-    # included) rather than adding the analytic background second derivative
-    d2 = apply_multiplier(g, derivative(theta, 1).values, g.k_deriv)
+    # theta'' = D o D, background slope included: the exact discrete
+    # adjoint of the exchange term
+    d2 = derivative(theta, 2).values
     return Field(g, -d2 - s * Tc, BACKGROUND_NONE)
 
 

@@ -1,16 +1,19 @@
 """Uniform periodic grid, Fourier multipliers, and the norms of the model.
 
 Everything downstream (energy, profiles, operators, dynamics) is built on the
-primitives here: the grid on [-L, L), the half-Laplacian multiplier |k|, the
-nonlocal operator T = 1 + (-Delta)^{1/2}, the H1 weight 1 + k^2, spectral
-derivatives, and the inner products (L2, H1, homogeneous H^{1/2}) and the
-H1 x L2 state norm.  apply_multiplier is the one real Fourier multiplier;
-the profile-dependent a-form is <L u, u> through profiles.Linearization.
+primitives here: the grid on [-L, L), the multipliers of the nonlocal
+operator T = 1 + (-Delta)^{1/2} and of the H1 weight 1 + k^2, spectral
+derivatives, and the L2 and homogeneous H^{1/2} products, the H1 norm and
+the H1 x L2 state norm.  apply_multiplier is the one real Fourier
+multiplier (T and |k| act through it with Grid.T and abs(Grid.k)); the
+profile-dependent a-form is <L u, u> through profiles.Linearization.
 
 Phases that connect -pi/2 to +pi/2 are not periodic, so a Field may carry a
 fixed wall background phi_bg(x) = arcsin(tanh x) and store only the decaying
-remainder w = theta - phi_bg.  The background and its derivatives are handled
-analytically; Fourier transforms only ever touch decaying quantities.
+remainder w = theta - phi_bg.  The background and its slope sech x are
+handled analytically; Fourier transforms only ever touch decaying
+quantities.  The second derivative is D o D for every field, the wall's
+included: D applied to the full first derivative.
 
 Inner products conjugate the *second* argument throughout.
 """
@@ -35,11 +38,6 @@ def wall_background(x):
 def wall_background_d1(x):
     """phi_bg'(x) = sech x."""
     return 1.0 / np.cosh(x)
-
-
-def wall_background_d2(x):
-    """phi_bg''(x) = -sech x tanh x."""
-    return -np.tanh(x) / np.cosh(x)
 
 
 @dataclass(frozen=True)
@@ -154,40 +152,24 @@ class Field:
         return Field(self.grid, values, self.background if background is None else background)
 
 
-def _require_decaying(f: Field, opname: str):
-    if f.background != BACKGROUND_NONE:
-        raise ValueError(
-            f"{opname} acts on decaying fields only; operate on the remainder "
-            "or on decaying quantities like cos(theta)"
-        )
-
-
 def apply_multiplier(grid: Grid, values: np.ndarray, mult: np.ndarray) -> np.ndarray:
     """Apply a Fourier multiplier to real samples; returns real samples."""
     return np.real(np.fft.ifft(mult * np.fft.fft(values)))
 
 
-def half_laplacian(f: Field) -> Field:
-    """(-Delta)^{1/2} f via the multiplier |k|; the mean mode maps to 0."""
-    _require_decaying(f, "half_laplacian")
-    out = apply_multiplier(f.grid, f.values, np.abs(f.grid.k))
-    return Field(f.grid, out)
-
-
-def apply_T(f: Field) -> Field:
-    """T f = f + (-Delta)^{1/2} f  (multiplier 1 + |k|)."""
-    _require_decaying(f, "apply_T")
-    return Field(f.grid, apply_multiplier(f.grid, f.values, f.grid.T))
-
-
 def derivative(f: Field, order: int = 1) -> Field:
-    """Spectral derivative; wall-background derivatives enter analytically."""
+    """Spectral derivative by Grid.k_deriv; over a wall background the
+    slope sech x enters analytically.  order=2 is D applied to the full
+    first derivative (d^2 = d o d, background slope included), the exact
+    discrete adjoint of the exchange term."""
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     g = f.grid
-    out = apply_multiplier(g, f.values, g.k_deriv if order == 1 else -g.k2)
+    out = apply_multiplier(g, f.values, g.k_deriv)
     if f.background == BACKGROUND_WALL:
-        out = out + (wall_background_d1(g.x) if order == 1 else wall_background_d2(g.x))
+        out = out + wall_background_d1(g.x)
+    if order == 2:
+        out = apply_multiplier(g, out, g.k_deriv)
     return Field(g, out)
 
 
@@ -223,16 +205,11 @@ def hhalf_seminorm_sq(grid: Grid, f) -> float:
     return float(grid.dx / grid.n * np.sum(np.abs(grid.k) * np.abs(fhat) ** 2))
 
 
-def h1_inner(grid: Grid, f, g) -> complex:
-    """H1 product <f,g> + <f',g'> evaluated Fourier-side with weight 1+k^2."""
-    fhat = np.fft.fft(np.asarray(f))
-    ghat = np.fft.fft(np.asarray(g))
-    val = grid.dx / grid.n * np.sum(grid.h1_weight * fhat * np.conj(ghat))
-    return val if np.iscomplexobj(f) or np.iscomplexobj(g) else float(np.real(val))
-
-
 def h1_norm(grid: Grid, f) -> float:
-    return float(np.sqrt(np.real(h1_inner(grid, f, f))))
+    """H1 norm, ||f||^2 + ||f'||^2 summed Fourier-side with weight 1 + k^2."""
+    fhat = np.fft.fft(np.asarray(f))
+    val = grid.dx / grid.n * np.sum(grid.h1_weight * fhat * np.conj(fhat))
+    return float(np.sqrt(np.real(val)))
 
 
 def state_norm(grid: Grid, u, v) -> float:

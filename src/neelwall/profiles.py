@@ -156,11 +156,11 @@ def traveling_residual(grid: Grid, theta: Field, c: float, nu: float, H: float) 
 def _residual_and_slopes(theta: Field, c: float, nu: float, H: float):
     """(R, psi', psi''): the traveling residual and the two derivatives it
     is made of, which the speed column of the Newton system reuses."""
-    d1 = derivative(theta, 1).values
-    d2 = derivative(theta, 2).values
-    R = (c**2 * d2 - nu * c * d1 + grad_energy(theta).values
+    d1 = derivative(theta, 1)
+    d2 = derivative(d1, 1).values       # = derivative(theta, 2), from d1
+    R = (c**2 * d2 - nu * c * d1.values + grad_energy(theta).values
          + H * np.cos(theta.reconstruct()))
-    return R, d1, d2
+    return R, d1.values, d2
 
 
 KRYLOV_MAX = 40  # GMRES steps per Newton step; about 8 are used at any n
@@ -428,7 +428,8 @@ class MobilityFit:
 def mobility_fields(H_list) -> list[float]:
     """The fields of a mobility scan as floats; raises ValueError unless
     there are at least 4, distinct and nonzero (H = 0 is the static wall,
-    not a speed to fit), each |H| <= 5e-3, symmetric about 0."""
+    not a speed to fit), each |H| <= 5e-3, symmetric about 0 (-H in the
+    list, exactly, for every H)."""
     H_list = [float(H) for H in H_list]
     if len(H_list) < 4:
         raise ValueError("need at least 4 field values")
@@ -436,7 +437,7 @@ def mobility_fields(H_list) -> list[float]:
         raise ValueError("field values must be nonzero and distinct")
     if not all(abs(H) <= 5e-3 for H in H_list):
         raise ValueError("mobility scan restricted to |H| <= 5e-3")
-    if abs(sum(H_list)) > 1e-15 * max(abs(H) for H in H_list) * len(H_list):
+    if any(-H not in H_list for H in H_list):
         raise ValueError("field values must be symmetric about 0")
     return H_list
 

@@ -686,9 +686,12 @@ def res_inequality_trials(A_op: DiscretizedOperator, delta: float,
     cut = np.abs(g.k) <= 0.75 * np.max(np.abs(g.k))
     Lambda0 = float(A_op.modes[0][1])
 
-    def a_sq(f):
-        return max(g.dx * (f.real @ lin.matvec(f.real)
-                           + f.imag @ lin.matvec(f.imag)), 0.0)
+    def L_parts(f):
+        return lin.matvec(f.real), lin.matvec(f.imag)
+
+    def a_sq(f, Lf):
+        """||f||_a^2 from Lf = L_parts(f)."""
+        return max(g.dx * (f.real @ Lf[0] + f.imag @ Lf[1]), 0.0)
 
     def rand_perp():
         z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -702,15 +705,16 @@ def res_inequality_trials(A_op: DiscretizedOperator, delta: float,
     for _ in range(trials):
         u, v = rand_perp(), rand_perp()
         lam = sample_lambda_in_G(rng, delta, nu)
-        ua_sq = a_sq(u)
+        Lu = L_parts(u)
+        ua_sq = a_sq(u, Lu)
         v_sq = np.real(l2_inner(g, v, v))
         UZ = np.sqrt(ua_sq + v_sq)
         lhs = abs(np.conj(lam) * ua_sq + (lam + nu) * v_sq)
 
         # construction (a): F = (lam - A)U
         f = lam * u - v
-        gg = lin.matvec(u.real) + 1j * lin.matvec(u.imag) + (lam + nu) * v
-        fa_sq = a_sq(f)
+        gg = Lu[0] + 1j * Lu[1] + (lam + nu) * v
+        fa_sq = a_sq(f, L_parts(f))
         FZ = np.sqrt(fa_sq + np.real(l2_inner(g, gg, gg)))
         defect = UZ * FZ - lhs
         min_defect = min(min_defect, defect)
@@ -722,7 +726,7 @@ def res_inequality_trials(A_op: DiscretizedOperator, delta: float,
         AiU = aperp(U.real) + 1j * aperp(U.imag)
         F = U - lam * AiU
         fb, gb = F[:n], F[n:]
-        fb_sq = a_sq(fb)
+        fb_sq = a_sq(fb, L_parts(fb))
         FZb = np.sqrt(fb_sq + np.real(l2_inner(g, gb, gb)))
         denom1 = (abs(lam) * np.sqrt(ua_sq) + abs(lam + nu) * np.sqrt(v_sq)) * FZb
         if denom1 > 0:

@@ -142,6 +142,17 @@ def test_orbital_modulation_failure_is_an_unstable_verdict(
     assert m["scalars"]["wall_speed"] == "nan"
 
 
+def test_drift_past_half_the_window_is_a_solver_failure(tmp_path, capsys):
+    # at H = 0.1 the lab-frame drift c t of the reference passes L/2 = 20
+    # near t = 200, where no translate of it can be fitted
+    code = run(["simulate", *SMALL, "--H", "0.1", "--dt", "0.1",
+                "--t-end", "260", "--out", str(tmp_path)])
+    assert code == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: ") and "drifted too far" in err
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_too_large_time_step_is_a_solver_failure(tmp_path, capsys):
     # at dt = 1 the integrated wall stops saturating at the ends
     code = run(["simulate", *SMALL, "--H", "0", "--dt", "1", "--t-end", "20",

@@ -32,10 +32,11 @@ from neelwall.dynamics import (
 )
 from neelwall.energy import energy
 from neelwall.grid import (
-    Field, derivative, h1_norm, l2_inner, l2_norm, shift, state_norm,
-    wall_background, wall_background_d1, wall_background_d2,
+    Field, apply_multiplier, derivative, h1_norm, l2_inner, l2_norm, shift,
+    state_norm, wall_background, wall_background_d1,
 )
-from neelwall.profiles import Linearization
+from neelwall.profiles import (Linearization, solve_traveling,
+                               traveling_residual)
 from oracles import (closed_form_damped_mode, damped_wave_remainder,
                      damped_wave_rhs, integrate_linear_mode, rk4_step)
 
@@ -165,8 +166,9 @@ def _physical_modulation_terms(reference, theta_full, sigma):
     """Oracle for the half-spectrum modulation: the orthogonality condition
     g, its slope g' and the misfit at the translate by sigma, as dx-weighted
     dot products of samples: the stored translate from one irfft, psi_s' and
-    psi_s'' from irffts of its rfft, the background slopes analytic.  Also
-    returns the Cauchy-Schwarz scales of g and g'."""
+    psi_s'' from irffts of its rfft, the background slope sech x analytic
+    and its derivative D(sech x) spectral, as derivative(theta, 2) takes
+    it.  Also returns the Cauchy-Schwarz scales of g and g'."""
     g = reference.grid
     h = g.n // 2 + 1
     stored = (np.fft.irfft(np.exp(-1j * sigma * g.k[:h])
@@ -176,7 +178,7 @@ def _physical_modulation_terms(reference, theta_full, sigma):
     sh = np.fft.rfft(stored)
     dpsi_s = np.fft.irfft(g.k_deriv[:h] * sh, g.n) + wall_background_d1(g.x)
     d2psi_s = (np.fft.irfft(np.real(g.k_deriv[:h] ** 2) * sh, g.n)
-               + wall_background_d2(g.x))
+               + apply_multiplier(g, wall_background_d1(g.x), g.k_deriv))
     gval = g.dx * float(r @ dpsi_s)
     gprime = g.dx * float(dpsi_s @ dpsi_s - r @ d2psi_s)
     misfit = g.dx * float(r @ r)
@@ -224,6 +226,14 @@ def test_spectral_modulation_matches_physical_oracle(wall, t, request):
     warm = modulate(theta, reference, t=t, frame="lab", s0=planted + 1e-3)
     assert abs(cold - s_ref) <= 1e-10
     assert abs(warm - s_ref) <= 1e-10
+
+
+def test_modulate_refuses_a_drift_past_half_the_window(traveling256):
+    # in the lab frame the reference drifts by c t; once that passes L/2
+    # the translate cannot be formed, which is a modulation failure
+    t = traveling256.grid.L / traveling256.c
+    with pytest.raises(ModulationError, match="drifted too far"):
+        modulate(traveling256.theta, traveling256, t=t, frame="lab")
 
 
 def test_wall_position_of(grid256, static256):
@@ -289,6 +299,24 @@ def test_perturbed_wall_relaxes(grid256, static256):
     assert np.max(np.abs(trace.wall_position)) <= 0.1
     tail = trace.wall_position[-len(trace.wall_position) // 4:]
     assert np.max(tail) - np.min(tail) <= 1e-5
+
+
+@pytest.mark.parametrize("H", [1e-3, 5e-3])
+def test_traveling_wave_is_a_comoving_equilibrium(grid256, static256, H):
+    # phi_t = -R(theta) + 2c phi_z - nu phi: at (psi, 0) the integrator's
+    # right-hand side (the linear symbol on w plus the remainder with the
+    # background forcing) is -R(psi) to rounding, because both take theta''
+    # from one definition
+    g, nu, h = grid256, 1.0, grid256.n // 2 + 1
+    psi = solve_traveling(g, H, nu, tol=5e-8, init=static256)
+    c, w = psi.c, psi.theta.values
+    symbol = (1.0 - c**2) * g.k2[:h] - c * nu * g.k_deriv[:h]
+    rhs = (np.fft.irfft(-symbol * np.fft.rfft(w), g.n)
+           + dynamics._remainder_term(
+               g, dynamics._cos_parts(g, w), H,
+               dynamics._background_forcing(g, nu, c)))
+    R = traveling_residual(g, psi.theta, c, nu, H)
+    assert l2_norm(g, rhs + R) <= 1e-13
 
 
 def test_energy_balance_defect_second_order(grid256, static256):

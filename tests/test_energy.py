@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from neelwall.energy import EnergyBreakdown, energy, grad_energy, gradient_selftest
-from neelwall.grid import BACKGROUND_WALL, Field, Grid, l2_inner, l2_norm
+from neelwall.grid import (BACKGROUND_WALL, Field, Grid, apply_multiplier,
+                           derivative, l2_inner, l2_norm)
 from conftest import smooth_random
 
 G = Grid(L=40.0, n=256)
@@ -87,3 +88,13 @@ def test_gradient_output_is_decaying_field():
     assert g.background == "none"
     # gradient of the wall decays at the seam up to the O(dx) seam layer
     assert abs(g.values[0]) < 0.1
+
+
+def test_gradient_takes_the_one_second_derivative():
+    # grad E = -theta'' - sin(theta) T(cos theta) with theta'' from
+    # derivative(theta, 2), bit for bit
+    theta = _wall(0.05 / np.cosh(G.x - 1.0))
+    full = theta.reconstruct()
+    expected = (-derivative(theta, 2).values
+                - np.sin(full) * apply_multiplier(G, np.cos(full), G.T))
+    assert grad_energy(theta).values.tobytes() == expected.tobytes()

@@ -326,6 +326,8 @@ def test_mobility_validation(grid256, static256):
     for fields in ([1e-3, -1e-3],                       # too few
                    [1e-2, -1e-2, 2e-2, -2e-2],          # too large
                    [1e-3, 2e-3, 3e-3, 4e-3],            # not symmetric
+                   [-3e-3, 1e-3, 2e-3, 5e-4, -5e-4],    # sums to 0, no -H
+                   [3e-3, -1e-3, -2e-3, 5e-4, -5e-4],
                    [-1e-3, 0.0, 0.0, 1e-3],             # zero: no speed to fit
                    [-1e-3, -1e-3, 1e-3, 1e-3],          # repeated
                    [-1e-3, 1e-3, -2e-3, np.nan]):       # not a number

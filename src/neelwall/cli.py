@@ -287,8 +287,7 @@ def _cmd_spectrum(grid, config, out):
     scalars = {"lambda0_re": report.lambda0.real,
                "lambda0_im": report.lambda0.imag,
                "gap": report.gap,
-               **{k: report.meta[k] for k in ("solver", "newton_steps",
-                                              "structure_residual")
+               **{k: report.meta[k] for k in ("solver", "structure_residual")
                   if k in report.meta}}
     if report.Lambda0_num is not None:
         scalars["Lambda0"] = report.Lambda0_num

@@ -59,15 +59,20 @@ def energy(theta: Field, mode: str = "nonlocal") -> EnergyBreakdown:
 def grad_energy(theta: Field, mode: str = "nonlocal") -> Field:
     """L2 gradient -theta'' - sin(theta) T(cos theta); decaying output."""
     _check_mode(mode)
+    # theta'' = D o D, background slope included: the exact discrete
+    # adjoint of the exchange term
+    return Field(theta.grid, _gradient(theta, derivative(theta, 2).values,
+                                       mode), BACKGROUND_NONE)
+
+
+def _gradient(theta: Field, d2: np.ndarray, mode: str) -> np.ndarray:
+    """-d2 - sin(theta) T(cos theta): grad_energy's samples from the second
+    derivative d2 = derivative(theta, 2) that the caller already holds."""
     g = theta.grid
     full = theta.reconstruct()
     c = np.cos(full)
-    s = np.sin(full)
     Tc = c if mode == "local" else apply_multiplier(g, c, g.T)
-    # theta'' = D o D, background slope included: the exact discrete
-    # adjoint of the exchange term
-    d2 = derivative(theta, 2).values
-    return Field(g, -d2 - s * Tc, BACKGROUND_NONE)
+    return -d2 - np.sin(full) * Tc
 
 
 def gradient_selftest(theta: Field, seed: int = 0) -> float:

@@ -205,17 +205,20 @@ def hhalf_seminorm_sq(grid: Grid, f) -> float:
     return float(grid.dx / grid.n * np.sum(np.abs(grid.k) * np.abs(fhat) ** 2))
 
 
+def _h1_sq(grid: Grid, f) -> float:
+    """||f||^2 + ||f'||^2, summed Fourier-side with weight 1 + k^2: the one
+    H1 sum of h1_norm and state_norm."""
+    return grid.dx / grid.n * np.sum(grid.h1_weight * np.abs(np.fft.fft(f)) ** 2)
+
+
 def h1_norm(grid: Grid, f) -> float:
-    """H1 norm, ||f||^2 + ||f'||^2 summed Fourier-side with weight 1 + k^2."""
-    fhat = np.fft.fft(np.asarray(f))
-    val = grid.dx / grid.n * np.sum(grid.h1_weight * fhat * np.conj(fhat))
-    return float(np.sqrt(np.real(val)))
+    """H1 norm of f, the square root of _h1_sq."""
+    return float(np.sqrt(_h1_sq(grid, f)))
 
 
 def state_norm(grid: Grid, u, v) -> float:
     """H1 x L2 norm of the pair (u, v)."""
-    h1_sq = grid.dx / grid.n * np.sum(grid.h1_weight * np.abs(np.fft.fft(u)) ** 2)
-    return float(np.sqrt(h1_sq + grid.dx * np.sum(np.abs(v) ** 2)))
+    return float(np.sqrt(_h1_sq(grid, u) + grid.dx * np.sum(np.abs(v) ** 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ only the n x 2n bottom rows are stored, and .matrix assembles the whole):
 
 L and L_c are the dense matrices of profiles.Linearization, the one
 definition of the linearization; the block rows are assembled around them.
-Zero modes come from inverse iteration through one LU of the matrix,
-started from the profile derivative, so none depends on a random start.
+Zero modes come from inverse iteration through one n x n LU (of L_c for
+a block), started from the profile derivative, so none depends on a random
+start; DiscretizedOperator.zero_pair caches them.
 
 The H1 x L2 inner product is realized exactly by the diagonal Fourier weight
 blockdiag(1 + k^2, 1); every operator norm, adjoint, and singular value is
@@ -22,9 +23,9 @@ computed in that geometry, never in the raw Euclidean one.
 DiscretizedOperator.modes caches the one eigh of the static A's symmetric L;
 it serves both spectra.ResolventCalculator and a_perp_inverse.
 DiscretizedOperator.hamiltonian_spectrum gives sigma(A_c) from the
-Hamiltonian form of its quadratic pencil: one eigh of size n, a few LU
-steps of size n, and one eigvalsh of size 2n - 2 in place of dgeev on the
-2n block.  Both read the stored bottom rows only.
+Hamiltonian form of its quadratic pencil: one eigh of size n, the cached
+zero pair for its real pair, and one eigvalsh of size 2n - 2 in place of
+dgeev on the 2n block.  All three read the stored bottom rows only.
 """
 
 from __future__ import annotations
@@ -36,21 +37,13 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import blas
 
-from .grid import (
-    Grid,
-    apply_multiplier,
-    derivative,
-    multiplier_matrix,
-    state_norm,
-)
+from .grid import (Grid, apply_multiplier, derivative, multiplier_matrix,
+                   state_norm)
 from .profiles import Linearization, Profile
 
 SCALAR_KINDS = ("L", "Lc")
 BLOCK_KINDS = ("A", "Ac", "Bc")
 SYMMETRY_TOL = 1e-12      # max |L - L^T| / max |L| accepted by modes
-PAIR_NEWTON_MAX = 8       # Newton steps for the real pair of A_c at most
-PAIR_NEWTON_TOL = 1e-8    # relative step after which the pair is converged
-                          # (the iteration converges cubically)
 ZERO_MODE_TOL = 1e-13     # zero-mode inverse iteration ends when the unit
 ZERO_MODE_MAX_STEPS = 14  # iterate moves by at most TOL, or fails after 14
                           # steps a side (10x separation: error 1 -> 1e-13)
@@ -69,7 +62,6 @@ class HamiltonianSpectrum:
 
     eigenvalues: np.ndarray        # the real pair, then -nu/2 +- i omega
     pair: tuple[float, float]      # the real pair -nu/2 + s, -nu/2 - s
-    newton_steps: int              # LU steps that found s
     structure_residual: float      # the larger relative residual of the
                                    # two structure checks
 
@@ -155,6 +147,12 @@ class DiscretizedOperator:
                 f"> {SYMMETRY_TOL:.0e}")
         return sla.eigh(L)
 
+    @cached_property
+    def zero_pair(self) -> tuple:
+        """_zero_mode(self), computed once: ((lam0, x),) for a scalar kind,
+        ((lam0, x), (lam0, y)) for a block, the vectors read-only."""
+        return _zero_mode(self)
+
     def hamiltonian_spectrum(self) -> HamiltonianSpectrum | None:
         """sigma of a moving block [[0, I], [-L_c, E - nu I]] from the
         Hamiltonian form of its pencil; None unless K~ = sym(L_c) - nu^2/4
@@ -171,8 +169,10 @@ class DiscretizedOperator:
         then Z = N Sigma has det(Z - sigma) = det Q(sigma).  Z is skew in
         the indefinite form of Sigma, which has one negative square, so all
         of sigma(Z) is imaginary but one real pair +-s (Pontryagin;
-        Kapitula & Promislow 2013, ch. 7).  s comes from two-sided Newton on
-        Q (_real_pair).  Two Householder reflectors split the pair's
+        Kapitula & Promislow 2013, ch. 7).  s = lambda0 + nu/2 comes from
+        the cached zero pair (zero_pair) of the block: the top half x of its
+        right vector and the bottom half y of its left one have Q(s) x = 0
+        and Q(s)^T y = 0.  Two Householder reflectors split the pair's
         eigenvectors off Sigma Z; on the rest Sigma's Gram matrix is
         I - 2 b b^T, positive definite, and its inverse square root makes the
         rest a real skew S.  eigvalsh(S^T S) gives omega^2 twice over, and
@@ -193,10 +193,13 @@ class DiscretizedOperator:
         Kt *= -0.5
         Kt.flat[::n + 1] -= 0.25 * nu * nu
         kappa, V = sla.eigh(Kt, driver="evd")
+        del Kt
         if np.count_nonzero(kappa < 0) != 1:
             return None
-        s, right, left, steps = _real_pair(Kt, E, kappa[0], V[:, 0])
-        del Kt
+        (lam0, X), (_, Y) = self.zero_pair
+        s = lam0 + 0.5 * nu
+        right = X[:n] / np.linalg.norm(X[:n])
+        left = Y[n:] / np.linalg.norm(Y[n:])
 
         # Sigma Z = Sigma N Sigma = [[0, SC], [-SC^T, E]], SC = Sigma C
         SC = np.sqrt(np.abs(kappa))[:, None] * V.T
@@ -240,45 +243,13 @@ class DiscretizedOperator:
         pair = (-0.5 * nu + s, -0.5 * nu - s)
         vals = np.concatenate([np.array(pair, dtype=complex),
                                -0.5 * nu + 1j * omega, -0.5 * nu - 1j * omega])
-        return HamiltonianSpectrum(vals, pair, steps, residual)
+        return HamiltonianSpectrum(vals, pair, residual)
 
 
 def _relative(R: np.ndarray, ref: np.ndarray) -> float:
     """max |R| / max |ref|, and 0 for R = 0."""
     top = np.max(np.abs(R))
     return float(top / np.max(np.abs(ref))) if top else 0.0
-
-
-def _real_pair(Kt: np.ndarray, E: np.ndarray, kappa0: float, v0: np.ndarray):
-    """(s, x, y, steps): the real root s > 0 of det Q(s) = 0, Q(sigma) =
-    sigma^2 - sigma E + Kt, with Q(s) x = 0 and Q(s)^T y = 0, by two-sided
-    Newton (Rayleigh functional) from sigma = sqrt(-kappa0), x = y = v0.
-
-    Each step solves with one LU of Q(sigma) on both sides, x <- Q^{-1} Q' x
-    and y <- Q^{-T} Q'^T y, and takes the root of the scalar quadratic
-    y^T Q(sigma) x = 0 nearest sigma.  Q(sigma)^T = Q(-sigma), so y is also
-    the eigenvector of the partner root -s."""
-    sigma, x, y = float(np.sqrt(-kappa0)), v0, v0
-    diag = np.s_[::Kt.shape[0] + 1]
-    for step in range(1, PAIR_NEWTON_MAX + 1):
-        Q = Kt - sigma * E
-        Q.flat[diag] += sigma * sigma
-        lu = sla.lu_factor(Q, overwrite_a=True, check_finite=False)
-        x = sla.lu_solve(lu, 2.0 * sigma * x - E @ x, check_finite=False)
-        y = sla.lu_solve(lu, 2.0 * sigma * y + E @ y, trans=1,
-                         check_finite=False)
-        x /= np.linalg.norm(x)
-        y /= np.linalg.norm(y)
-        a, b, c = y @ x, -(y @ (E @ x)), y @ (Kt @ x)
-        disc = np.emath.sqrt(b * b - 4.0 * a * c)
-        roots = (-b + np.array([disc, -disc])) / (2.0 * a)
-        new = float(roots[np.argmin(np.abs(roots - sigma))].real)
-        change, sigma = abs(new - sigma), new
-        if change <= PAIR_NEWTON_TOL * sigma:
-            return sigma, x, y, step
-    raise RuntimeError(
-        f"real pair of A_c not converged in {PAIR_NEWTON_MAX} Newton steps: "
-        f"last step {change:.2e} at sigma = {sigma:.6e}")
 
 
 def _householder(x: np.ndarray, k: int) -> np.ndarray:
@@ -381,28 +352,52 @@ class NullPair:
     grid: Grid
 
 
-def _zero_mode(op: DiscretizedOperator) -> list:
-    """[(lam0, x)] for a scalar kind, [(lam0, x), (lam0, y)] for a block:
+def _zero_mode(op: DiscretizedOperator) -> tuple:
+    """((lam0, x),) for a scalar kind, ((lam0, x), (lam0, y)) for a block:
     the eigenvalue of smallest |lambda|, its unit right eigenvector x and
-    unit Euclidean left eigenvector y, by inverse iteration through one LU
-    of the matrix (Golub & Van Loan, Matrix Computations, 7.6.1) from
-    theta' (scalar kinds), or (theta', 0) and (nu theta', theta') (blocks
-    [[0, I], [-L, D]]; exact for D = -nu I, L theta' = 0).  Iterates keep
-    the orientation of their start; lam0 is the Rayleigh quotient
-    1 / x^T M^{-1} x of the last step.  A step shrinks the error by
-    |lambda0 / lambda1|, so a tenfold separated mode settles within
-    ZERO_MODE_MAX_STEPS from within 45 degrees; else RuntimeError."""
+    unit Euclidean left eigenvector y, by inverse iteration (Golub & Van
+    Loan, Matrix Computations, 7.6.1) through one LU of an n x n matrix:
+    the scalar kind's own, or the L_c of a block M = [[0, I], [-L_c, D]],
+    through which M^{-1}(f, g) = (L_c^{-1}(D f - g), f) and
+    M^{-T}(f, g) = (g - D^T v, v) with v = -L_c^{-T} f.  Started from
+    theta' (scalar kinds), or (theta', 0) and (nu theta', theta') (blocks;
+    exact for D = -nu I, L theta' = 0).  Iterates keep the orientation of
+    their start; lam0 is the Rayleigh quotient 1 / x^T M^{-1} x of the last
+    step.  A step shrinks the error by |lambda0 / lambda1|, so a tenfold
+    separated mode settles within ZERO_MODE_MAX_STEPS from within 45
+    degrees; else RuntimeError.  B_c, whose top row is zero, raises
+    ValueError."""
+    if op.kind == "Bc":
+        raise ValueError("kind Bc has a zero top row, not [0, I]: it has no "
+                         "translation zero mode")
     if op.profile is None:
         raise ValueError("operator carries no profile")
+    n = op.grid.n
     dth = derivative(op.profile.theta, 1).values
-    lu = sla.lu_factor(op._full(), overwrite_a=True, check_finite=False)
+    P = np.array(op.rows[:, :n], order="F")
+    if op.is_block:
+        P *= -1.0                    # L_c, from the bottom rows [-L_c, D]
+    lu = sla.lu_factor(P, overwrite_a=True, check_finite=False)
+    D = op.rows[:, n:]
     starts = ([np.concatenate([dth, np.zeros_like(dth)]),
                np.concatenate([op.nu * dth, dth])] if op.is_block else [dth])
+
+    def solve(z, trans):
+        """M^{-1} z, or M^{-T} z for trans = 1."""
+        if not op.is_block:
+            return sla.lu_solve(lu, z, trans=trans, check_finite=False)
+        f, g = z[:n], z[n:]
+        if trans:
+            v = -sla.lu_solve(lu, f, trans=1, check_finite=False)
+            return np.concatenate([g - D.T @ v, v])
+        return np.concatenate(
+            [sla.lu_solve(lu, D @ f - g, check_finite=False), f])
+
     out = []
     for trans, start in enumerate(starts):
         x = start / np.linalg.norm(start)
         for step in range(1, ZERO_MODE_MAX_STEPS + 1):
-            z = sla.lu_solve(lu, x, trans=trans, check_finite=False)
+            z = solve(x, trans)
             lam = 1.0 / float(x @ z)
             z *= np.copysign(1.0 / np.linalg.norm(z), z @ start)
             change, x = float(np.linalg.norm(z - x)), z
@@ -413,13 +408,15 @@ def _zero_mode(op: DiscretizedOperator) -> list:
                 f"zero mode not separated: inverse iteration still moved "
                 f"the unit iterate by {change:.2e} at step {step} "
                 f"(tolerance {ZERO_MODE_TOL:.0e})")
+        x.setflags(write=False)
         out.append((lam, x))
-    return out
+    return tuple(out)
 
 
 def translation_mode(op: DiscretizedOperator) -> np.ndarray:
     """Discrete translation zero mode: the unit eigenvector of smallest
-    |lambda|, by inverse iteration from the profile derivative (_zero_mode).
+    |lambda|, by inverse iteration from the profile derivative, read from
+    the operator's cached zero_pair (_zero_mode); read-only.
 
     The spectral derivative of the profile is a near-null direction in the
     interior but carries an O(1) defect concentrated within a few grid
@@ -428,16 +425,17 @@ def translation_mode(op: DiscretizedOperator) -> np.ndarray:
     the profile derivative to ~1e-6 in overlap and satisfies the zero-mode
     bound; use it whenever "the translation mode" is meant discretely.
     """
-    return _zero_mode(op)[0][1]
+    return op.zero_pair[0][1]
 
 
 def null_pair(op: DiscretizedOperator) -> NullPair:
     """Translation zero mode of A_c: right and left eigenvectors nearest 0
-    (left in the weighted-adjoint sense), from one LU (_zero_mode)."""
+    (left in the weighted-adjoint sense), from the operator's cached
+    zero_pair (_zero_mode: one n x n LU of L_c)."""
     if not op.is_block:
         raise ValueError("null_pair needs a block operator")
     g, n = op.grid, op.grid.n
-    (lam0, x), (_, y) = _zero_mode(op)
+    (lam0, x), (_, y) = op.zero_pair
     right = x / weighted_state_norm(g, x)
     # weighted adjoint eigenvector: left = W^{-1} y with A^T y ~ 0,
     # W = blockdiag(1 + k^2, 1)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .energy import energy, grad_energy
+from .energy import _gradient, energy, grad_energy
 from .grid import (
     BACKGROUND_WALL,
     Field,
@@ -158,7 +158,7 @@ def _residual_and_slopes(theta: Field, c: float, nu: float, H: float):
     is made of, which the speed column of the Newton system reuses."""
     d1 = derivative(theta, 1)
     d2 = derivative(d1, 1).values       # = derivative(theta, 2), from d1
-    R = (c**2 * d2 - nu * c * d1.values + grad_energy(theta).values
+    R = (c**2 * d2 - nu * c * d1.values + _gradient(theta, d2, "nonlocal")
          + H * np.cos(theta.reconstruct()))
     return R, d1.values, d2
 

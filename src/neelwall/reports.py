@@ -16,7 +16,7 @@ import numpy as np
 
 from .energy import MODES, grad_energy
 from .grid import Field, Grid, l2_norm
-from .profiles import Profile, traveling_residual
+from .profiles import Profile, check_field, traveling_residual
 from .spectra import ResolventSample, SpectrumReport, SweepResult
 from .dynamics import SimTrace
 
@@ -75,6 +75,15 @@ def load_profile(path) -> Profile:
         background = header["background"]
     except (KeyError, ValueError) as exc:
         raise ValueError(f"{path}: malformed header fields: {exc}") from exc
+    if not 0 < nu < np.inf:
+        raise ValueError(f"{path}: header field nu = {nu}: expected finite "
+                         f"and positive")
+    if not abs(c) < 1:
+        raise ValueError(f"{path}: header field c = {c}: expected |c| < 1")
+    try:
+        check_field(H)
+    except ValueError as exc:
+        raise ValueError(f"{path}: header field H: {exc}") from exc
     mode = header.get("mode", "nonlocal")
     if mode not in MODES or (mode == "local" and (c or H)):
         raise ValueError(f"{path}: mode {mode!r} at c = {c}, H = {H}: expected "

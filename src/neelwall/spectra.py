@@ -25,12 +25,13 @@ matrices.  eig_report has three eigen paths, named in meta["solver"]:
 "eigh" for the symmetric L; "hamiltonian" for a moving A_c whose
 K~ = sym(L_c) - nu^2/4 has one negative eigenvalue, where the gyroscopic
 pencil puts all of sigma(A_c) but one real pair on Re lam = -nu/2
-(linops.DiscretizedOperator.hamiltonian_spectrum: eigh of size n and
-eigvalsh of size 2n - 2); and "dgeev" for the rest.  The static A stays on
-dgeev: criterion 05's pencil check compares eigh(L) with an independent
-dense eigvals(A), so its report is never derived from sigma(L).  An A_c
-whose K~ has more negative eigenvalues (Lambda0 < nu^2/4) has more pairs
-off the line and stays on dgeev too.
+(linops.DiscretizedOperator.hamiltonian_spectrum: eigh of size n, the
+real pair from the operator's cached zero pair, which null_pair reads
+too, and eigvalsh of size 2n - 2); and "dgeev" for the rest.  The static
+A stays on dgeev: criterion 05's pencil check compares eigh(L) with an
+independent dense eigvals(A), so its report is never derived from
+sigma(L).  An A_c whose K~ has more negative eigenvalues
+(Lambda0 < nu^2/4) has more pairs off the line and stays on dgeev too.
 
 The numerical abscissa of A is closed form in the same modal factor C (one
 eigh of size n, no random start).  Nearest-point queries on spectra
@@ -75,7 +76,8 @@ def eig_report(op: DiscretizedOperator) -> SpectrumReport:
 
     meta["solver"] names the eigensolver: "eigh" for L, "hamiltonian" for
     an A_c whose K~ has one negative eigenvalue (then meta also carries the
-    real pair, its Newton steps and the structure residual), and "dgeev"
+    real pair, from the operator's cached zero pair, and the structure
+    residual), and "dgeev"
     for everything else, the static A and the non-symmetric L_c included.
     gap is the scalar kinds' distance above lambda0, the blocks' left."""
     meta = {"L": op.grid.L, "n": op.grid.n, "nu": op.nu, "c": op.c,
@@ -88,7 +90,6 @@ def eig_report(op: DiscretizedOperator) -> SpectrumReport:
     elif ham is not None:
         vals = ham.eigenvalues
         meta.update(solver="hamiltonian", pair=ham.pair,
-                    newton_steps=ham.newton_steps,
                     structure_residual=ham.structure_residual)
     else:
         try:

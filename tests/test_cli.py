@@ -91,7 +91,6 @@ def test_spectrum_moving(tmp_path):
     # sigma(A_c) from its Hamiltonian form: the real pair holds the
     # translation eigenvalue, everything else sits on Re lam = -nu/2
     assert m["solver"] == "hamiltonian"
-    assert 1 <= m["newton_steps"] <= 4
     assert m["structure_residual"] <= 1e-12
     assert m["gap"] == pytest.approx(0.5, abs=1e-10)
     assert abs(m["lambda0_re"]) <= 1e-4

@@ -218,6 +218,16 @@ def test_state_norm_matches_components():
         np.hypot(h1_norm(G, u), l2_norm(G, v)), rel=1e-12)
 
 
+def test_one_h1_sum():
+    # h1_norm and state_norm share one H1 sum: at v = 0 they agree to the
+    # bit, for decaying random u
+    rng = np.random.default_rng(31)
+    window = np.exp(-((G.x / (G.L / 3.0)) ** 2))
+    for _ in range(50):
+        u = rng.standard_normal(G.n) * window
+        assert state_norm(G, u, np.zeros(G.n)) == h1_norm(G, u)
+
+
 # the only places in src that transform to a real multiplier product by
 # hand, each with its reason
 OWN_REAL_MULTIPLIERS = {

@@ -202,42 +202,77 @@ def test_null_pair_and_projector(Ac_op256):
     assert np.max(np.abs(comm)) <= 1e-8
 
 
-def test_null_pair_deterministic(Ac_op256):
-    a, b = null_pair(Ac_op256), null_pair(Ac_op256)
+def test_null_pair_deterministic(traveling256):
+    # two operators from one profile: two solves, not one cached pair
+    a, b = (null_pair(build_block(traveling256)) for _ in range(2))
     assert np.array_equal(a.right, b.right)
     assert np.array_equal(a.left, b.left)
     assert a.lambda0 == b.lambda0
 
 
-def test_lapack_callers_factor_a_private_block(A_op256, Ac_op256,
+def test_lapack_callers_factor_a_private_block(traveling256, A_op256,
                                                monkeypatch):
-    # null_pair's LU and eig_report's dgeev overwrite a private
-    # Fortran-ordered block: their peak is one 2n x 2n block, not the
-    # C-ordered matrix plus the copy LAPACK makes of it, and the results
-    # are bit for bit those of the copying path
+    # eig_report's dgeev overwrites a private Fortran-ordered block: its
+    # peak is one 2n x 2n block, not the C-ordered matrix plus the copy
+    # LAPACK makes of it, and the eigenvalues are bit for bit those of the
+    # copying path.  null_pair on a freshly built A_c factors only the
+    # n x n L_c, a quarter of a block; it never assembles the block.
     block = A_op256.matrix.nbytes
 
-    def traced():
-        out, peaks = [], []
-        for run in (lambda: null_pair(Ac_op256), lambda: eig_report(A_op256)):
-            tracemalloc.start()
-            try:
-                out.append(run())
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        return out, peaks
+    def peak(run):
+        tracemalloc.start()
+        try:
+            return run(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
-    (pair, rep), peaks = traced()
+    op = build_block(traveling256)
+    _, pair_peak = peak(lambda: null_pair(op))
+    assert pair_peak <= 0.55 * block
+    rep, rep_peak = peak(lambda: eig_report(A_op256))
     full = DiscretizedOperator._full
     monkeypatch.setattr(DiscretizedOperator, "_full",
                         lambda op, order="F": full(op, "C"))
-    (ref_pair, ref_rep), ref_peaks = traced()
-    assert max(peaks) <= 1.25 * block < min(ref_peaks)
-    for a, b in ((pair.right, ref_pair.right), (pair.left, ref_pair.left),
-                 (rep.eigenvalues, ref_rep.eigenvalues)):
-        assert a.tobytes() == b.tobytes()
-    assert pair.lambda0 == ref_pair.lambda0
+    ref, ref_peak = peak(lambda: eig_report(A_op256))
+    assert rep_peak <= 1.25 * block < ref_peak
+    assert rep.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+
+
+def test_zero_pair_is_one_n_by_n_lu(traveling256, monkeypatch):
+    # translation_mode, null_pair and the Hamiltonian eig_report of one
+    # fresh A_c share the cached zero pair: one LU, of the n x n L_c
+    op = build_block(traveling256)
+    shapes = []
+    inner = sla.lu_factor
+
+    def counted(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return inner(a, *args, **kwargs)
+
+    monkeypatch.setattr(sla, "lu_factor", counted)
+    translation_mode(op)
+    pair = null_pair(op)
+    rep = eig_report(op)
+    n = op.grid.n
+    assert shapes == [(n, n)]
+    assert rep.meta["solver"] == "hamiltonian"
+    assert rep.meta["pair"][0] == pytest.approx(pair.lambda0, abs=1e-15)
+    assert not translation_mode(op).flags.writeable
+
+
+def test_zero_mode_refuses_Bc(traveling256, static256, monkeypatch):
+    # B_c's top row is zero, not [0, I]: the Schur solve through L_c would
+    # return an eigenpair of another matrix, so both entry points refuse it
+    # before any factorization
+    op = build_Bc(traveling256, static256)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("factored B_c")
+
+    monkeypatch.setattr(sla, "lu_factor", refuse)
+    for entry in (null_pair, translation_mode):
+        with pytest.raises(ValueError, match="Bc"):
+            entry(op)
 
 
 def _sine(a: np.ndarray, b: np.ndarray) -> float:

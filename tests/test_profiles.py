@@ -21,6 +21,7 @@ import scipy.linalg as sla
 
 from neelwall import grid as grid_module
 from neelwall import profiles
+from neelwall.energy import grad_energy
 from neelwall.grid import Grid, derivative, l2_norm
 from neelwall.profiles import (
     SolverError, mobility, mobility_fields, solve_static, solve_traveling,
@@ -127,6 +128,28 @@ def test_traveling_residual_vanishes_only_at_solution(traveling256):
     r_wrong = traveling_residual(g, traveling256.theta, 0.0,
                                  traveling256.nu, traveling256.H)
     assert l2_norm(g, r_wrong) > 1e-4
+
+
+def test_traveling_residual_takes_three_ffts(traveling256, monkeypatch):
+    # the residual hands its own psi'' to the energy gradient: bit for bit
+    # the formula c^2 psi'' - nu c psi' + grad E(psi) + H cos(psi), in 3
+    # forward transforms (psi', psi'' and T cos psi), not 5
+    g, theta = traveling256.grid, traveling256.theta
+    c, nu, H = traveling256.c, traveling256.nu, traveling256.H
+    d1 = derivative(theta, 1)
+    ref = (c**2 * derivative(d1, 1).values - nu * c * d1.values
+           + grad_energy(theta).values + H * np.cos(theta.reconstruct()))
+    calls = []
+    fft = np.fft.fft
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counted)
+    R = traveling_residual(g, theta, c, nu, H)
+    assert len(calls) == 3
+    assert R.tobytes() == ref.tobytes()
 
 
 def test_traveling_field_sign_symmetry(grid256, static256, traveling256):

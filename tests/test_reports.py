@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -62,6 +63,25 @@ def test_load_rejects_bad_mode(tmp_path, static256, traveling256):
         path.write_bytes(path.read_bytes().replace(old, new, 1))
         with pytest.raises(ValueError, match="mode"):
             load_profile(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("nu", "nan"), ("nu", "-2"), ("nu", "0"), ("c", "3"), ("c", "nan"),
+    ("H", "inf"), ("H", "0.5")])
+def test_load_rejects_bad_header_values(tmp_path, static256, field, value):
+    # values every other entry point refuses: a non-finite or non-positive
+    # nu, a non-finite c or |c| >= 1, an H outside the field envelope
+    path = tmp_path / "bad_value.prof"
+    store_profile(static256, path)
+    raw = path.read_bytes()
+    head, sep, payload = raw.partition(b"\n\n")
+    head = re.sub(rf" {field}=[^ ]+ ".encode(), f" {field}={value} ".encode(),
+                  head)
+    assert f" {field}={value} ".encode() in head
+    path.write_bytes(head + sep + payload)
+    with pytest.raises(ValueError, match=rf"bad_value\.prof: header field "
+                                         rf"{field}"):
+        load_profile(path)
 
 
 def test_load_rejects_bad_magic(tmp_path):
